@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .network import (  # noqa: F401
     Network,
     build_network,
-    communication_laplacian,
     generate_hfuzz,
     generate_lattice,
     laplacian,

@@ -57,9 +57,13 @@ def parse_generator_spec(spec: str, resistance: float) -> Network:
     raise UsageError(f"unknown generator kind {kind!r} in {spec!r}")
 
 
-def _params(args) -> systems.ControllerParams:
-    return systems.ControllerParams(c=args.c, k_p=args.kp, k=args.k,
-                                    gamma=args.gamma)
+def _params(args, c=None) -> systems.ControllerParams:
+    try:
+        return systems.ControllerParams(c=args.c if c is None else c,
+                                        k_p=args.kp, k=args.k,
+                                        gamma=args.gamma)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _add_common(parser, with_network=True):
@@ -179,8 +183,11 @@ def _cmd_sweep(args):
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad sizes {args.sizes!r}") from exc
-    result = resistance.scaling_sweep(args.family, sizes, _params(args),
-                                      args.ground, args.resistance)
+    try:
+        result = resistance.scaling_sweep(args.family, sizes, _params(args),
+                                          args.ground, args.resistance)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     path = f"{args.out}_sweep.csv"
     _write(path, result.to_csv())
     fit = result.fit
@@ -248,8 +255,7 @@ def _cmd_fig2(args):
     variants = [("c1mF", 1e-3, args.T), ("c1F", 1.0, args.T * 1000.0)]
     outputs = []
     for tag, c, horizon in variants:
-        params = systems.ControllerParams(c=c, k_p=args.kp, k=args.k,
-                                          gamma=args.gamma)
+        params = _params(args, c)
         for kind in ("slack", "droop", "dapi"):
             model = _assemble(kind, net, params, args.ground)
             x0 = simulation.sample_initial(model, args.seed, mode="paper_fig2")

@@ -8,7 +8,8 @@ class DCGridError(Exception):
 # --- network construction ---
 
 class InvalidEdge(DCGridError):
-    """Self-loop, duplicate undirected edge, or non-positive resistance."""
+    """Self-loop, duplicate or absent edge, or a resistance that is not
+    positive and finite."""
 
 
 class IndexOutOfRange(DCGridError):
@@ -16,7 +17,8 @@ class IndexOutOfRange(DCGridError):
 
 
 class DisconnectedGraph(DCGridError):
-    """The edge list does not connect all declared nodes."""
+    """The edge list does not connect all declared nodes, or a Laplacian
+    has more than one (numerically) zero eigenvalue."""
 
 
 class InvalidDimension(DCGridError):
@@ -29,10 +31,6 @@ class InvalidSize(DCGridError):
 
 class InvalidFuzzRadius(DCGridError):
     """Fuzz radius h must be >= 1."""
-
-
-class NonPositiveGamma(DCGridError):
-    pass
 
 
 # --- numerics ---
@@ -53,10 +51,6 @@ class SingularSystem(DCGridError):
     """Linear solve inside the Lyapunov equation failed."""
 
 
-class Disconnected(DCGridError):
-    """Laplacian has more than one (numerically) zero eigenvalue."""
-
-
 # --- systems ---
 
 class NonUniformParams(DCGridError):
@@ -75,6 +69,11 @@ class SameNode(DCGridError):
 
 class DisconnectsGraph(DCGridError):
     """Removing this edge would disconnect the graph."""
+
+
+class RayleighViolation(DCGridError):
+    """An effective resistance decreased after an edge was removed or its
+    resistance raised."""
 
 
 # --- simulation ---

@@ -2,20 +2,22 @@
 
 A network is an undirected, connected graph of buses joined by purely
 resistive lines. This module builds and validates such graphs, generates
-finite d-dimensional lattices and their h-fuzzes, and produces the
-(reduced, communication) Laplacian matrices used by the closed-loop
-voltage controllers.
+finite d-dimensional lattices and their h-fuzzes, and produces their
+(reduced) Laplacians and the one cached Laplacian spectrum per network.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import numerics
 from .errors import (
     DisconnectedGraph,
     IndexOutOfRange,
@@ -23,7 +25,6 @@ from .errors import (
     InvalidEdge,
     InvalidFuzzRadius,
     InvalidSize,
-    NonPositiveGamma,
 )
 
 
@@ -45,6 +46,12 @@ class Network:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def spectrum(self) -> numerics.SpectralDecomposition:
+        """Laplacian eigenvalues (zero mode exactly 0.0 first) and
+        eigenvectors, computed on first use and shared thereafter."""
+        return numerics.laplacian_spectrum(numerics.eig_sym(laplacian(self)))
 
     def adjacency_lists(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.node_count)]
@@ -76,7 +83,7 @@ def _check_connected(n: int, edges) -> bool:
 def build_network(node_count, edge_list, coords=None, r_bounds=None) -> Network:
     """Validate an edge list and return an immutable Network.
 
-    Raises InvalidEdge for self-loops, duplicates or R <= 0,
+    Raises InvalidEdge for self-loops, duplicates or R not in (0, inf),
     IndexOutOfRange for bad node indices, and DisconnectedGraph when the
     graph does not reach every node.
     """
@@ -97,8 +104,9 @@ def build_network(node_count, edge_list, coords=None, r_bounds=None) -> Network:
             raise InvalidEdge(f"duplicate edge {key}")
         seen.add(key)
         r = float(r)
-        if not r > 0.0:
-            raise InvalidEdge(f"edge {key} has non-positive resistance {r}")
+        if not 0.0 < r < math.inf:
+            raise InvalidEdge(
+                f"edge {key} resistance {r} is not positive and finite")
         normalized.append((key[0], key[1], r))
     normalized.sort()
     if not _check_connected(node_count, normalized):
@@ -204,13 +212,6 @@ def reduced_laplacian(lap: np.ndarray, ground: int = 0) -> np.ndarray:
         raise IndexOutOfRange(f"ground index {ground} outside [0,{n})")
     keep = [k for k in range(n) if k != ground]
     return lap[np.ix_(keep, keep)]
-
-
-def communication_laplacian(net: Network, gamma: float) -> np.ndarray:
-    """Communication-graph Laplacian, a positive multiple of the line Laplacian."""
-    if not gamma > 0:
-        raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
-    return gamma * laplacian(net)
 
 
 # --- file formats ---

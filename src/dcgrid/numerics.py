@@ -1,9 +1,10 @@
-"""Dense symmetric eigendecomposition, Lyapunov solves, and Laplacian
-pseudoinverse.
+"""Dense symmetric eigendecomposition, Laplacian spectra, Lyapunov
+solves, and the Laplacian pseudoinverse.
 
 These are the numerical kernels behind the closed-form H2 evaluation and
 its independent Lyapunov oracle. All routines operate on dense real
-matrices and are pure functions.
+matrices and are pure functions; :func:`laplacian_spectrum` is the one
+place that decides which eigenvalue is a Laplacian's zero mode.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    Disconnected,
+    DisconnectedGraph,
     NoConvergence,
     NotHurwitz,
     NotSymmetric,
@@ -83,17 +84,24 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> LyapunovSolution:
     return LyapunovSolution(p, residual)
 
 
-def pinv_laplacian(lap: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a connected graph's Laplacian.
-
-    Inverts every eigenvalue above the scale-invariant zero threshold;
-    raises Disconnected if more than one eigenvalue falls below it.
+def laplacian_spectrum(dec: SpectralDecomposition) -> SpectralDecomposition:
+    """A connected graph's Laplacian spectrum from its eigendecomposition:
+    exactly one eigenvalue may fall below the scale-invariant zero
+    threshold (else DisconnectedGraph), and it is set to exactly 0.0. The
+    arrays are made read-only because the spectrum is cached and shared.
     """
-    dec = eig_sym(lap)
     cutoff = ZERO_EIG_RTOL * max(1.0, float(dec.values[-1]))
-    zero = np.abs(dec.values) < cutoff
-    if int(zero.sum()) != 1:
-        raise Disconnected(
-            f"expected exactly one zero eigenvalue, found {int(zero.sum())}")
-    inv = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, dec.values))
-    return (dec.vectors * inv) @ dec.vectors.T
+    zeros = int(np.sum(np.abs(dec.values) < cutoff))
+    if zeros != 1:
+        raise DisconnectedGraph(
+            f"expected exactly one zero eigenvalue, found {zeros}")
+    values = np.concatenate(([0.0], dec.values[1:]))
+    values.flags.writeable = False
+    dec.vectors.flags.writeable = False
+    return SpectralDecomposition(values, dec.vectors)
+
+
+def pinv_laplacian(spec: SpectralDecomposition) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of a Laplacian from its spectrum."""
+    modes = spec.vectors[:, 1:]
+    return (modes / spec.values[1:]) @ modes.T

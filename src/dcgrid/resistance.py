@@ -16,25 +16,35 @@ import numpy as np
 
 from . import network as net_mod
 from . import numerics, systems
-from .errors import DisconnectedGraph, DisconnectsGraph, SameNode
+from .errors import (
+    DisconnectedGraph,
+    DisconnectsGraph,
+    IndexOutOfRange,
+    InvalidEdge,
+    RayleighViolation,
+    SameNode,
+)
 from .network import Network
 
 
 def reff_matrix(net: Network) -> np.ndarray:
     """All pairwise effective resistances from one Laplacian pseudoinverse."""
-    pinv = numerics.pinv_laplacian(net_mod.laplacian(net))
+    pinv = numerics.pinv_laplacian(net.spectrum)
     d = np.diag(pinv)
     return d[:, None] + d[None, :] - 2.0 * pinv
 
 
 def effective_resistance(net: Network, i: int, j: int) -> float:
-    """Two-terminal equivalent resistance between buses i and j."""
+    """Two-terminal equivalent resistance between buses i and j:
+    the sum over nonzero modes of (v_ik - v_jk)^2 / lambda_k."""
+    n = net.node_count
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexOutOfRange(f"node pair ({i},{j}) outside [0,{n})")
     if i == j:
         raise SameNode(f"effective resistance needs two distinct nodes, got {i}")
-    pinv = numerics.pinv_laplacian(net_mod.laplacian(net))
-    e = np.zeros(net.node_count)
-    e[i], e[j] = 1.0, -1.0
-    return float(e @ pinv @ e)
+    spec = net.spectrum
+    diff = spec.vectors[i, 1:] - spec.vectors[j, 1:]
+    return float(np.sum(diff**2 / spec.values[1:]))
 
 
 def kirchhoff_index(net: Network) -> float:
@@ -45,8 +55,7 @@ def kirchhoff_index(net: Network) -> float:
 
 def kstar(net: Network) -> float:
     """Mean reciprocal nonzero Laplacian eigenvalue, K_f / n^2."""
-    values = numerics.eig_sym(net_mod.laplacian(net)).values
-    return float(np.sum(1.0 / values[1:])) / net.node_count
+    return float(np.sum(1.0 / net.spectrum.values[1:])) / net.node_count
 
 
 @dataclass(frozen=True)
@@ -65,13 +74,15 @@ def rayleigh_check(net: Network, edge: tuple[int, int],
     """Remove an edge (or raise its resistance) and verify that no
     pairwise effective resistance decreases.
 
-    Raises DisconnectsGraph when removal would split the network.
+    Raises InvalidEdge when the edge is not in the network,
+    DisconnectsGraph when removal would split it, and RayleighViolation
+    when some effective resistance decreases by more than 1e-10.
     """
     i, j = min(edge), max(edge)
     before = reff_matrix(net)
     kept = [(a, b, r) for a, b, r in net.edges if (a, b) != (i, j)]
     if len(kept) == len(net.edges):
-        raise SameNode(f"edge {edge} not present in network")
+        raise InvalidEdge(f"edge {edge} not present in network")
     if new_resistance is None:
         try:
             perturbed = net_mod.build_network(net.node_count, kept)
@@ -87,8 +98,9 @@ def rayleigh_check(net: Network, edge: tuple[int, int],
         edge=(i, j), new_resistance=new_resistance,
         min_delta=float(delta[mask].min()), max_delta=float(delta[mask].max()),
         pairs=net.node_count * (net.node_count - 1) // 2)
-    assert report.min_delta >= -1e-10, (
-        f"effective resistance decreased by {-report.min_delta}")
+    if report.min_delta < -1e-10:
+        raise RayleighViolation(
+            f"effective resistance decreased by {-report.min_delta}")
     return report
 
 
@@ -158,30 +170,25 @@ def scaling_sweep(family: str, sizes, params: systems.ControllerParams,
                   ground: int = 0, resistance: float = 1.0) -> SweepResult:
     """Closed-form H2 norms and resistance indices across network sizes.
 
-    ``sizes`` are side lengths (ascending): node counts for paths, grid
-    sides for the 2-D/3-D/fuzz families. Ground defaults to node 0, the
-    path end or grid corner.
+    ``sizes`` are at least two strictly ascending side lengths: node
+    counts for paths, grid sides for the 2-D/3-D/fuzz families. Ground
+    defaults to node 0, the path end or grid corner.
     """
     sizes = list(sizes)
-    if sizes != sorted(sizes):
-        raise ValueError("sizes must be ascending")
+    if len(sizes) < 2 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(
+            f"need at least two strictly ascending sizes, got {sizes}")
     records = []
     for size in sizes:
         net = _family_network(family, size, resistance)
         n = net.node_count
-        dec = numerics.eig_sym(net_mod.laplacian(net))
-        lam = np.maximum(dec.values, 0.0)
-        c = params.uniform("c")
-        k_p = params.uniform("k_p")
-        inv_nonzero = 1.0 / lam[1:]
-        kf = n * float(np.sum(inv_nonzero))
+        k = kstar(net)
         records.append(ScalingRecord(
             family=family, n=n,
             h2_slack=systems.h2_closed_form_slack(net, params, ground),
-            h2_droop=c / (2 * n) * float(np.sum(1.0 / (lam + k_p))),
-            h2_dapi=c / (2 * n) * float(
-                np.sum(1.0 / systems.dapi_modal_gain(lam, params))),
-            kstar=kf / n**2, kirchhoff=kf))
+            h2_droop=systems.h2_closed_form_droop(net, params),
+            h2_dapi=systems.h2_closed_form_dapi(net, params),
+            kstar=k, kirchhoff=k * n**2))
 
     ns = np.array([r.n for r in records], dtype=float)
     ys = np.array([r.h2_slack for r in records])

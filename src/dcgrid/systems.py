@@ -16,7 +16,7 @@ import numpy as np
 
 from . import network as net_mod
 from . import numerics
-from .errors import DimensionCap, NonUniformParams, NotHurwitz
+from .errors import DimensionCap, IndexOutOfRange, NonUniformParams, NotHurwitz
 from .network import Network
 
 ORACLE_DIM_CAP = 60
@@ -40,15 +40,18 @@ class ControllerParams:
         for name in ("c", "k_p", "k"):
             value = getattr(self, name)
             if np.isscalar(value):
-                if not value > 0:
-                    raise ValueError(f"{name} must be positive, got {value}")
+                if not 0 < value < np.inf:
+                    raise ValueError(
+                        f"{name} must be positive and finite, got {value}")
             else:
                 arr = np.asarray(value, dtype=float)
-                if not np.all(arr > 0):
-                    raise ValueError(f"all entries of {name} must be positive")
+                if not np.all((arr > 0) & (arr < np.inf)):
+                    raise ValueError(
+                        f"all entries of {name} must be positive and finite")
                 object.__setattr__(self, name, tuple(arr))
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(
+                f"gamma must be positive and finite, got {self.gamma}")
 
     def per_node(self, name: str, n: int) -> np.ndarray:
         value = getattr(self, name)
@@ -159,36 +162,43 @@ def assemble_dapi(net: Network, params: ControllerParams) -> StateSpaceModel:
 
 def h2_closed_form_slack(net: Network, params: ControllerParams,
                          ground: int = 0) -> float:
+    """c/(2n) tr(L_red^-1), with tr(L_red^-1) = tr(L^+) + n L^+_gg, i.e.
+    c/(2n) times the sum over nonzero modes of (1 + n v_gk^2) / lambda_k."""
     c = params.uniform("c")
-    lap_red = net_mod.reduced_laplacian(net_mod.laplacian(net), ground)
-    values = numerics.eig_sym(lap_red).values
-    return c / (2 * net.node_count) * float(np.sum(1.0 / values))
+    n = net.node_count
+    if not 0 <= ground < n:
+        raise IndexOutOfRange(f"ground index {ground} outside [0,{n})")
+    spec = net.spectrum
+    weights = 1.0 + n * spec.vectors[ground, 1:] ** 2
+    return c / (2 * n) * float(np.sum(weights / spec.values[1:]))
 
 
 def h2_closed_form_droop(net: Network, params: ControllerParams) -> float:
     c = params.uniform("c")
     k_p = params.uniform("k_p")
-    values = numerics.eig_sym(net_mod.laplacian(net)).values
+    values = net.spectrum.values
     return c / (2 * net.node_count) * float(np.sum(1.0 / (values + k_p)))
 
 
 def dapi_modal_gain(lam: np.ndarray, params: ControllerParams) -> np.ndarray:
-    """Per-eigenvalue denominator of the DAPI squared-H2 expression."""
+    """Per-eigenvalue denominator of the DAPI squared-H2 expression.
+
+    The inner fraction is divided through by gamma * lam, so no gain can
+    overflow through gamma^2, and the zero mode's term (like any overflowed
+    denominator) is c / inf = 0.
+    """
     c = params.uniform("c")
     k_p = params.uniform("k_p")
     k = params.uniform("k")
     g = params.gamma
-    inner = (c * g * lam) / (c * g**2 * lam**2 + k * g * lam**2
-                             + k * k_p * g * lam + k)
+    with np.errstate(divide="ignore", over="ignore"):
+        inner = c / (c * g * lam + k * lam + k * k_p + k / (g * lam))
     return lam + k_p + inner
 
 
 def h2_closed_form_dapi(net: Network, params: ControllerParams) -> float:
-    values = numerics.eig_sym(net_mod.laplacian(net)).values
-    # clamp tiny negative rounding of the zero eigenvalue
-    values = np.maximum(values, 0.0)
     c = params.uniform("c")
-    denom = dapi_modal_gain(values, params)
+    denom = dapi_modal_gain(net.spectrum.values, params)
     return c / (2 * net.node_count) * float(np.sum(1.0 / denom))
 
 

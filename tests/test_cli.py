@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dcgrid import numerics
 from dcgrid.cli import run
 
 
@@ -16,6 +17,15 @@ def run_json(argv, capsys):
     code = run(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def strict_json(text):
+    """Parse JSON, failing on NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 class TestH2:
@@ -162,3 +172,63 @@ class TestErrors:
         code = run(["h2", "--gen", "path:3", "--ground", "9", "--out", "x"])
         assert code == 1
         assert not (tmp_path / "x_meta.json").exists()
+
+
+class TestBoundaries:
+    """Each bad input exits 1 or 2 with no traceback and no _meta.json."""
+
+    @pytest.mark.parametrize("argv", [
+        ["resist", "--gen", "path:3", "--pair", "0,99"],
+        ["resist", "--gen", "path:3", "--pair=-1,0"],
+        ["h2", "--gen", "path:3", "--ground", "-1"],
+        ["h2", "--gen", "path:5", "--resistance", "inf"],
+    ])
+    def test_computation_error(self, argv, capsys, tmp_path):
+        assert run(argv + ["--out", "x"]) == 1
+        out = capsys.readouterr().out
+        assert "error" in strict_json(out)
+        assert not (tmp_path / "x_meta.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "path", "--sizes", "10"],
+        ["sweep", "--family", "path", "--sizes", "10,10"],
+        ["sweep", "--family", "path", "--sizes", "10,5"],
+        ["h2", "--gen", "path:5", "--c", "-1"],
+        ["h2", "--gen", "path:5", "--c", "inf"],
+        ["compare", "--gen", "path:5", "--gamma", "inf"],
+        ["fig2", "--n", "3", "--kp", "nan"],
+    ])
+    def test_usage_error(self, argv, capsys, tmp_path):
+        assert run(argv + ["--out", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_huge_gamma_is_finite(self, capsys):
+        code = run(["compare", "--gen", "path:5", "--gamma", "1e200"])
+        doc = strict_json(capsys.readouterr().out)
+        assert code == 0
+        assert doc["ordering_flags"]["dapi_le_droop"]
+        assert 0 < doc["dapi"] <= doc["droop"]
+
+
+class TestSpectrumShared:
+    """One dense eigensolve per network, shared by every quantity."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["h2", "--gen", "grid2:4x4"], 1),
+        (["compare", "--gen", "grid2:4x4"], 1),
+        (["resist", "--gen", "grid2:4x4", "--pair", "0,15"], 1),
+        (["sweep", "--family", "grid2d", "--sizes", "3,4,5"], 3),
+    ])
+    def test_eig_sym_calls(self, argv, expected, capsys, monkeypatch):
+        calls = []
+        original = numerics.eig_sym
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return original(mat)
+
+        monkeypatch.setattr(numerics, "eig_sym", counting)
+        assert run(argv) == 0
+        assert len(calls) == expected

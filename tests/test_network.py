@@ -8,7 +8,6 @@ import pytest
 from dcgrid import errors, network
 from dcgrid.network import (
     build_network,
-    communication_laplacian,
     generate_hfuzz,
     generate_lattice,
     laplacian,
@@ -41,6 +40,11 @@ class TestBuildNetwork:
     def test_nonpositive_resistance(self):
         with pytest.raises(errors.InvalidEdge):
             build_network(2, [(0, 1, 0.0)])
+
+    @pytest.mark.parametrize("r", [np.inf, np.nan])
+    def test_nonfinite_resistance(self, r):
+        with pytest.raises(errors.InvalidEdge):
+            build_network(2, [(0, 1, r)])
 
     def test_index_out_of_range(self):
         with pytest.raises(errors.IndexOutOfRange):
@@ -193,22 +197,28 @@ class TestReducedLaplacian:
             reduced_laplacian(laplacian(p3), 3)
 
 
-class TestCommunicationLaplacian:
-    def test_gamma_one(self, k2):
-        assert np.array_equal(communication_laplacian(k2, 1.0),
-                              [[1, -1], [-1, 1]])
+class TestSpectrum:
+    def test_computed_once_and_shared(self, p3):
+        assert p3.spectrum is p3.spectrum
 
-    def test_gamma_1000(self, k2):
-        assert np.array_equal(communication_laplacian(k2, 1000.0),
-                              [[1000, -1000], [-1000, 1000]])
+    def test_matches_laplacian(self):
+        net = generate_lattice(2, 5, 0.5)
+        spec = net.spectrum
+        assert spec.values[0] == 0.0 and spec.values[1] > 0.0
+        lap = laplacian(net)
+        assert np.allclose(lap @ spec.vectors, spec.vectors * spec.values,
+                           atol=1e-12)
 
-    def test_scalar_multiple(self, p3):
-        assert np.array_equal(communication_laplacian(p3, 2.0),
-                              2.0 * laplacian(p3))
+    def test_read_only(self, p3):
+        with pytest.raises(ValueError):
+            p3.spectrum.values[1] = 0.0
+        with pytest.raises(ValueError):
+            p3.spectrum.vectors[0, 0] = 0.0
 
-    def test_nonpositive_gamma(self, k2):
-        with pytest.raises(errors.NonPositiveGamma):
-            communication_laplacian(k2, 0.0)
+    def test_equality_ignores_cache(self, p3):
+        twin = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        p3.spectrum
+        assert twin == p3 and hash(twin) == hash(p3)
 
 
 class TestFileFormats:

@@ -3,7 +3,13 @@ import pytest
 
 from dcgrid import errors
 from dcgrid.network import build_network, laplacian
-from dcgrid.numerics import eig_sym, is_hurwitz, pinv_laplacian, solve_lyapunov
+from dcgrid.numerics import (
+    eig_sym,
+    is_hurwitz,
+    laplacian_spectrum,
+    pinv_laplacian,
+    solve_lyapunov,
+)
 
 
 class TestEigSym:
@@ -86,25 +92,42 @@ class TestIsHurwitz:
         assert not is_hurwitz(np.diag([-1.0, 0.0]))
 
 
+def _pinv(lap):
+    return pinv_laplacian(laplacian_spectrum(eig_sym(lap)))
+
+
 class TestPinvLaplacian:
     def test_k2_closed_form(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
         expected = 0.25 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert np.allclose(pinv_laplacian(lap), expected)
+        assert np.allclose(_pinv(lap), expected)
 
     def test_pseudoinverse_property_p3(self):
         lap = laplacian(build_network(3, [(0, 1, 1.0), (1, 2, 1.0)]))
-        pinv = pinv_laplacian(lap)
+        pinv = _pinv(lap)
         assert np.linalg.norm(lap @ pinv @ lap - lap) <= 1e-10
         assert np.linalg.norm(pinv @ lap @ pinv - pinv) <= 1e-10
 
     def test_p3_series_resistance(self):
         lap = laplacian(build_network(3, [(0, 1, 1.0), (1, 2, 1.0)]))
         e = np.array([1.0, 0.0, -1.0])
-        assert np.isclose(e @ pinv_laplacian(lap) @ e, 2.0)
+        assert np.isclose(e @ _pinv(lap) @ e, 2.0)
 
     def test_disconnected_rejected(self):
         lap = np.array([[1.0, -1, 0, 0], [-1, 1, 0, 0],
                         [0, 0, 1, -1], [0, 0, -1, 1]])
-        with pytest.raises(errors.Disconnected):
-            pinv_laplacian(lap)
+        with pytest.raises(errors.DisconnectedGraph):
+            _pinv(lap)
+
+
+class TestLaplacianSpectrum:
+    def test_zero_mode_set_exactly(self):
+        lap = laplacian(build_network(3, [(0, 1, 0.3), (1, 2, 0.7)]))
+        dec = eig_sym(lap)
+        spec = laplacian_spectrum(dec)
+        assert spec.values[0] == 0.0
+        assert np.array_equal(spec.values[1:], dec.values[1:])
+
+    def test_no_zero_mode_rejected(self):
+        with pytest.raises(errors.DisconnectedGraph):
+            laplacian_spectrum(eig_sym(np.diag([1.0, 2.0])))

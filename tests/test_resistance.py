@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from dcgrid import errors
-from dcgrid.network import build_network, generate_lattice, laplacian
+from dcgrid import errors, resistance
+from dcgrid.network import (
+    build_network,
+    generate_hfuzz,
+    generate_lattice,
+    laplacian,
+)
 from dcgrid.numerics import eig_sym
 from dcgrid.resistance import (
     effective_resistance,
@@ -12,7 +17,12 @@ from dcgrid.resistance import (
     reff_matrix,
     scaling_sweep,
 )
-from dcgrid.systems import ControllerParams
+from dcgrid.systems import (
+    ControllerParams,
+    h2_closed_form_dapi,
+    h2_closed_form_droop,
+    h2_closed_form_slack,
+)
 from .conftest import random_connected_network
 
 
@@ -30,6 +40,21 @@ class TestEffectiveResistance:
     def test_same_node(self, p3):
         with pytest.raises(errors.SameNode):
             effective_resistance(p3, 1, 1)
+
+    @pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (-1, 0), (0, -3)])
+    def test_index_out_of_range(self, p3, i, j):
+        with pytest.raises(errors.IndexOutOfRange):
+            effective_resistance(p3, i, j)
+
+    def test_matches_reff_matrix(self):
+        net = random_connected_network(np.random.default_rng(4))
+        reff = reff_matrix(net)
+        n = net.node_count
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    assert np.isclose(effective_resistance(net, i, j),
+                                      reff[i, j], rtol=1e-10)
 
     def test_metric_properties(self):
         rng = np.random.default_rng(2)
@@ -101,8 +126,22 @@ class TestRayleigh:
         assert rep.new_resistance == 2.0
 
     def test_missing_edge(self, p3):
-        with pytest.raises(errors.SameNode):
+        with pytest.raises(errors.InvalidEdge):
             rayleigh_check(p3, (0, 2))
+
+    def test_violation_raises(self, triangle, monkeypatch):
+        # a second matrix smaller than the first must be reported, not
+        # asserted (python -O strips asserts)
+        calls = []
+
+        def fake_reff(net):
+            calls.append(net)
+            return np.full((3, 3), 1.0 if len(calls) == 1 else 0.5)
+
+        monkeypatch.setattr(resistance, "reff_matrix", fake_reff)
+        with pytest.raises(errors.RayleighViolation):
+            rayleigh_check(triangle, (0, 1), new_resistance=2.0)
+        assert len(calls) == 2
 
 
 class TestEmbeddingBound:
@@ -154,6 +193,21 @@ class TestScalingSweep:
     def test_sizes_must_ascend(self):
         with pytest.raises(ValueError):
             scaling_sweep("path", [20, 10], ControllerParams(c=1.0))
+
+    @pytest.mark.parametrize("sizes", [[], [10], [10, 10], [5, 10, 10]])
+    def test_needs_two_strictly_ascending_sizes(self, sizes):
+        with pytest.raises(ValueError):
+            scaling_sweep("path", sizes, ControllerParams(c=1.0))
+
+    def test_records_match_closed_forms(self):
+        p = ControllerParams(c=2.0, k_p=0.3, k=50.0, gamma=10.0)
+        res = scaling_sweep("hfuzz", [3, 4], p, ground=2)
+        for rec, side in zip(res.records, [3, 4]):
+            net = generate_hfuzz(generate_lattice(2, side), 2)
+            assert rec.h2_slack == h2_closed_form_slack(net, p, 2)
+            assert rec.h2_droop == h2_closed_form_droop(net, p)
+            assert rec.h2_dapi == h2_closed_form_dapi(net, p)
+            assert rec.kstar == kstar(net)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

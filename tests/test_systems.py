@@ -11,6 +11,7 @@ from dcgrid.systems import (
     assemble_droop,
     assemble_slack,
     compare_controllers,
+    dapi_modal_gain,
     h2_closed_form_dapi,
     h2_closed_form_droop,
     h2_closed_form_slack,
@@ -25,6 +26,14 @@ class TestControllerParams:
             ControllerParams(c=-1.0)
         with pytest.raises(ValueError):
             ControllerParams(gamma=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"c": np.inf}, {"k_p": np.inf}, {"k": np.inf}, {"gamma": np.inf},
+        {"c": np.nan}, {"c": (1.0, np.inf)}, {"k": (np.inf, 2.0)},
+        {"k_p": (0.1, np.nan)}])
+    def test_nonfinite_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ControllerParams(**kwargs)
 
     def test_heterogeneous_accepted(self):
         p = ControllerParams(c=(1.0, 2.0, 3.0))
@@ -183,11 +192,33 @@ class TestLyapunovOracle:
     def test_slack_equals_trace_of_inverse(self, paper_params):
         # third route: direct linear solves instead of eigenvalues
         from dcgrid.network import laplacian, reduced_laplacian
-        net = generate_lattice(2, 3)
-        red = reduced_laplacian(laplacian(net), 0)
-        trace_inv = np.trace(np.linalg.solve(red, np.eye(8)))
-        assert np.isclose(h2_closed_form_slack(net, paper_params, 0),
-                          trace_inv / (2 * 9), rtol=1e-9)
+        rng = np.random.default_rng(31)
+        nets = [generate_lattice(2, 3)] + [
+            random_connected_network(rng) for _ in range(8)]
+        for net in nets:
+            n = net.node_count
+            for ground in range(n):
+                red = reduced_laplacian(laplacian(net), ground)
+                trace_inv = np.trace(np.linalg.solve(red, np.eye(n - 1)))
+                assert np.isclose(
+                    h2_closed_form_slack(net, paper_params, ground),
+                    trace_inv / (2 * n), rtol=1e-9)
+
+    @pytest.mark.parametrize("ground", [-1, -3, 3])
+    def test_slack_ground_out_of_range(self, p3, paper_params, ground):
+        with pytest.raises(errors.IndexOutOfRange):
+            h2_closed_form_slack(p3, paper_params, ground)
+
+    @pytest.mark.parametrize("k, gamma", [(100.0, 1e200), (1e-300, 1e100),
+                                          (1e300, 1e-300)])
+    def test_dapi_extreme_gains_finite(self, k, gamma):
+        net = generate_lattice(1, 10)
+        p = ControllerParams(c=1e-3, k_p=0.1, k=k, gamma=gamma)
+        gain = dapi_modal_gain(net.spectrum.values, p)
+        assert np.all(np.isfinite(gain))
+        assert gain[0] == 0.1
+        dapi = h2_closed_form_dapi(net, p)
+        assert 0 < dapi <= h2_closed_form_droop(net, p)
 
 
 class TestCompareControllers:
