@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -221,23 +222,39 @@ def _assemble(kind: str, net: Network, params, ground: int):
 
 def _bus_subset(args, model) -> list[int]:
     if args.buses:
-        return [int(s) for s in args.buses.split(",")]
+        try:
+            return [int(s) for s in args.buses.split(",")]
+        except ValueError as exc:
+            raise UsageError(f"bad buses {args.buses!r}") from exc
     buses = sorted(int(lbl[1:]) for lbl in model.state_labels
                    if lbl.startswith("V"))
     return buses[:10]
+
+
+def _record_every(T: float, dt: float, rows: int) -> int:
+    """Steps per recorded row, so a run of T / dt steps records about
+    ``rows`` rows."""
+    for name, value in (("T", T), ("dt", dt), ("rows", rows)):
+        if not 0 < value < math.inf:
+            raise UsageError(f"--{name} must be positive and finite, "
+                             f"got {value}")
+    steps = T / dt
+    if steps == math.inf:
+        raise UsageError(f"--T {T} / --dt {dt} is not a finite step count")
+    return max(1, round(steps) // rows)
 
 
 def _cmd_sim(args):
     net = parse_generator_spec(args.gen, args.resistance)
     params = _params(args)
     model = _assemble(args.kind, net, params, args.ground)
-    x0 = simulation.sample_initial(model, args.seed, mode=args.mode)
+    buses = _bus_subset(args, model)
     dt = args.dt if args.dt is not None else simulation.default_dt(model)
-    steps = max(1, int(round(args.T / dt)))
-    record_every = max(1, steps // 1500)
+    record_every = _record_every(args.T, dt, 1500)
+    x0 = simulation.sample_initial(model, args.seed, 1, args.mode)[:, 0]
     traj = simulation.simulate(model, x0, args.T, dt, record_every, args.seed)
     path = f"{args.out}_traj.csv"
-    _write(path, simulation.export_trajectory(traj, _bus_subset(args, model)))
+    _write(path, simulation.export_trajectory(traj, buses))
     return {"file": path, "kind": args.kind, "rows": len(traj.times),
             "dt": traj.dt, "seed": args.seed}
 
@@ -258,12 +275,12 @@ def _cmd_fig2(args):
         params = _params(args, c)
         for kind in ("slack", "droop", "dapi"):
             model = _assemble(kind, net, params, args.ground)
-            x0 = simulation.sample_initial(model, args.seed, mode="paper_fig2")
             dt = simulation.default_dt(model)
-            steps = max(1, int(round(horizon / dt)))
-            record_every = max(1, steps // args.rows)
+            record_every = _record_every(horizon, dt, args.rows)
+            x0 = simulation.sample_initial(model, args.seed, 1,
+                                           "paper_fig2")[:, 0]
             traj = simulation.simulate(model, x0, horizon, dt, record_every,
-                                     args.seed)
+                                       args.seed)
             csv = simulation.export_trajectory(
                 traj, [b for b in range(args.n) if f"V{b}" in
                        model.state_labels][:10])

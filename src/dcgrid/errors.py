@@ -79,7 +79,8 @@ class RayleighViolation(DCGridError):
 # --- simulation ---
 
 class StepTooLarge(DCGridError):
-    """Integration step violates the stability bound dt <= 0.5 / rho(A)."""
+    """Time step or horizon is not positive and finite, or the horizon is
+    too short for the steps it must hold."""
 
 
 class NonFiniteState(DCGridError):

@@ -1,11 +1,13 @@
 """Time-domain simulation of the closed-loop systems.
 
-Deterministic fixed-step RK4 integration of dx/dt = Ax for random
-initial conditions (expected output energy route to the H2 norm), and
-Euler-Maruyama integration of dx = Ax dt + B dW (steady-state output
-variance route). Randomness comes from counter-based Philox streams
-keyed on (seed, sample index), so serial and parallel evaluation orders
-produce identical results.
+Every route steps the LTI system dx = Ax dt + B dW exactly, so no step
+size is too large for stability. Deterministic runs advance by the
+propagator expm(A h): recorded trajectories, and random initial
+conditions for the expected output energy route to the H2 norm. The
+white-noise run adds the exact discrete noise, whose covariance comes
+from Van Loan's block exponential (steady-state output variance route).
+Each estimate draws its randomness from one counter-based Philox stream
+per seed, sample after sample, so sample i depends only on (seed, i).
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ def spectral_radius_bound(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=1).max())
 
 
-def max_stable_dt(model: StateSpaceModel) -> float:
-    return 0.5 / spectral_radius_bound(model.a)
-
-
 def default_dt(model: StateSpaceModel) -> float:
     return 0.1 / spectral_radius_bound(model.a)
 
@@ -48,9 +46,32 @@ def slowest_time_constant(model: StateSpaceModel) -> float:
     return 1.0 / rate
 
 
-def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Counter-based RNG stream for one (seed, sample index) pair."""
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | index))
+def stream(seed: int) -> np.random.Generator:
+    """Counter-based Philox RNG stream of one seed (key seed * 2^64)."""
+    return np.random.Generator(np.random.Philox(key=int(seed) << 64))
+
+
+def van_loan(a: np.ndarray, q: np.ndarray, h: float):
+    """Exact discretization of dx = a x dt + dW with cov(dW) = q dt.
+
+    Returns (Phi, Q_d): Phi = expm(a h) and Q_d, the covariance that one
+    step of length h adds, from Van Loan's block exponential of
+    [[-a, q], [0, a^T]] (IEEE TAC 1978). That block holds expm(-a h),
+    which overflows for stiff a at large h, so it is taken over
+    h0 = h / 2^k with rho(a) h0 <= 1 and then doubled k times:
+    Q_d(2h) = Q_d(h) + Phi(h) Q_d(h) Phi(h)^T.
+    """
+    n = a.shape[0]
+    scaled = spectral_radius_bound(a) * h
+    k = int(np.ceil(np.log2(scaled))) if scaled > 1.0 else 0
+    block = np.block([[-a, q], [np.zeros_like(a), a.T]]) * (h / 2.0**k)
+    e = expm(block)
+    phi = e[n:, n:].T
+    q_d = phi @ e[:n, n:]
+    for _ in range(k):
+        q_d = q_d + phi @ q_d @ phi.T
+        phi = phi @ phi
+    return phi, 0.5 * (q_d + q_d.T)
 
 
 @dataclass(frozen=True)
@@ -86,107 +107,88 @@ class McEstimate:
         }, indent=2, sort_keys=True)
 
 
-def _check_dt(model: StateSpaceModel, dt: float) -> None:
-    if not dt > 0:
-        raise StepTooLarge(f"dt must be positive, got {dt}")
-    cap = max_stable_dt(model)
-    if dt > cap * (1 + 1e-12):
-        raise StepTooLarge(f"dt={dt} exceeds stability bound {cap}")
-
-
-def _rk4_step(a: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
-    k1 = a @ x
-    k2 = a @ (x + 0.5 * dt * k1)
-    k3 = a @ (x + 0.5 * dt * k2)
-    k4 = a @ (x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _check_step(dt: float, T: float) -> int:
+    """Number of steps of length dt in [0, T], which must hold at least one."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise StepTooLarge(f"dt must be positive and finite, got {dt}")
+    if not (np.isfinite(T) and T >= dt):
+        raise StepTooLarge(f"horizon T={T} must be finite and at least one "
+                           f"step dt={dt}")
+    return int(round(T / dt))
 
 
 def simulate(model: StateSpaceModel, x0, T: float, dt: float | None = None,
              record_every: int = 1, seed: int = 0) -> Trajectory:
-    """Integrate dx/dt = Ax from x0 over [0, T] with fixed-step RK4.
+    """Solve dx/dt = Ax from x0 over [0, T] on a grid of step dt.
 
-    Every ``record_every``-th step is recorded; the Trajectory's dt is the
-    recording interval. Deterministic: identical arguments give identical
-    output.
+    Every ``record_every``-th step is recorded; each recorded row is one
+    application of the exact propagator expm(A dt record_every). The
+    Trajectory's dt is the recording interval. Deterministic: identical
+    arguments give identical output.
     """
     if dt is None:
         dt = default_dt(model)
-    _check_dt(model, dt)
-    if T < dt:
-        raise StepTooLarge(f"horizon T={T} shorter than one step dt={dt}")
-    x = np.asarray(x0, dtype=float).copy()
-    steps = int(round(T / dt))
-    recorded = [x.copy()]
-    for step in range(1, steps + 1):
-        x = _rk4_step(model.a, x, dt)
-        if step % record_every == 0:
-            recorded.append(x.copy())
+    steps = _check_step(dt, T)
+    rec_dt = dt * record_every
+    prop = expm(model.a * rec_dt)
+    x = np.asarray(x0, dtype=float)
+    recorded = [x]
+    for _ in range(steps // record_every):
+        x = prop @ x
+        recorded.append(x)
     states = np.array(recorded)
     if not np.isfinite(states).all():
         raise NonFiniteState("trajectory overflowed to non-finite values")
-    rec_dt = dt * record_every
     times = rec_dt * np.arange(len(recorded))
     return Trajectory(times, states, model.kind, seed, rec_dt,
                       model.state_labels)
 
 
-def sample_initial(model: StateSpaceModel, seed: int, index: int = 0,
+def sample_initial(model: StateSpaceModel, seed: int, samples: int,
                    mode: str = "bb_star") -> np.ndarray:
-    """Random initial state for one Monte Carlo sample.
+    """Random initial states, one column per Monte Carlo sample.
 
+    All columns come from the one stream of ``seed``, sample after
+    sample, so column i depends only on (seed, i).
     bb_star: x0 = B xi with xi standard normal, so cov(x0) = B B^T.
     paper_fig2: unit normal voltages, integrators started at zero.
     """
-    rng = stream(seed, index)
     if mode == "bb_star":
-        return model.b @ rng.standard_normal(model.b.shape[1])
+        xi = stream(seed).standard_normal((samples, model.b.shape[1]))
+        return model.b @ xi.T
     if mode == "paper_fig2":
-        x0 = np.zeros(model.dim)
+        x0 = np.zeros((model.dim, samples))
         volt = model.voltage_indices()
-        x0[volt] = rng.standard_normal(len(volt))
+        x0[volt] = stream(seed).standard_normal((samples, len(volt))).T
         return x0
     raise ValueError(f"unknown initial-condition mode {mode!r}")
 
 
-def _sample_matrix(model: StateSpaceModel, seed: int, samples: int,
-                   mode: str) -> np.ndarray:
-    cols = [sample_initial(model, seed, index, mode) for index in range(samples)]
-    return np.column_stack(cols)
-
-
-def monte_carlo_h2(model: StateSpaceModel, samples: int,
-                   T: float | None = None, dt: float | None = None,
-                   seed: int = 0, mode: str = "bb_star",
-                   t_max: float | None = None,
+def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0,
+                   mode: str = "bb_star", t_max: float | None = None,
                    strict: bool = False) -> McEstimate:
     """Estimate the expected output energy integral over random initial
     conditions.
 
     Integrates all samples simultaneously, accumulating the trapezoidal
     integral of y^T y per sample. States advance by the exact one-step
-    propagator expm(A h); the step starts at ``dt`` and doubles once the
-    modes it was resolving have died out (h never exceeds a tenth of the
-    slowest time constant), which keeps stiff systems tractable without
-    biasing the integral. The horizon extends until the mean squared
-    state has decayed below a small fraction of its initial value or
-    ``t_max`` (default 50 slowest time constants) is hit; hitting the cap
-    flags the estimate as unconverged (and raises when strict).
+    propagator expm(A h); the step starts at ``default_dt`` and doubles
+    once the modes it was resolving have died out (h never exceeds a
+    tenth of the slowest time constant), which keeps stiff systems
+    tractable without biasing the integral. The horizon extends until the
+    mean squared state has decayed below a small fraction of its initial
+    value or ``t_max`` (default 50 slowest time constants) is hit;
+    hitting the cap flags the estimate as unconverged (and raises when
+    strict).
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    if dt is None:
-        dt = default_dt(model)
-    _check_dt(model, dt)
+    dt = default_dt(model)
     tau = slowest_time_constant(model)
     if t_max is None:
         t_max = T_MAX_CONSTANTS * tau
-        if T is not None:
-            t_max = max(t_max, 2.0 * T)
-    if T is None:
-        T = 10.0 * tau
 
-    x = _sample_matrix(model, seed, samples, mode)
+    x = sample_initial(model, seed, samples, mode)
     initial_ms = float(np.mean(np.sum(x * x, axis=0)))
     integral = np.zeros(samples)
     y = model.h @ x
@@ -196,7 +198,7 @@ def monte_carlo_h2(model: StateSpaceModel, samples: int,
     h_cap = max(dt, tau / 10.0)
     prop = expm(model.a * h)
     converged = initial_ms == 0.0
-    target = min(T, t_max)
+    target = min(10.0 * tau, t_max)
     while not converged and t < t_max:
         while t < target:
             # a mode with rate >= 1/h has decayed by e^-100 once t >= 100 h,
@@ -233,28 +235,25 @@ def white_noise_variance(model: StateSpaceModel, T: float,
                          batches: int = 10) -> McEstimate:
     """Steady-state output variance under white-noise input.
 
-    Euler-Maruyama on dx = Ax dt + B dW; the first fifth of the run is
+    Steps dx = Ax dt + B dW exactly from x = 0 as x <- Phi x + w, with
+    Phi and cov(w) from ``van_loan``; the first fifth of the steps is
     discarded as warmup and the remainder is time-averaged, with the
     standard error taken across contiguous batches.
     """
     if dt is None:
         dt = default_dt(model)
-    _check_dt(model, dt)
-    steps = int(round(T / dt))
+    steps = _check_step(dt, T)
     if steps < 10 * batches:
         raise StepTooLarge(f"horizon T={T} too short for {batches} batches")
-    rng = stream(seed)
-    x = np.zeros(model.dim)
-    sqrt_dt = np.sqrt(dt)
-    warmup = int(WARMUP_FRACTION * steps)
-    kept = np.empty(steps - warmup)
-    m = model.b.shape[1]
-    for step in range(steps):
-        noise = model.b @ rng.standard_normal(m)
-        x = x + dt * (model.a @ x) + sqrt_dt * noise
-        if step >= warmup:
-            y = model.h @ x
-            kept[step - warmup] = float(y @ y)
+    phi, q_d = van_loan(model.a, model.b @ model.b.T, dt)
+    values, vectors = np.linalg.eigh(q_d)
+    factor = vectors * np.sqrt(np.maximum(values, 0.0))  # Q_d = F F^T
+    # row k holds w_k, then is overwritten with the state after step k
+    path = stream(seed).standard_normal((steps, model.dim)) @ factor.T
+    for k in range(1, steps):
+        path[k] += phi @ path[k - 1]
+    y = path[int(WARMUP_FRACTION * steps):] @ model.h.T
+    kept = np.sum(y * y, axis=1)
     if not np.isfinite(kept).all():
         raise NonFiniteState("white-noise trajectory overflowed")
     batch_means = kept[: (kept.size // batches) * batches].reshape(

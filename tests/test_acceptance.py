@@ -172,7 +172,7 @@ def test_criterion_7_monte_carlo_consistency():
 
 
 def test_criterion_8_size_ratio_study():
-    # one pinned master seed; per-sample streams keep the run deterministic
+    # one pinned master seed; one stream per estimate keeps it deterministic
     seed = 0
     means = {}
     for n in (10, 100):

@@ -204,6 +204,23 @@ class TestBoundaries:
         assert captured.err.startswith("usage error:")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["sim", "--gen", "path:3", "--buses", "a"],
+        ["sim", "--gen", "path:3", "--T", "nan"],
+        ["fig2", "--n", "3", "--T", "nan"],
+        ["sim", "--gen", "path:3", "--dt", "nan"],
+        ["sim", "--gen", "path:3", "--T", "inf"],
+        ["sim", "--gen", "path:3", "--dt", "0"],
+        ["fig2", "--n", "3", "--rows", "0"],
+    ], ids=["sim-buses-a", "sim-T-nan", "fig2-T-nan", "sim-dt-nan",
+            "sim-T-inf", "sim-dt-0", "fig2-rows-0"])
+    def test_simulation_usage_error(self, argv, capsys, tmp_path):
+        assert run(argv + ["--out", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:")
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_huge_gamma_is_finite(self, capsys):
         code = run(["compare", "--gen", "path:5", "--gamma", "1e200"])
         doc = strict_json(capsys.readouterr().out)
