@@ -244,7 +244,13 @@ def _record_every(T: float, dt: float, rows: int) -> int:
     return max(1, round(steps) // rows)
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"--seed must lie in [0, 2**64), got {seed}")
+
+
 def _cmd_sim(args):
+    _check_seed(args.seed)
     net = parse_generator_spec(args.gen, args.resistance)
     params = _params(args)
     model = _assemble(args.kind, net, params, args.ground)
@@ -267,6 +273,7 @@ def _cmd_fig2(args):
     time axis), which keeps the qualitative 30 s picture while making the
     time constants explicit.
     """
+    _check_seed(args.seed)
     net = network.generate_lattice(1, args.n, args.resistance)
     files = []
     variants = [("c1mF", 1e-3, args.T), ("c1F", 1.0, args.T * 1000.0)]

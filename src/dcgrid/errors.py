@@ -48,17 +48,14 @@ class NotHurwitz(DCGridError):
 
 
 class SingularSystem(DCGridError):
-    """Linear solve inside the Lyapunov equation failed."""
+    """The Lyapunov equation is (numerically) singular: an eigenvalue pair
+    of A sums to about zero, so its solve would need a perturbation."""
 
 
 # --- systems ---
 
 class NonUniformParams(DCGridError):
     """Closed-form evaluators require uniform per-node parameters."""
-
-
-class DimensionCap(DCGridError):
-    """State dimension exceeds the Lyapunov oracle cap."""
 
 
 # --- resistance ---

@@ -34,14 +34,13 @@ class Network:
 
     ``edges`` holds (i, j, R) triples with i < j, resistances in ohms.
     ``coords`` carries integer lattice coordinates when the network was
-    produced by a generator; ``r_bounds`` is optional declared (R_min, R_max)
-    metadata. Instances are validated by :func:`build_network` and immutable.
+    produced by a generator. Instances are validated by
+    :func:`build_network` and immutable.
     """
 
     node_count: int
     edges: tuple[tuple[int, int, float], ...]
     coords: tuple[tuple[int, ...], ...] | None = None
-    r_bounds: tuple[float, float] | None = None
 
     @property
     def edge_count(self) -> int:
@@ -80,7 +79,7 @@ def _check_connected(n: int, edges) -> bool:
     return count == n
 
 
-def build_network(node_count, edge_list, coords=None, r_bounds=None) -> Network:
+def build_network(node_count, edge_list, coords=None) -> Network:
     """Validate an edge list and return an immutable Network.
 
     Raises InvalidEdge for self-loops, duplicates or R not in (0, inf),
@@ -115,7 +114,7 @@ def build_network(node_count, edge_list, coords=None, r_bounds=None) -> Network:
         coords = tuple(tuple(int(c) for c in p) for p in coords)
         if len(coords) != node_count:
             raise InvalidEdge("coords length must equal node_count")
-    return Network(node_count, tuple(normalized), coords, r_bounds)
+    return Network(node_count, tuple(normalized), coords)
 
 
 def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
@@ -147,8 +146,7 @@ def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
             q = tuple(q)
             if q in index:
                 edges.append((index[p], index[q], resistance))
-    return build_network(len(points), edges, coords=points,
-                         r_bounds=(resistance, resistance))
+    return build_network(len(points), edges, coords=points)
 
 
 def _bfs_within(adj, source: int, h: int):

@@ -2,16 +2,19 @@
 solves, and the Laplacian pseudoinverse.
 
 These are the numerical kernels behind the closed-form H2 evaluation and
-its independent Lyapunov oracle. All routines operate on dense real
+its independent Lyapunov oracle (Bartels-Stewart on the real Schur form
+of the full system matrix, O(dim^3)). All routines operate on dense real
 matrices and are pure functions; :func:`laplacian_spectrum` is the one
 place that decides which eigenvalue is a Laplacian's zero mode.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_continuous_lyapunov
 
 from .errors import (
     DisconnectedGraph,
@@ -56,29 +59,28 @@ def eig_sym(mat: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(values, vectors)
 
 
-def is_hurwitz(a: np.ndarray, tol: float = 0.0) -> bool:
-    """True when every eigenvalue of A has real part < -tol."""
-    return bool(np.max(np.linalg.eigvals(a).real) < -tol)
+def is_hurwitz(a: np.ndarray) -> bool:
+    """True when every eigenvalue of A has negative real part."""
+    return bool(np.max(np.linalg.eigvals(a).real) < 0.0)
 
 
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> LyapunovSolution:
     """Solve A^T P + P A = -Q for symmetric PSD Q and Hurwitz A.
 
-    Uses the Kronecker-vectorized dense solve; intended as an oracle for
-    modest state dimensions, not for large systems.
+    Bartels-Stewart (CACM 1972) through LAPACK trsyl, O(dim^3). When an
+    eigenvalue pair of A sums to about zero, trsyl would perturb the
+    equation and return a wrong P; that raises SingularSystem instead.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
-    n = a.shape[0]
     if not is_hurwitz(a):
         raise NotHurwitz("A has an eigenvalue with non-negative real part")
-    eye = np.eye(n)
-    # vec(A^T P + P A) = (I (x) A^T + A^T (x) I) vec(P)
-    kron = np.kron(eye, a.T) + np.kron(a.T, eye)
-    try:
-        p = np.linalg.solve(kron, -q.reshape(-1)).reshape(n, n)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            p = solve_continuous_lyapunov(a.T, -q)
+        except RuntimeWarning as exc:
+            raise SingularSystem(str(exc)) from exc
     p = 0.5 * (p + p.T)
     residual = float(np.linalg.norm(a.T @ p + p @ a + q, "fro"))
     return LyapunovSolution(p, residual)

@@ -159,11 +159,14 @@ def _family_network(family: str, size: int, resistance: float) -> Network:
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    # r^2 is scale-free, so fit y / max|y| to keep the squares finite
+    scale = float(np.max(np.abs(y)))
+    y = y / scale
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     total = y - y.mean()
     r2 = 1.0 - float(resid @ resid) / float(total @ total)
-    return float(slope), float(intercept), r2
+    return float(slope * scale), float(intercept * scale), r2
 
 
 def scaling_sweep(family: str, sizes, params: systems.ControllerParams,

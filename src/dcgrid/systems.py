@@ -16,10 +16,8 @@ import numpy as np
 
 from . import network as net_mod
 from . import numerics
-from .errors import DimensionCap, IndexOutOfRange, NonUniformParams, NotHurwitz
+from .errors import IndexOutOfRange, NonUniformParams, NotHurwitz
 from .network import Network
-
-ORACLE_DIM_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,7 @@ def dapi_modal_gain(lam: np.ndarray, params: ControllerParams) -> np.ndarray:
     k = params.uniform("k")
     g = params.gamma
     with np.errstate(divide="ignore", over="ignore"):
-        inner = c / (c * g * lam + k * lam + k * k_p + k / (g * lam))
+        inner = c / (c * (g * lam) + k * lam + k * k_p + k / (g * lam))
     return lam + k_p + inner
 
 
@@ -203,14 +201,12 @@ def h2_closed_form_dapi(net: Network, params: ControllerParams) -> float:
 
 
 def h2_lyapunov(model: StateSpaceModel) -> float:
-    """Squared H2 norm via the Lyapunov equation on the full system.
+    """Squared H2 norm tr(B^T P B) via the Lyapunov equation on the full
+    system matrix, O(dim^3) from its real Schur form.
 
-    Independent of the spectral closed forms; capped at a modest state
-    dimension because the vectorized solve is O(dim^6).
+    Independent of the spectral closed forms (no eig_sym of L); raises
+    SingularSystem when A is too close to marginal to solve reliably.
     """
-    if model.dim > ORACLE_DIM_CAP:
-        raise DimensionCap(
-            f"oracle limited to dim <= {ORACLE_DIM_CAP}, got {model.dim}")
     sol = numerics.solve_lyapunov(model.a, model.h.T @ model.h)
     return float(np.trace(model.b.T @ sol.P @ model.b))
 

@@ -37,11 +37,11 @@ def _report(num: int, label: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} ({label}): {detail}"
 
 
-def _random_graphs_and_params(count=50, master_seed=0):
+def _random_graphs_and_params(count=50, master_seed=0, **graph_kwargs):
     rng = np.random.default_rng(master_seed)
     out = []
     for _ in range(count):
-        net = random_connected_network(rng)
+        net = random_connected_network(rng, **graph_kwargs)
         params = ControllerParams(*(float(v) for v in
                                     rng.uniform(0.1, 10.0, size=4)))
         out.append((net, params))
@@ -51,7 +51,10 @@ def _random_graphs_and_params(count=50, master_seed=0):
 def test_criterion_1_oracle_equivalence():
     start = time.time()
     worst = 0.0
-    for net, params in _random_graphs_and_params():
+    # 50 small graphs plus 10 with n in [31, 100] (DAPI dimension 62-200)
+    cases = (_random_graphs_and_params()
+             + _random_graphs_and_params(10, 1, n_min=31, n_max=100))
+    for net, params in cases:
         pairs = [
             (h2_closed_form_slack(net, params, 0),
              h2_lyapunov(assemble_slack(net, params, 0))),
@@ -64,8 +67,8 @@ def test_criterion_1_oracle_equivalence():
             worst = max(worst, abs(closed - oracle) / abs(closed))
     elapsed = time.time() - start
     _report(1, "oracle equivalence", worst <= 1e-6 and elapsed < 30,
-            f"worst rel diff {worst:.2e} over 50 graphs x 3 controllers "
-            f"in {elapsed:.1f}s")
+            f"worst rel diff {worst:.2e} over {len(cases)} graphs x 3 "
+            f"controllers in {elapsed:.1f}s")
 
 
 def test_criterion_2_ordering_and_lower_bound():

@@ -212,8 +212,11 @@ class TestBoundaries:
         ["sim", "--gen", "path:3", "--T", "inf"],
         ["sim", "--gen", "path:3", "--dt", "0"],
         ["fig2", "--n", "3", "--rows", "0"],
+        ["sim", "--gen", "path:4", "--seed", "-1"],
+        ["fig2", "--n", "3", "--seed", str(2**64)],
     ], ids=["sim-buses-a", "sim-T-nan", "fig2-T-nan", "sim-dt-nan",
-            "sim-T-inf", "sim-dt-0", "fig2-rows-0"])
+            "sim-T-inf", "sim-dt-0", "fig2-rows-0", "sim-seed-negative",
+            "fig2-seed-2to64"])
     def test_simulation_usage_error(self, argv, capsys, tmp_path):
         assert run(argv + ["--out", "x"]) == 2
         captured = capsys.readouterr()
@@ -227,6 +230,15 @@ class TestBoundaries:
         assert code == 0
         assert doc["ordering_flags"]["dapi_le_droop"]
         assert 0 < doc["dapi"] <= doc["droop"]
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--gen", "path:4", "--c", "1e300", "--gamma", "1e10"],
+        ["sweep", "--family", "path", "--sizes", "2,3", "--c", "1e200"],
+    ], ids=["compare-c-1e300", "sweep-c-1e200"])
+    def test_extreme_finite_gains_give_finite_json(self, argv, capsys):
+        code = run(argv)
+        strict_json(capsys.readouterr().out)
+        assert code == 0
 
 
 class TestSpectrumShared:

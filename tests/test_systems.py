@@ -179,10 +179,21 @@ class TestLyapunovOracle:
         assert np.isclose(h2_lyapunov(assemble_dapi(p3, paper_params)),
                           h2_closed_form_dapi(p3, paper_params), atol=1e-8)
 
-    def test_dimension_cap(self, paper_params):
-        net = generate_lattice(1, 40)
-        with pytest.raises(errors.DimensionCap):
-            h2_lyapunov(assemble_dapi(net, paper_params))
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_large_dapi_matches_closed_form(self, n, paper_params):
+        # state dimension 2n: 80 and 200
+        net = generate_lattice(1, n)
+        assert np.isclose(h2_lyapunov(assemble_dapi(net, paper_params)),
+                          h2_closed_form_dapi(net, paper_params), rtol=1e-9,
+                          atol=0.0)
+
+    def test_near_marginal_droop_is_singular(self):
+        # k_P = 1e-17 puts an eigenvalue of A at about -1e-17; the solve
+        # would perturb the equation and return a negative H2 norm
+        net = generate_lattice(1, 5)
+        model = assemble_droop(net, ControllerParams(c=1.0, k_p=1e-17))
+        with pytest.raises(errors.SingularSystem):
+            h2_lyapunov(model)
 
     def test_heterogeneous_params_handled(self, p3):
         p = ControllerParams(c=(1.0, 2.0, 0.5), k_p=(0.1, 0.2, 0.3))
