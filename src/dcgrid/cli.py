@@ -25,6 +25,9 @@ from .network import Network
 
 PAPER_DEFAULTS = {"c": 1e-3, "kp": 0.1, "k": 100.0, "gamma": 1000.0,
                   "resistance": 1.0}
+# fig2 keeps every recorded row in memory; more rows than this add no
+# visible detail to a trajectory plot
+MAX_ROWS = 100_000
 
 
 class UsageError(Exception):
@@ -132,7 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=30.0,
                    help="horizon in seconds for the 1 mF variant")
     p.add_argument("--rows", type=int, default=1500,
-                   help="approximate recorded rows per trajectory")
+                   help="approximate recorded rows per trajectory "
+                        f"(at most {MAX_ROWS})")
     return top
 
 
@@ -238,6 +242,8 @@ def _record_every(T: float, dt: float, rows: int) -> int:
         if not 0 < value < math.inf:
             raise UsageError(f"--{name} must be positive and finite, "
                              f"got {value}")
+    if rows > MAX_ROWS:
+        raise UsageError(f"--rows must be at most {MAX_ROWS}, got {rows}")
     steps = T / dt
     if steps == math.inf:
         raise UsageError(f"--T {T} / --dt {dt} is not a finite step count")

@@ -4,6 +4,9 @@ A network is an undirected, connected graph of buses joined by purely
 resistive lines. This module builds and validates such graphs, generates
 finite d-dimensional lattices and their h-fuzzes, and produces their
 (reduced) Laplacians and the one cached Laplacian spectrum per network.
+That spectrum is the closed-form Kronecker-sum spectrum when the network
+is a uniform box lattice (:func:`lattice_box`, decided from its coords and
+edges) and a dense eigh of the Laplacian otherwise.
 """
 
 from __future__ import annotations
@@ -49,8 +52,17 @@ class Network:
     @cached_property
     def spectrum(self) -> numerics.SpectralDecomposition:
         """Laplacian eigenvalues (zero mode exactly 0.0 first) and
-        eigenvectors, computed on first use and shared thereafter."""
-        return numerics.laplacian_spectrum(numerics.eig_sym(laplacian(self)))
+        eigenvectors, computed on first use and shared thereafter.
+
+        A uniform box lattice (see :func:`lattice_box`) gets the analytic
+        Kronecker-sum spectrum, any other graph a dense eigh.
+        """
+        box = lattice_box(self)
+        if box is None:
+            dec = numerics.eig_sym(laplacian(self))
+        else:
+            dec = numerics.lattice_eig(*box)
+        return numerics.laplacian_spectrum(dec)
 
     def adjacency_lists(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.node_count)]
@@ -188,6 +200,34 @@ def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Networ
             if u < v:
                 edges.append((u, v, existing.get((u, v), r_fuzz)))
     return build_network(base.node_count, edges, coords=base.coords)
+
+
+def lattice_box(net: Network) -> tuple[tuple[int, ...], float] | None:
+    """(sides, conductance) when ``net`` is a full box lattice with one
+    resistance on every edge, else None.
+
+    Decided from the network's own data, so equal networks agree: the
+    coords list the whole box in row-major order (as
+    :func:`generate_lattice` and a JSON file written from it do), the edge
+    count is the box's nearest-neighbour count, every edge joins
+    coordinates at L1 distance 1, and every edge has the same R.
+    """
+    if net.coords is None:
+        return None
+    sides = tuple(c + 1 for c in net.coords[-1])
+    if min(sides, default=0) < 1 or math.prod(sides) != net.node_count:
+        return None
+    pairs = sum((m - 1) * (net.node_count // m) for m in sides)
+    if net.edge_count != pairs:
+        return None
+    if net.coords != tuple(itertools.product(*map(range, sides))):
+        return None
+    r = net.edges[0][2]
+    for i, j, r_ij in net.edges:
+        hops = sum(abs(a - b) for a, b in zip(net.coords[i], net.coords[j]))
+        if r_ij != r or hops != 1:
+            return None
+    return sides, 1.0 / r
 
 
 def laplacian(net: Network) -> np.ndarray:

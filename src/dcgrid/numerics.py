@@ -1,11 +1,15 @@
-"""Dense symmetric eigendecomposition, Laplacian spectra, Lyapunov
-solves, and the Laplacian pseudoinverse.
+"""Dense symmetric eigendecomposition, closed-form box-lattice spectra,
+Laplacian spectra, Lyapunov solves, and the Laplacian pseudoinverse.
 
 These are the numerical kernels behind the closed-form H2 evaluation and
 its independent Lyapunov oracle (Bartels-Stewart on the real Schur form
-of the full system matrix, O(dim^3)). All routines operate on dense real
-matrices and are pure functions; :func:`laplacian_spectrum` is the one
-place that decides which eigenvalue is a Laplacian's zero mode.
+of the full system matrix, O(dim^3)). A Laplacian's eigendecomposition
+comes from one of two sources: :func:`lattice_eig`, the Kronecker-sum
+formula for a uniform box lattice (O(n^2), no eigensolve), or
+:func:`eig_sym`, a dense eigh for any other graph. All routines operate
+on dense real matrices and are pure functions; :func:`laplacian_spectrum`
+is the one place that decides which eigenvalue is a Laplacian's zero
+mode, whichever source produced it.
 """
 
 from __future__ import annotations
@@ -57,6 +61,41 @@ def eig_sym(mat: np.ndarray) -> SpectralDecomposition:
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NoConvergence(str(exc)) from exc
     return SpectralDecomposition(values, vectors)
+
+
+def lattice_eig(sides, conductance: float) -> SpectralDecomposition:
+    """Laplacian eigendecomposition of a box lattice with one conductance
+    on every edge, nodes in row-major order, eigenvalues ascending.
+
+    The Laplacian is the Kronecker sum of the axes' path Laplacians. A path
+    of m nodes has eigenvalues 4 sin^2(pi k / 2m) (the sin^2 form does not
+    cancel at small k, as 2 - 2 cos does) and the DCT-II modes
+    sqrt(2/m) cos(pi k (j + 1/2) / m), sqrt(1/m) for k = 0. The box's
+    eigenvalues are sums and its eigenvectors Kronecker products of these:
+    O(n^2) work and no eigensolve.
+    """
+    values = np.zeros(1)
+    axis_modes = []
+    for m in sides:
+        k = np.arange(m)
+        # (2j + 1) k reduced mod 4m exactly: the cosine's argument stays in
+        # [0, 2 pi), where it loses no precision at large j k, and takes
+        # only 4m values, so the cosines are looked up rather than recomputed
+        phase = np.outer(2 * k + 1, k) % (4 * m)
+        cosines = np.cos(np.pi * np.arange(4 * m) / (2 * m))
+        modes = np.sqrt(2.0 / m) * cosines[phase]
+        modes[:, 0] = np.sqrt(1.0 / m)
+        axis_modes.append(modes)
+        lam = 4.0 * np.sin(np.pi * k / (2 * m)) ** 2
+        values = np.add.outer(values, lam).ravel()
+    order = np.argsort(values, kind="stable")
+    # the Kronecker product of the axes' modes with its columns already in
+    # eigenvalue order: column c multiplies the modes that order[c] unravels to
+    vectors = np.ones(order.size)
+    for modes, k in zip(axis_modes, np.unravel_index(order, sides)):
+        vectors = vectors[..., None, :] * modes[:, k]
+    return SpectralDecomposition(conductance * values[order],
+                                 vectors.reshape(order.size, order.size))
 
 
 def is_hurwitz(a: np.ndarray) -> bool:

@@ -105,7 +105,7 @@ def test_criterion_4_path_scaling():
     bounded = all(r.h2_droop <= 5.0 and r.h2_dapi <= 5.0
                   for r in res.records)
     elapsed = time.time() - start
-    ok = (worst <= 1e-9 and abs(res.fit.slope - 0.25) <= 1e-6
+    ok = (worst <= 1e-13 and abs(res.fit.slope - 0.25) <= 1e-12
           and res.fit.r_squared > 0.999999 and bounded and elapsed < 60)
     _report(4, "Table d=1 linear growth", ok,
             f"worst rel err vs (n-1)/4: {worst:.2e}, slope "

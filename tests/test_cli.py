@@ -214,9 +214,11 @@ class TestBoundaries:
         ["fig2", "--n", "3", "--rows", "0"],
         ["sim", "--gen", "path:4", "--seed", "-1"],
         ["fig2", "--n", "3", "--seed", str(2**64)],
+        ["fig2", "--n", "3", "--rows", "100001"],
+        ["fig2", "--n", "3", "--rows", str(10**400)],
     ], ids=["sim-buses-a", "sim-T-nan", "fig2-T-nan", "sim-dt-nan",
             "sim-T-inf", "sim-dt-0", "fig2-rows-0", "sim-seed-negative",
-            "fig2-seed-2to64"])
+            "fig2-seed-2to64", "fig2-rows-100001", "fig2-rows-10to400"])
     def test_simulation_usage_error(self, argv, capsys, tmp_path):
         assert run(argv + ["--out", "x"]) == 2
         captured = capsys.readouterr()
@@ -242,13 +244,18 @@ class TestBoundaries:
 
 
 class TestSpectrumShared:
-    """One dense eigensolve per network, shared by every quantity."""
+    """One dense eigensolve per network, shared by every quantity, and
+    none on a box lattice, whose spectrum is analytic."""
 
     @pytest.mark.parametrize("argv, expected", [
-        (["h2", "--gen", "grid2:4x4"], 1),
-        (["compare", "--gen", "grid2:4x4"], 1),
-        (["resist", "--gen", "grid2:4x4", "--pair", "0,15"], 1),
-        (["sweep", "--family", "grid2d", "--sizes", "3,4,5"], 3),
+        (["h2", "--gen", "fuzz:2:grid2:4x4"], 1),
+        (["compare", "--gen", "fuzz:2:grid2:4x4"], 1),
+        (["resist", "--gen", "fuzz:2:grid2:4x4", "--pair", "0,15"], 1),
+        (["sweep", "--family", "hfuzz", "--sizes", "3,4,5"], 3),
+        (["h2", "--gen", "grid2:4x4"], 0),
+        (["compare", "--gen", "path:9"], 0),
+        (["resist", "--gen", "grid3:2x3x4", "--pair", "0,23"], 0),
+        (["sweep", "--family", "grid2d", "--sizes", "3,4,5"], 0),
     ])
     def test_eig_sym_calls(self, argv, expected, capsys, monkeypatch):
         calls = []

@@ -5,12 +5,13 @@ from collections import deque
 import numpy as np
 import pytest
 
-from dcgrid import errors, network
+from dcgrid import ControllerParams, errors, network, resistance, systems
 from dcgrid.network import (
     build_network,
     generate_hfuzz,
     generate_lattice,
     laplacian,
+    lattice_box,
     reduced_laplacian,
 )
 
@@ -219,6 +220,98 @@ class TestSpectrum:
         twin = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)])
         p3.spectrum
         assert twin == p3 and hash(twin) == hash(p3)
+
+
+class TestLatticeBox:
+    @pytest.mark.parametrize("sides, r", [((2,), 1.0), ((9,), 0.5),
+                                          ((3, 5), 2.0), ((2, 3, 4), 0.25)])
+    def test_generated_lattice(self, sides, r):
+        net = generate_lattice(len(sides), sides, r)
+        assert lattice_box(net) == (sides, 1.0 / r)
+
+    def test_hfuzz_radius_one_is_a_lattice(self):
+        base = generate_lattice(2, 4)
+        assert lattice_box(generate_hfuzz(base, 1)) == ((4, 4), 1.0)
+
+    def test_hfuzz(self):
+        assert lattice_box(generate_hfuzz(generate_lattice(2, 4), 2)) is None
+
+    def test_edge_removed(self):
+        net = generate_lattice(2, 4)
+        cut = build_network(16, net.edges[1:], coords=net.coords)
+        assert lattice_box(cut) is None
+
+    def test_edge_reweighted(self):
+        net = generate_lattice(3, 3)
+        edges = list(net.edges)
+        edges[5] = (edges[5][0], edges[5][1], 1.0 + 1e-12)
+        assert lattice_box(build_network(27, edges, coords=net.coords)) is None
+
+    def test_permuted_coords(self):
+        net = generate_lattice(2, (3, 4))
+        coords = list(net.coords)
+        coords[0], coords[1] = coords[1], coords[0]
+        assert lattice_box(build_network(12, net.edges, coords)) is None
+
+    @pytest.mark.parametrize("coords", [
+        [(1,), (2,), (3,)],
+        [(-2,), (-1,), (0,)],
+        [(0, 0), (0, 1), (1,)],
+        [(), (), ()],
+    ], ids=["shifted", "negative", "ragged", "empty"])
+    def test_other_coords(self, coords):
+        net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)], coords)
+        assert lattice_box(net) is None
+
+    def test_unit_side(self):
+        # a file may list a path as a 1 x 3 box
+        net = build_network(3, [(0, 1, 2.0), (1, 2, 2.0)],
+                            [(0, 0), (0, 1), (0, 2)])
+        assert lattice_box(net) == ((1, 3), 0.5)
+        assert np.allclose(net.spectrum.values, [0.0, 0.5, 1.5], rtol=0.0,
+                           atol=1e-15)
+
+    def test_edge_list_load(self):
+        net = generate_lattice(2, 4)
+        loaded = network.parse_edge_list(network.format_edge_list(net))
+        assert loaded.edges == net.edges and lattice_box(loaded) is None
+
+    def test_json_roundtrip(self):
+        net = generate_lattice(3, (2, 3, 2), 0.5)
+        doc = json.loads(json.dumps(network.to_json_dict(net)))
+        back = network.from_json_dict(doc)
+        assert lattice_box(back) == lattice_box(net) == ((2, 3, 2), 2.0)
+
+
+class TestAnalyticSpectrumConsumers:
+    """Every quantity read from a lattice's analytic spectrum equals the
+    one from its coord-less twin, whose spectrum comes from eigh."""
+
+    @pytest.mark.parametrize("d, sides, r", [(1, 7, 0.5), (2, (3, 5), 1.0),
+                                             (3, (2, 3, 4), 2.0)])
+    def test_matches_eigh_twin(self, d, sides, r):
+        net = generate_lattice(d, sides, r)
+        twin = build_network(net.node_count, net.edges)
+        assert lattice_box(net) is not None and lattice_box(twin) is None
+        params = ControllerParams(c=0.7, k_p=0.3, k=50.0, gamma=200.0)
+        for ground in range(net.node_count):
+            assert np.isclose(
+                systems.h2_closed_form_slack(net, params, ground),
+                systems.h2_closed_form_slack(twin, params, ground),
+                rtol=1e-9, atol=0.0)
+        for h2 in (systems.h2_closed_form_droop,
+                   systems.h2_closed_form_dapi):
+            assert np.isclose(h2(net, params), h2(twin, params), rtol=1e-9,
+                              atol=0.0)
+        reff = resistance.reff_matrix(net)
+        assert np.allclose(reff, resistance.reff_matrix(twin), rtol=1e-9,
+                           atol=1e-12)
+        last = net.node_count - 1
+        assert np.isclose(resistance.effective_resistance(net, 0, last),
+                          resistance.effective_resistance(twin, 0, last),
+                          rtol=1e-9, atol=0.0)
+        assert np.isclose(resistance.kstar(net), resistance.kstar(twin),
+                          rtol=1e-9, atol=0.0)
 
 
 class TestFileFormats:

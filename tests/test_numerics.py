@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from dcgrid import errors
-from dcgrid.network import build_network, laplacian
+from dcgrid.network import build_network, generate_lattice, laplacian
 from dcgrid.numerics import (
     eig_sym,
     is_hurwitz,
+    lattice_eig,
     laplacian_spectrum,
     pinv_laplacian,
     solve_lyapunov,
@@ -44,6 +45,44 @@ class TestEigSym:
         assert np.linalg.norm(dec.vectors.T @ dec.vectors - np.eye(n),
                               "fro") <= 1e-10
         assert np.all(np.diff(dec.values) >= 0)
+
+
+class TestLatticeEig:
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("sides", [(2,), (7,), (1000,), (3, 5), (32, 32),
+                                       (2, 3, 4), (10, 10, 10)])
+    def test_matches_eigh(self, sides, r):
+        lap = laplacian(generate_lattice(len(sides), sides, r))
+        dec = lattice_eig(sides, 1.0 / r)
+        ref = eig_sym(lap)
+        scale = ref.values[-1]
+        assert np.all(np.diff(dec.values) >= 0)
+        assert np.abs(dec.values - ref.values).max() <= 1e-12 * scale
+        residual = lap @ dec.vectors - dec.vectors * dec.values
+        assert np.abs(residual).max() <= 1e-12 * scale
+        n = lap.shape[0]
+        assert np.abs(dec.vectors.T @ dec.vectors - np.eye(n)).max() <= 1e-12
+
+    @pytest.mark.parametrize("sides", [(6,), (3, 5), (2, 3, 4)])
+    def test_kronecker_reference(self, sides):
+        # per-axis eigenpairs combined by np.add.outer and np.kron, then sorted
+        values, vectors = np.zeros(1), np.ones((1, 1))
+        for m in sides:
+            axis = lattice_eig((m,), 1.0)
+            values = np.add.outer(values, axis.values).ravel()
+            vectors = np.kron(vectors, axis.vectors)
+        order = np.argsort(values, kind="stable")
+        dec = lattice_eig(sides, 1.0)
+        assert np.array_equal(dec.values, values[order])
+        assert np.array_equal(dec.vectors, vectors[:, order])
+
+    def test_smallest_eigenvalue_full_precision(self):
+        # 2 - 2 cos(x) would lose about 1e-11 of it to cancellation
+        x = np.pi / 2000
+        series = x**2 - x**4 / 12 + x**6 / 360
+        dec = lattice_eig((2000,), 1.0)
+        assert dec.values[0] == 0.0
+        assert abs(dec.values[1] - series) <= 2e-16 * series
 
 
 class TestSolveLyapunov:

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from dcgrid.network import (
     build_network,
     generate_hfuzz,
+    generate_lattice,
     laplacian,
+    lattice_box,
     reduced_laplacian,
 )
 from dcgrid.numerics import eig_sym
@@ -120,3 +122,18 @@ def test_effective_resistance_is_a_metric(net):
         for j in range(n):
             for k in range(n):
                 assert reff[i, j] <= reff[i, k] + reff[k, j] + 1e-9
+
+
+@given(st.lists(st.integers(2, 8), min_size=1, max_size=3),
+       st.floats(0.1, 10.0))
+@settings(max_examples=30, deadline=None)
+def test_lattice_spectrum_matches_eigh(sides, r):
+    net = generate_lattice(len(sides), sides, r)
+    assert lattice_box(net) == (tuple(sides), 1.0 / r)
+    spec = net.spectrum
+    lap = laplacian(net)
+    ref = eig_sym(lap).values
+    assert spec.values[0] == 0.0
+    assert np.abs(spec.values - ref).max() <= 1e-12 * ref[-1]
+    residual = lap @ spec.vectors - spec.vectors * spec.values
+    assert np.abs(residual).max() <= 1e-12 * ref[-1]

@@ -187,6 +187,21 @@ class TestLyapunovOracle:
                           h2_closed_form_dapi(net, paper_params), rtol=1e-9,
                           atol=0.0)
 
+    @pytest.mark.parametrize("d, sides", [(1, 40), (2, (5, 7)),
+                                          (3, (3, 3, 4))])
+    def test_lattice_closed_forms_match_oracle(self, d, sides, paper_params):
+        # analytic Kronecker-sum spectrum against the Schur-form oracle
+        net = generate_lattice(d, sides)
+        for model, closed in (
+                (assemble_slack(net, paper_params, 0),
+                 h2_closed_form_slack(net, paper_params, 0)),
+                (assemble_droop(net, paper_params),
+                 h2_closed_form_droop(net, paper_params)),
+                (assemble_dapi(net, paper_params),
+                 h2_closed_form_dapi(net, paper_params))):
+            assert np.isclose(h2_lyapunov(model), closed, rtol=1e-9,
+                              atol=0.0)
+
     def test_near_marginal_droop_is_singular(self):
         # k_P = 1e-17 puts an eigenvalue of A at about -1e-17; the solve
         # would perturb the equation and return a negative H2 norm
