@@ -3,10 +3,11 @@
 A network is an undirected, connected graph of buses joined by purely
 resistive lines. This module builds and validates such graphs, generates
 finite d-dimensional lattices and their h-fuzzes, and produces their
-(reduced) Laplacians and the one cached Laplacian spectrum per network.
-That spectrum is the closed-form Kronecker-sum spectrum when the network
-is a uniform box lattice (:func:`lattice_box`, decided from its coords and
-edges) and a dense eigh of the Laplacian otherwise.
+(reduced) Laplacians and the one cached Laplacian spectrum per network:
+its eigenvalues and blocks of L^+ on demand. That spectrum is the
+closed-form Kronecker-sum spectrum when the network is a uniform box
+lattice (:func:`lattice_box`, decided from its coords and edges) and the
+dense Laplacian's eigenvalues plus a Cholesky solve otherwise.
 """
 
 from __future__ import annotations
@@ -50,19 +51,17 @@ class Network:
         return len(self.edges)
 
     @cached_property
-    def spectrum(self) -> numerics.SpectralDecomposition:
-        """Laplacian eigenvalues (zero mode exactly 0.0 first) and
-        eigenvectors, computed on first use and shared thereafter.
+    def spectrum(self) -> numerics.LaplacianSpectrum:
+        """Laplacian eigenvalues (zero mode exactly 0.0 first) and blocks of
+        L^+ on demand, computed on first use and shared thereafter.
 
         A uniform box lattice (see :func:`lattice_box`) gets the analytic
-        Kronecker-sum spectrum, any other graph a dense eigh.
+        Kronecker-sum spectrum, any other graph the dense route.
         """
         box = lattice_box(self)
         if box is None:
-            dec = numerics.eig_sym(laplacian(self))
-        else:
-            dec = numerics.lattice_eig(*box)
-        return numerics.laplacian_spectrum(dec)
+            return numerics.laplacian_spectrum(laplacian(self))
+        return numerics.lattice_spectrum(*box)
 
     def adjacency_lists(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.node_count)]

@@ -1,24 +1,26 @@
-"""Dense symmetric eigendecomposition, closed-form box-lattice spectra,
-Laplacian spectra, Lyapunov solves, and the Laplacian pseudoinverse.
+"""Symmetric eigenvalues, Laplacian spectra, and Lyapunov solves.
 
 These are the numerical kernels behind the closed-form H2 evaluation and
 its independent Lyapunov oracle (Bartels-Stewart on the real Schur form
-of the full system matrix, O(dim^3)). A Laplacian's eigendecomposition
-comes from one of two sources: :func:`lattice_eig`, the Kronecker-sum
-formula for a uniform box lattice (O(n^2), no eigensolve), or
-:func:`eig_sym`, a dense eigh for any other graph. All routines operate
-on dense real matrices and are pure functions; :func:`laplacian_spectrum`
-is the one place that decides which eigenvalue is a Laplacian's zero
-mode, whichever source produced it.
+of the full system matrix, O(dim^3)). A Laplacian spectrum is its
+eigenvalues plus blocks of its pseudoinverse L^+ on demand; no n x n
+eigenvector matrix is ever formed. It comes from one of two sources:
+:func:`lattice_spectrum`, the Kronecker-sum formula for a uniform box
+lattice (no eigensolve; O(n) work per node of L^+), or
+:func:`laplacian_spectrum`, a dense eigenvalue solve (:func:`eig_sym`)
+and a Cholesky solve for L^+ on any other graph. All routines are pure
+functions.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import cho_factor, cho_solve, solve_continuous_lyapunov
 
 from .errors import (
     DisconnectedGraph,
@@ -29,17 +31,26 @@ from .errors import (
 )
 
 SYMMETRY_RTOL = 1e-12
-# |lambda| below this (relative to the largest eigenvalue) counts as zero
-ZERO_EIG_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric
-    matrix; column k of ``vectors`` pairs with ``values[k]``."""
+    """Eigenvalues of a symmetric matrix, ascending."""
 
     values: np.ndarray
-    vectors: np.ndarray
+
+
+@dataclass(frozen=True)
+class LaplacianSpectrum(SpectralDecomposition):
+    """A connected graph's Laplacian spectrum, cached and shared by every
+    consumer: ``values`` ascending with the zero mode exactly 0.0 first
+    (made read-only), and ``pinv(nodes)``, the |nodes| x |nodes| block of
+    the pseudoinverse L^+ on those nodes."""
+
+    pinv: Callable[[Sequence[int]], np.ndarray]
+
+    def __post_init__(self):
+        self.values.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -51,51 +62,62 @@ class LyapunovSolution:
 
 
 def eig_sym(mat: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
+    """Eigenvalues of a symmetric matrix, ascending (no eigenvectors)."""
     mat = np.asarray(mat, dtype=float)
     scale = np.linalg.norm(mat, ord=np.inf)
     if scale > 0 and np.abs(mat - mat.T).max() > SYMMETRY_RTOL * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     try:
-        values, vectors = np.linalg.eigh(mat)
+        values = np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NoConvergence(str(exc)) from exc
-    return SpectralDecomposition(values, vectors)
+    return SpectralDecomposition(values)
+
+
+def _kron_values(sides, conductance: float) -> np.ndarray:
+    """A box lattice's Laplacian eigenvalues in Kronecker (row-major mode)
+    order: sums of the axes' path eigenvalues 4 sin^2(pi k / 2m) (the sin^2
+    form does not cancel at small k, as 2 - 2 cos does). Entry 0 is the
+    zero mode."""
+    values = np.zeros(1)
+    for m in sides:
+        lam = 4.0 * np.sin(np.pi * np.arange(m) / (2 * m)) ** 2
+        values = np.add.outer(values, lam).ravel()
+    return conductance * values
 
 
 def lattice_eig(sides, conductance: float) -> SpectralDecomposition:
-    """Laplacian eigendecomposition of a box lattice with one conductance
-    on every edge, nodes in row-major order, eigenvalues ascending.
+    """Laplacian eigenvalues of a box lattice with one conductance on every
+    edge, ascending: the Kronecker sum of the axes' path Laplacians, with
+    no eigensolve."""
+    return SpectralDecomposition(np.sort(_kron_values(sides, conductance)))
 
-    The Laplacian is the Kronecker sum of the axes' path Laplacians. A path
-    of m nodes has eigenvalues 4 sin^2(pi k / 2m) (the sin^2 form does not
-    cancel at small k, as 2 - 2 cos does) and the DCT-II modes
-    sqrt(2/m) cos(pi k (j + 1/2) / m), sqrt(1/m) for k = 0. The box's
-    eigenvalues are sums and its eigenvectors Kronecker products of these:
-    O(n^2) work and no eigensolve.
+
+def lattice_spectrum(sides, conductance: float) -> LaplacianSpectrum:
+    """Laplacian spectrum of a box lattice, nodes in row-major order.
+
+    L^+_ij is the sum over nonzero modes of v_ik v_jk / lambda_k. A node's
+    mode row is the Kronecker product of its axes' DCT-II rows
+    sqrt(2/m) cos(pi k (j + 1/2) / m) (sqrt(1/m) for k = 0), so a block on
+    |nodes| nodes costs O(|nodes| n) and needs no eigensolve.
     """
-    values = np.zeros(1)
-    axis_modes = []
-    for m in sides:
-        k = np.arange(m)
-        # (2j + 1) k reduced mod 4m exactly: the cosine's argument stays in
-        # [0, 2 pi), where it loses no precision at large j k, and takes
-        # only 4m values, so the cosines are looked up rather than recomputed
-        phase = np.outer(2 * k + 1, k) % (4 * m)
-        cosines = np.cos(np.pi * np.arange(4 * m) / (2 * m))
-        modes = np.sqrt(2.0 / m) * cosines[phase]
-        modes[:, 0] = np.sqrt(1.0 / m)
-        axis_modes.append(modes)
-        lam = 4.0 * np.sin(np.pi * k / (2 * m)) ** 2
-        values = np.add.outer(values, lam).ravel()
-    order = np.argsort(values, kind="stable")
-    # the Kronecker product of the axes' modes with its columns already in
-    # eigenvalue order: column c multiplies the modes that order[c] unravels to
-    vectors = np.ones(order.size)
-    for modes, k in zip(axis_modes, np.unravel_index(order, sides)):
-        vectors = vectors[..., None, :] * modes[:, k]
-    return SpectralDecomposition(conductance * values[order],
-                                 vectors.reshape(order.size, order.size))
+
+    def pinv(nodes):
+        nodes = np.asarray(nodes, dtype=np.intp)
+        rows = np.ones((nodes.size, 1))
+        for m, j in zip(sides, np.unravel_index(nodes, sides)):
+            # (2j + 1) k reduced mod 4m exactly keeps the cosine's argument
+            # in [0, 2 pi), where it loses no precision at large j k
+            phase = np.outer(2 * j + 1, np.arange(m)) % (4 * m)
+            axis = np.sqrt(2.0 / m) * np.cos(np.pi * phase / (2 * m))
+            axis[:, 0] = np.sqrt(1.0 / m)
+            rows = (rows[:, :, None] * axis[:, None, :]).reshape(nodes.size, -1)
+        # rows run in Kronecker order, as do these values: no sort needed
+        kron = _kron_values(sides, conductance)
+        modes = rows[:, 1:]
+        return (modes / kron[1:]) @ modes.T
+
+    return LaplacianSpectrum(lattice_eig(sides, conductance).values, pinv)
 
 
 def is_hurwitz(a: np.ndarray) -> bool:
@@ -125,24 +147,39 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> LyapunovSolution:
     return LyapunovSolution(p, residual)
 
 
-def laplacian_spectrum(dec: SpectralDecomposition) -> SpectralDecomposition:
-    """A connected graph's Laplacian spectrum from its eigendecomposition:
-    exactly one eigenvalue may fall below the scale-invariant zero
-    threshold (else DisconnectedGraph), and it is set to exactly 0.0. The
-    arrays are made read-only because the spectrum is cached and shared.
+def laplacian_spectrum(lap: np.ndarray) -> LaplacianSpectrum:
+    """Laplacian spectrum of a connected graph from its dense Laplacian.
+
+    The eigenvalues come from :func:`eig_sym`. The graph's connectivity is
+    already proven, so the zero mode must pass the scale-invariant test
+    |lambda_0| <= n eps lambda_max < lambda_1 (else DisconnectedGraph); it
+    is set to exactly 0.0. Blocks of L^+ come from one Cholesky factor,
+    made on first use: L + s 11^T/n is positive definite with inverse
+    L^+ + 11^T/(s n), and the shift s = tr(L)/n keeps it on L's own scale.
     """
-    cutoff = ZERO_EIG_RTOL * max(1.0, float(dec.values[-1]))
-    zeros = int(np.sum(np.abs(dec.values) < cutoff))
-    if zeros != 1:
+    lap = np.asarray(lap, dtype=float)
+    values = eig_sym(lap).values
+    n = values.size
+    bound = n * np.finfo(float).eps * values[-1]
+    if not abs(values[0]) <= bound < values[1]:
         raise DisconnectedGraph(
-            f"expected exactly one zero eigenvalue, found {zeros}")
-    values = np.concatenate(([0.0], dec.values[1:]))
-    values.flags.writeable = False
-    dec.vectors.flags.writeable = False
-    return SpectralDecomposition(values, dec.vectors)
+            f"expected exactly one zero eigenvalue, got {values[:2]} against "
+            f"the bound {bound}")
+    shift = np.trace(lap) / n
 
+    @cache
+    def factor():
+        try:
+            return cho_factor(lap + shift / n)
+        except np.linalg.LinAlgError as exc:
+            raise DisconnectedGraph(
+                "Laplacian is numerically singular beyond its zero mode"
+            ) from exc
 
-def pinv_laplacian(spec: SpectralDecomposition) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a Laplacian from its spectrum."""
-    modes = spec.vectors[:, 1:]
-    return (modes / spec.values[1:]) @ modes.T
+    def pinv(nodes):
+        nodes = np.asarray(nodes, dtype=np.intp)
+        unit = np.zeros((n, nodes.size))
+        unit[nodes, np.arange(nodes.size)] = 1.0
+        return cho_solve(factor(), unit)[nodes] - 1.0 / (shift * n)
+
+    return LaplacianSpectrum(np.concatenate(([0.0], values[1:])), pinv)

@@ -3,9 +3,10 @@
 The spectral quantity K* = (1/n) * sum of reciprocal nonzero Laplacian
 eigenvalues controls how slack-bus performance degrades with network
 size; it equals K_f / n^2 where K_f is the Kirchhoff index (the sum of
-all pairwise effective resistances). This module computes both routes,
-checks Rayleigh monotonicity under edge removal or resistance increase,
-and sweeps lattice families to expose the growth laws.
+all pairwise effective resistances). This module computes both from the
+eigenvalues, single and pairwise effective resistances from blocks of
+L^+, checks Rayleigh monotonicity under edge removal or resistance
+increase, and sweeps lattice families to expose the growth laws.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network as net_mod
-from . import numerics, systems
+from . import systems
 from .errors import (
     DisconnectedGraph,
     DisconnectsGraph,
@@ -28,34 +29,35 @@ from .network import Network
 
 
 def reff_matrix(net: Network) -> np.ndarray:
-    """All pairwise effective resistances from one Laplacian pseudoinverse."""
-    pinv = numerics.pinv_laplacian(net.spectrum)
+    """All pairwise effective resistances from the block of L^+ over every
+    node (O(n^2) memory, so for small networks)."""
+    pinv = net.spectrum.pinv(np.arange(net.node_count))
     d = np.diag(pinv)
     return d[:, None] + d[None, :] - 2.0 * pinv
 
 
 def effective_resistance(net: Network, i: int, j: int) -> float:
     """Two-terminal equivalent resistance between buses i and j:
-    the sum over nonzero modes of (v_ik - v_jk)^2 / lambda_k."""
+    P_ii + P_jj - 2 P_ij from the 2 x 2 block P of L^+ on (i, j)."""
     n = net.node_count
     if not (0 <= i < n and 0 <= j < n):
         raise IndexOutOfRange(f"node pair ({i},{j}) outside [0,{n})")
     if i == j:
         raise SameNode(f"effective resistance needs two distinct nodes, got {i}")
-    spec = net.spectrum
-    diff = spec.vectors[i, 1:] - spec.vectors[j, 1:]
-    return float(np.sum(diff**2 / spec.values[1:]))
+    p = net.spectrum.pinv([i, j])
+    return float(p[0, 0] + p[1, 1] - 2.0 * p[0, 1])
 
 
 def kirchhoff_index(net: Network) -> float:
-    """Sum of effective resistances over all unordered node pairs."""
-    reff = reff_matrix(net)
-    return float(np.sum(np.triu(reff, k=1)))
+    """Sum of effective resistances over all unordered node pairs,
+    n times the sum of reciprocal nonzero Laplacian eigenvalues (Gutman and
+    Mohar 1996)."""
+    return net.node_count * float(np.sum(1.0 / net.spectrum.values[1:]))
 
 
 def kstar(net: Network) -> float:
     """Mean reciprocal nonzero Laplacian eigenvalue, K_f / n^2."""
-    return float(np.sum(1.0 / net.spectrum.values[1:])) / net.node_count
+    return kirchhoff_index(net) / net.node_count**2
 
 
 @dataclass(frozen=True)
@@ -185,13 +187,13 @@ def scaling_sweep(family: str, sizes, params: systems.ControllerParams,
     for size in sizes:
         net = _family_network(family, size, resistance)
         n = net.node_count
-        k = kstar(net)
+        kf = kirchhoff_index(net)
         records.append(ScalingRecord(
             family=family, n=n,
             h2_slack=systems.h2_closed_form_slack(net, params, ground),
             h2_droop=systems.h2_closed_form_droop(net, params),
             h2_dapi=systems.h2_closed_form_dapi(net, params),
-            kstar=k, kirchhoff=k * n**2))
+            kstar=kf / n**2, kirchhoff=kf))
 
     ns = np.array([r.n for r in records], dtype=float)
     ys = np.array([r.h2_slack for r in records])

@@ -51,6 +51,23 @@ def stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) << 64))
 
 
+def _halvings(a: np.ndarray, h: float) -> int:
+    """Least k with rho(a) h / 2^k <= 1, rho from the row-sum bound."""
+    scaled = spectral_radius_bound(a) * h
+    return int(np.ceil(np.log2(scaled))) if scaled > 1.0 else 0
+
+
+def propagator(a: np.ndarray, h: float) -> np.ndarray:
+    """expm(a h), taken at h / 2^k and squared k times (k from
+    ``_halvings``). expm itself returns NaN once ||a h|| passes about
+    1e38; the squarings of a Hurwitz a's propagator underflow to 0."""
+    k = _halvings(a, h)
+    phi = expm(a * (h / 2.0**k))
+    for _ in range(k):
+        phi = phi @ phi
+    return phi
+
+
 def van_loan(a: np.ndarray, q: np.ndarray, h: float):
     """Exact discretization of dx = a x dt + dW with cov(dW) = q dt.
 
@@ -58,12 +75,11 @@ def van_loan(a: np.ndarray, q: np.ndarray, h: float):
     step of length h adds, from Van Loan's block exponential of
     [[-a, q], [0, a^T]] (IEEE TAC 1978). That block holds expm(-a h),
     which overflows for stiff a at large h, so it is taken over
-    h0 = h / 2^k with rho(a) h0 <= 1 and then doubled k times:
+    h0 = h / 2^k (``_halvings``) and then doubled k times:
     Q_d(2h) = Q_d(h) + Phi(h) Q_d(h) Phi(h)^T.
     """
     n = a.shape[0]
-    scaled = spectral_radius_bound(a) * h
-    k = int(np.ceil(np.log2(scaled))) if scaled > 1.0 else 0
+    k = _halvings(a, h)
     block = np.block([[-a, q], [np.zeros_like(a), a.T]]) * (h / 2.0**k)
     e = expm(block)
     phi = e[n:, n:].T
@@ -122,15 +138,15 @@ def simulate(model: StateSpaceModel, x0, T: float, dt: float | None = None,
     """Solve dx/dt = Ax from x0 over [0, T] on a grid of step dt.
 
     Every ``record_every``-th step is recorded; each recorded row is one
-    application of the exact propagator expm(A dt record_every). The
-    Trajectory's dt is the recording interval. Deterministic: identical
-    arguments give identical output.
+    application of the exact propagator expm(A dt record_every) (see
+    ``propagator``). The Trajectory's dt is the recording interval.
+    Deterministic: identical arguments give identical output.
     """
     if dt is None:
         dt = default_dt(model)
     steps = _check_step(dt, T)
     rec_dt = dt * record_every
-    prop = expm(model.a * rec_dt)
+    prop = propagator(model.a, rec_dt)
     x = np.asarray(x0, dtype=float)
     recorded = [x]
     for _ in range(steps // record_every):
@@ -196,7 +212,7 @@ def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0,
     t = 0.0
     h = dt
     h_cap = max(dt, tau / 10.0)
-    prop = expm(model.a * h)
+    prop = propagator(model.a, h)
     converged = initial_ms == 0.0
     target = min(10.0 * tau, t_max)
     while not converged and t < t_max:
@@ -205,7 +221,7 @@ def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0,
             # so doubling the step no longer costs trapezoid accuracy
             if t >= 100.0 * h and 2.0 * h <= h_cap:
                 h *= 2.0
-                prop = expm(model.a * h)
+                prop = propagator(model.a, h)
             x = prop @ x
             y = model.h @ x
             w = np.sum(y * y, axis=0)

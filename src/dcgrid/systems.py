@@ -160,15 +160,15 @@ def assemble_dapi(net: Network, params: ControllerParams) -> StateSpaceModel:
 
 def h2_closed_form_slack(net: Network, params: ControllerParams,
                          ground: int = 0) -> float:
-    """c/(2n) tr(L_red^-1), with tr(L_red^-1) = tr(L^+) + n L^+_gg, i.e.
-    c/(2n) times the sum over nonzero modes of (1 + n v_gk^2) / lambda_k."""
+    """c/(2n) tr(L_red^-1), with tr(L_red^-1) = tr(L^+) + n L^+_gg and
+    tr(L^+) the sum of reciprocal nonzero Laplacian eigenvalues."""
     c = params.uniform("c")
     n = net.node_count
     if not 0 <= ground < n:
         raise IndexOutOfRange(f"ground index {ground} outside [0,{n})")
     spec = net.spectrum
-    weights = 1.0 + n * spec.vectors[ground, 1:] ** 2
-    return c / (2 * n) * float(np.sum(weights / spec.values[1:]))
+    trace = float(np.sum(1.0 / spec.values[1:]))
+    return c / (2 * n) * (trace + n * float(spec.pinv([ground])[0, 0]))
 
 
 def h2_closed_form_droop(net: Network, params: ControllerParams) -> float:

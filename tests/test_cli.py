@@ -51,6 +51,47 @@ class TestH2:
         assert "dcgrid" in meta["versions"]
 
 
+class TestLargeLattices:
+    """Box lattices far beyond dense sizes run on the analytic spectrum."""
+
+    def test_large_resistance_path(self, capsys):
+        # lambda_1 = 2.5e-10 is a valid zero-free mode, not a second zero
+        code, doc = run_json(["h2", "--gen", "path:1000", "--resistance",
+                              "1e4", "--c", "1"], capsys)
+        assert code == 0
+        assert abs(doc["h2_slack"] / (1e4 * 999 / 4) - 1) <= 1e-13
+
+    def test_path_100000_slack(self, capsys):
+        code, doc = run_json(["h2", "--gen", "path:100000", "--c", "1"],
+                             capsys)
+        assert code == 0
+        assert abs(doc["h2_slack"] / (99999 / 4) - 1) <= 1e-13
+
+    def test_path_100000_resistance(self, capsys):
+        code, doc = run_json(["resist", "--gen", "path:100000", "--pair",
+                              "0,99999"], capsys)
+        assert code == 0
+        assert abs(doc["effective_resistance"] / 99999 - 1) <= 1e-9
+
+
+class TestNoEigenvectors:
+    """No command that reads a Laplacian spectrum needs an eigenvector."""
+
+    @pytest.mark.parametrize("spec, pair, family", [
+        ("grid2:5x6", "0,29", "grid2d"),
+        ("fuzz:2:grid2:5x5", "0,24", "hfuzz"),
+    ], ids=["lattice", "hfuzz"])
+    def test_eigh_unused(self, spec, pair, family, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for argv in (["h2", "--gen", spec], ["compare", "--gen", spec],
+                     ["resist", "--gen", spec, "--pair", pair],
+                     ["sweep", "--family", family, "--sizes", "3,4,5"]):
+            assert run(argv) == 0, argv
+
+
 class TestGen:
     def test_json_roundtrip_through_file_spec(self, capsys, tmp_path):
         code, doc = run_json(["gen", "--gen", "grid2:3x3", "--out", "g"],
@@ -143,6 +184,16 @@ class TestSim:
         assert code == 0
         header = (tmp_path / "sl_traj.csv").read_text().split("\n")[0]
         assert header == "t,V_1,V_2,V_3"
+
+    def test_huge_horizon_decays_to_zero(self, capsys, tmp_path):
+        # expm(A h) alone returns NaN once ||A h|| passes about 1e38
+        code, doc = run_json(["sim", "--gen", "path:4", "--T", "1e40",
+                              "--out", "h"], capsys)
+        assert code == 0
+        rows = (tmp_path / "h_traj.csv").read_text().strip().split("\n")[1:]
+        values = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert len(rows) == doc["rows"] and np.isfinite(values).all()
+        assert np.all(values[-1, 1:] == 0.0)
 
 
 class TestFig2:

@@ -15,6 +15,8 @@ from dcgrid.network import (
     reduced_laplacian,
 )
 
+from .conftest import random_connected_network
+
 
 class TestBuildNetwork:
     def test_k2(self):
@@ -207,14 +209,14 @@ class TestSpectrum:
         spec = net.spectrum
         assert spec.values[0] == 0.0 and spec.values[1] > 0.0
         lap = laplacian(net)
-        assert np.allclose(lap @ spec.vectors, spec.vectors * spec.values,
-                           atol=1e-12)
+        assert np.allclose(spec.values, np.linalg.eigvalsh(lap), atol=1e-12)
+        pinv = spec.pinv(np.arange(net.node_count))
+        assert np.allclose(lap @ pinv @ lap, lap, atol=1e-12)
+        assert np.allclose(pinv.sum(axis=1), 0.0, atol=1e-12)
 
     def test_read_only(self, p3):
         with pytest.raises(ValueError):
             p3.spectrum.values[1] = 0.0
-        with pytest.raises(ValueError):
-            p3.spectrum.vectors[0, 0] = 0.0
 
     def test_equality_ignores_cache(self, p3):
         twin = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -312,6 +314,57 @@ class TestAnalyticSpectrumConsumers:
                           rtol=1e-9, atol=0.0)
         assert np.isclose(resistance.kstar(net), resistance.kstar(twin),
                           rtol=1e-9, atol=0.0)
+
+
+def _coordless(net):
+    return build_network(net.node_count, net.edges)
+
+
+class TestSpectrumPinv:
+    """Blocks of L^+ from either route against the dense pseudoinverse."""
+
+    @staticmethod
+    def _check_blocks(net):
+        ref = np.linalg.pinv(laplacian(net))
+        n = net.node_count
+        rng = np.random.default_rng(n)
+        subsets = [[0], [n - 1, 0], rng.choice(n, size=min(n, 5),
+                                               replace=False), np.arange(n)]
+        for nodes in subsets:
+            block = net.spectrum.pinv(nodes)
+            expected = ref[np.ix_(nodes, nodes)]
+            assert block.shape == (len(nodes), len(nodes))
+            assert np.allclose(block, expected, rtol=1e-9,
+                               atol=1e-9 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("d, sides, r", [
+        (1, 2, 1.0), (1, 50, 0.5), (2, (3, 5), 2.0), (2, (12, 12), 1.0),
+        (3, (2, 3, 4), 0.25), (3, (5, 5, 5), 1.0)])
+    def test_lattice_and_twin(self, d, sides, r):
+        net = generate_lattice(d, sides, r)
+        assert lattice_box(net) is not None
+        self._check_blocks(net)
+        self._check_blocks(_coordless(net))
+
+    def test_hfuzz(self):
+        net = generate_hfuzz(generate_lattice(2, 9), 2)
+        assert lattice_box(net) is None
+        self._check_blocks(net)
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            self._check_blocks(random_connected_network(rng, n_max=40))
+
+    def test_large_resistance_is_connected(self):
+        # lambda_1 = 4 sin^2(pi / 2000) / 1e4 = 2.5e-10: a zero-mode rule
+        # scaled by max(1, lambda_max) calls this path disconnected
+        net = _coordless(generate_lattice(1, 1000, 1e4))
+        params = ControllerParams(c=1.0)
+        slack = systems.h2_closed_form_slack(net, params)
+        assert np.isclose(slack, 1e4 * 999 / 4, rtol=1e-9, atol=0.0)
+        assert np.isclose(resistance.effective_resistance(net, 0, 999),
+                          1e4 * 999, rtol=1e-9, atol=0.0)
 
 
 class TestFileFormats:

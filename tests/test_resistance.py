@@ -103,6 +103,8 @@ class TestGutmanIdentity:
             net = random_connected_network(rng)
             lam = eig_sym(laplacian(net)).values
             spectral = net.node_count * float(np.sum(1.0 / lam[1:]))
+            pairwise = float(np.sum(np.triu(reff_matrix(net), k=1)))
+            assert np.isclose(pairwise, spectral, rtol=1e-8)
             assert np.isclose(kirchhoff_index(net), spectral, rtol=1e-8)
 
 
