@@ -8,8 +8,9 @@ class DCGridError(Exception):
 # --- network construction ---
 
 class InvalidEdge(DCGridError):
-    """Self-loop, duplicate or absent edge, or a resistance that is not
-    positive and finite."""
+    """Self-loop, duplicate or absent edge, a resistance that is not
+    positive and finite, or a malformed network description (a
+    non-integer index, node count or coordinate, a missing key)."""
 
 
 class IndexOutOfRange(DCGridError):
@@ -81,7 +82,7 @@ class StepTooLarge(DCGridError):
 
 
 class NonFiniteState(DCGridError):
-    """Trajectory overflowed to non-finite values."""
+    """A system matrix or a trajectory holds non-finite values."""
 
 
 class TruncationNotConverged(DCGridError):

@@ -8,6 +8,11 @@ its eigenvalues and blocks of L^+ on demand. That spectrum is the
 closed-form Kronecker-sum spectrum when the network is a uniform box
 lattice (:func:`lattice_box`, decided from its coords and edges) and the
 dense Laplacian's eigenvalues plus a Cholesky solve otherwise.
+
+Per-edge work (validation, lattice edges, Laplacian assembly, lattice
+detection) runs on numpy arrays of the edge columns; the one Python
+loop is the breadth-first search behind the connectivity check and the
+h-fuzz.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,9 +40,9 @@ from .errors import (
 class Network:
     """Undirected weighted resistor network.
 
-    ``edges`` holds (i, j, R) triples with i < j, resistances in ohms.
-    ``coords`` carries integer lattice coordinates when the network was
-    produced by a generator. Instances are validated by
+    ``edges`` holds (i, j, R) triples with i < j, sorted, resistances in
+    ohms. ``coords`` carries integer lattice coordinates when the network
+    was produced by a generator. Instances are validated by
     :func:`build_network` and immutable.
     """
 
@@ -63,69 +67,96 @@ class Network:
             return numerics.laplacian_spectrum(laplacian(self))
         return numerics.lattice_spectrum(*box)
 
-    def adjacency_lists(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for i, j, _ in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
+
+def _columns(edges):
+    """Endpoint index arrays and resistance array of (i, j, R) triples."""
+    arr = np.array(edges, dtype=float)
+    return arr[:, 0].astype(np.intp), arr[:, 1].astype(np.intp), arr[:, 2]
 
 
-def _check_connected(n: int, edges) -> bool:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == n
+def _adjacency(n: int, i: np.ndarray, j: np.ndarray):
+    """Compressed adjacency of the undirected edges (i, j) as Python lists:
+    node u's neighbours are ``nbr[ptr[u]:ptr[u + 1]]``."""
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(np.concatenate((i, j)), minlength=n), out=ptr[1:])
+    order = np.argsort(np.concatenate((i, j)), kind="stable")
+    return ptr.tolist(), np.concatenate((j, i))[order].tolist()
+
+
+def _bfs(adj, source: int, radius: int) -> list[int]:
+    """Nodes at 1 to ``radius`` hops from ``source``, nearest first."""
+    ptr, nbr = adj
+    dist = {source: 0}
+    queue = [source]
+    for u in queue:  # appending while iterating makes the list a queue
+        if dist[u] < radius:
+            for v in nbr[ptr[u]:ptr[u + 1]]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+    return queue[1:]
 
 
 def build_network(node_count, edge_list, coords=None) -> Network:
     """Validate an edge list and return an immutable Network.
 
-    Raises InvalidEdge for self-loops, duplicates or R not in (0, inf),
-    IndexOutOfRange for bad node indices, and DisconnectedGraph when the
-    graph does not reach every node.
+    ``edge_list`` holds (i, j, R) triples, or is an m x 3 array of them;
+    each index must be integral (1.0 counts as 1). ``node_count`` and
+    every coordinate must be ints. Raises InvalidEdge for a malformed
+    list or coordinates, a non-integer index, self-loops, duplicates or R
+    not in (0, inf), IndexOutOfRange for bad node indices, and
+    DisconnectedGraph when the graph does not reach every node.
     """
-    if node_count < 2:
-        raise InvalidEdge(f"need at least 2 nodes, got {node_count}")
-    if not edge_list:
-        raise InvalidEdge("edge list is empty")
-    seen: set[tuple[int, int]] = set()
-    normalized = []
-    for i, j, r in edge_list:
-        i, j = int(i), int(j)
-        if not (0 <= i < node_count and 0 <= j < node_count):
-            raise IndexOutOfRange(f"edge ({i},{j}) outside [0,{node_count})")
-        if i == j:
-            raise InvalidEdge(f"self-loop at node {i}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise InvalidEdge(f"duplicate edge {key}")
-        seen.add(key)
-        r = float(r)
-        if not 0.0 < r < math.inf:
-            raise InvalidEdge(
-                f"edge {key} resistance {r} is not positive and finite")
-        normalized.append((key[0], key[1], r))
-    normalized.sort()
-    if not _check_connected(node_count, normalized):
-        raise DisconnectedGraph(f"graph on {node_count} nodes is not connected")
+    if not isinstance(node_count, (int, np.integer)) or node_count < 2:
+        raise InvalidEdge(
+            f"need an integer node count of at least 2, got {node_count!r}")
+    node_count = int(node_count)
+    try:
+        arr = np.array(edge_list, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidEdge(f"edges must be (i, j, R) number triples: {exc}"
+                          ) from exc
+    if arr.ndim != 2 or arr.shape[1] != 3 or len(arr) == 0:
+        raise InvalidEdge(f"need a non-empty list of (i, j, R) triples, got "
+                          f"an array of shape {arr.shape}")
+    if len(arr) < node_count - 1:  # also bounds n before any O(n) array
+        raise DisconnectedGraph(
+            f"{len(arr)} edges cannot connect {node_count} nodes")
+    ends, r = arr[:, :2], arr[:, 2]
+    for bad, error, what in (
+            ((ends != np.floor(ends)).any(axis=1), InvalidEdge,
+             "has a non-integer index"),
+            (~((0 <= ends) & (ends < node_count)).all(axis=1),
+             IndexOutOfRange, f"has an index outside [0,{node_count})"),
+            (ends[:, 0] == ends[:, 1], InvalidEdge, "is a self-loop"),
+            (~((0.0 < r) & (r < math.inf)), InvalidEdge,
+             "has a resistance that is not positive and finite")):
+        if bad.any():
+            raise error(f"edge ({', '.join(f'{x:g}' for x in arr[bad][0])}) "
+                        f"{what}")
+    i, j = np.sort(ends, axis=1).astype(np.intp).T
+    order = np.lexsort((j, i))
+    i, j, r = i[order], j[order], r[order]
+    duplicate = (i[1:] == i[:-1]) & (j[1:] == j[:-1])
+    if duplicate.any():
+        k = np.argmax(duplicate)
+        raise InvalidEdge(f"duplicate edge ({i[k]}, {j[k]})")
+    reached = _bfs(_adjacency(node_count, i, j), 0, node_count)
+    if len(reached) != node_count - 1:
+        raise DisconnectedGraph(
+            f"graph on {node_count} nodes is not connected")
     if coords is not None:
-        coords = tuple(tuple(int(c) for c in p) for p in coords)
+        try:
+            coords = tuple(map(tuple, coords))
+        except TypeError as exc:
+            raise InvalidEdge(f"coords must be a list of points: {exc}"
+                              ) from exc
         if len(coords) != node_count:
             raise InvalidEdge("coords length must equal node_count")
-    return Network(node_count, tuple(normalized), coords)
+        if set(map(type, itertools.chain.from_iterable(coords))) - {int}:
+            raise InvalidEdge("coordinates must be ints")
+    edges = tuple(zip(i.tolist(), j.tolist(), r.tolist()))
+    return Network(node_count, edges, coords)
 
 
 def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
@@ -147,34 +178,15 @@ def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
     if not resistance > 0:
         raise InvalidEdge(f"resistance must be positive, got {resistance}")
 
-    points = list(itertools.product(*(range(m) for m in sides)))
-    index = {p: k for k, p in enumerate(points)}
-    edges = []
-    for p in points:
-        for axis in range(d):
-            q = list(p)
-            q[axis] += 1
-            q = tuple(q)
-            if q in index:
-                edges.append((index[p], index[q], resistance))
-    return build_network(len(points), edges, coords=points)
-
-
-def _bfs_within(adj, source: int, h: int):
-    """Nodes at graph distance in [1, h] from source, with distances."""
-    dist = {source: 0}
-    queue = deque([source])
-    out = []
-    while queue:
-        u = queue.popleft()
-        if dist[u] == h:
-            continue
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                out.append(v)
-                queue.append(v)
-    return out
+    # one slice per axis pairs each node with its successor along that axis
+    index = np.arange(math.prod(sides)).reshape(sides)
+    i = np.concatenate([index.take(range(m - 1), axis=axis).ravel()
+                        for axis, m in enumerate(sides)])
+    j = np.concatenate([index.take(range(1, m), axis=axis).ravel()
+                        for axis, m in enumerate(sides)])
+    edges = np.column_stack((i, j, np.full(i.size, resistance, dtype=float)))
+    coords = tuple(itertools.product(*map(range, sides)))
+    return build_network(index.size, edges, coords)
 
 
 def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Network:
@@ -186,18 +198,16 @@ def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Networ
     """
     if h < 1:
         raise InvalidFuzzRadius(f"fuzz radius must be >= 1, got {h}")
+    existing = {(i, j): r for i, j, r in base.edges}
     if r_fuzz is None:
-        r_fuzz = max(r for _, _, r in base.edges)
+        r_fuzz = max(existing.values())
     if not r_fuzz > 0:
         raise InvalidEdge(f"fuzz resistance must be positive, got {r_fuzz}")
 
-    existing = {(i, j): r for i, j, r in base.edges}
-    adj = base.adjacency_lists()
-    edges = []
-    for u in range(base.node_count):
-        for v in _bfs_within(adj, u, h):
-            if u < v:
-                edges.append((u, v, existing.get((u, v), r_fuzz)))
+    i, j, _ = _columns(base.edges)
+    adj = _adjacency(base.node_count, i, j)
+    edges = [(u, v, existing.get((u, v), r_fuzz))
+             for u in range(base.node_count) for v in _bfs(adj, u, h) if u < v]
     return build_network(base.node_count, edges, coords=base.coords)
 
 
@@ -221,24 +231,21 @@ def lattice_box(net: Network) -> tuple[tuple[int, ...], float] | None:
         return None
     if net.coords != tuple(itertools.product(*map(range, sides))):
         return None
-    r = net.edges[0][2]
-    for i, j, r_ij in net.edges:
-        hops = sum(abs(a - b) for a, b in zip(net.coords[i], net.coords[j]))
-        if r_ij != r or hops != 1:
-            return None
-    return sides, 1.0 / r
+    i, j, r = _columns(net.edges)
+    hops = np.abs(np.subtract(np.unravel_index(i, sides),
+                              np.unravel_index(j, sides))).sum(axis=0)
+    r0 = net.edges[0][2]
+    if (hops != 1).any() or (r != r0).any():
+        return None
+    return sides, 1.0 / r0
 
 
 def laplacian(net: Network) -> np.ndarray:
     """Weighted graph Laplacian with conductance (1/R) edge weights."""
-    n = net.node_count
-    lap = np.zeros((n, n))
-    for i, j, r in net.edges:
-        g = 1.0 / r
-        lap[i, j] -= g
-        lap[j, i] -= g
-        lap[i, i] += g
-        lap[j, j] += g
+    i, j, r = _columns(net.edges)
+    lap = np.zeros((net.node_count, net.node_count))
+    lap[i, j] = lap[j, i] = -1.0 / r
+    np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap
 
 
@@ -281,8 +288,12 @@ def to_json_dict(net: Network) -> dict:
 
 
 def from_json_dict(doc: dict) -> Network:
-    return build_network(doc["n"], [tuple(e) for e in doc["edges"]],
-                         coords=doc.get("coords"))
+    try:
+        node_count, edges = doc["n"], doc["edges"]
+    except (KeyError, TypeError) as exc:
+        raise InvalidEdge("a network document needs the keys 'n' and 'edges'"
+                          ) from exc
+    return build_network(node_count, edges, coords=doc.get("coords"))
 
 
 def load_network(path) -> Network:

@@ -2,7 +2,8 @@
 
 These are the numerical kernels behind the closed-form H2 evaluation and
 its independent Lyapunov oracle (Bartels-Stewart on the real Schur form
-of the full system matrix, O(dim^3)). A Laplacian spectrum is its
+of the full system matrix, O(dim^3); that one Schur form also decides
+whether the matrix is Hurwitz). A Laplacian spectrum is its
 eigenvalues plus blocks of its pseudoinverse L^+ on demand; no n x n
 eigenvector matrix is ever formed. It comes from one of two sources:
 :func:`lattice_spectrum`, the Kronecker-sum formula for a uniform box
@@ -14,13 +15,13 @@ functions.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_continuous_lyapunov
+from scipy.linalg import cho_factor, cho_solve, schur
+from scipy.linalg.lapack import dtrsyl
 
 from .errors import (
     DisconnectedGraph,
@@ -120,28 +121,28 @@ def lattice_spectrum(sides, conductance: float) -> LaplacianSpectrum:
     return LaplacianSpectrum(lattice_eig(sides, conductance).values, pinv)
 
 
-def is_hurwitz(a: np.ndarray) -> bool:
-    """True when every eigenvalue of A has negative real part."""
-    return bool(np.max(np.linalg.eigvals(a).real) < 0.0)
-
-
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> LyapunovSolution:
     """Solve A^T P + P A = -Q for symmetric PSD Q and Hurwitz A.
 
-    Bartels-Stewart (CACM 1972) through LAPACK trsyl, O(dim^3). When an
-    eigenvalue pair of A sums to about zero, trsyl would perturb the
-    equation and return a wrong P; that raises SingularSystem instead.
+    Bartels-Stewart (CACM 1972), O(dim^3), from one real Schur form
+    A^T = U T U^T. LAPACK standardises T's 2 x 2 blocks to equal diagonal
+    entries, so diag(T) holds the real parts of A's eigenvalues and
+    decides stability (else NotHurwitz). trsyl then solves
+    T Y + Y T^T = -U^T Q U, and P = U Y U^T. When an eigenvalue pair of A
+    sums to about zero, trsyl would perturb the equation and return a
+    wrong P; that raises SingularSystem instead.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
-    if not is_hurwitz(a):
+    t, u = schur(a.T, output="real")
+    if not t.diagonal().max() < 0.0:
         raise NotHurwitz("A has an eigenvalue with non-negative real part")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        try:
-            p = solve_continuous_lyapunov(a.T, -q)
-        except RuntimeWarning as exc:
-            raise SingularSystem(str(exc)) from exc
+    y, scale, info = dtrsyl(t, t, -(u.T @ q @ u), tranb="T")
+    if info != 0:
+        raise SingularSystem(
+            f"trsyl returned info {info}: an eigenvalue pair of A sums to "
+            "about zero")
+    p = u @ (y / scale) @ u.T
     p = 0.5 * (p + p.T)
     residual = float(np.linalg.norm(a.T @ p + p @ a + q, "fro"))
     return LyapunovSolution(p, residual)

@@ -21,6 +21,7 @@ from scipy.linalg import expm
 from .errors import (
     IndexOutOfRange,
     NonFiniteState,
+    NotHurwitz,
     StepTooLarge,
     TruncationNotConverged,
 )
@@ -37,12 +38,23 @@ def spectral_radius_bound(a: np.ndarray) -> float:
 
 
 def default_dt(model: StateSpaceModel) -> float:
-    return 0.1 / spectral_radius_bound(model.a)
+    """A tenth of 1 / rho(A), rho from the row-sum bound; StepTooLarge
+    when A is so small (say, underflowed to zero) that this is not
+    finite."""
+    rho = spectral_radius_bound(model.a)
+    dt = 0.1 / rho if rho > 0.0 else np.inf
+    if dt == np.inf:
+        raise StepTooLarge(f"A's row-sum bound {rho} sets no finite default "
+                           "step")
+    return dt
 
 
 def slowest_time_constant(model: StateSpaceModel) -> float:
-    """Reciprocal of the slowest decay rate of A."""
+    """Reciprocal of the slowest decay rate of A; NotHurwitz when some
+    mode of A does not decay (the stochastic routes' stability check)."""
     rate = float(np.min(-np.linalg.eigvals(model.a).real))
+    if not rate > 0.0:
+        raise NotHurwitz(f"{model.kind} system matrix is not Hurwitz")
     return 1.0 / rate
 
 
@@ -199,8 +211,8 @@ def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0,
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    dt = default_dt(model)
     tau = slowest_time_constant(model)
+    dt = default_dt(model)
     if t_max is None:
         t_max = T_MAX_CONSTANTS * tau
 
@@ -254,8 +266,10 @@ def white_noise_variance(model: StateSpaceModel, T: float,
     Steps dx = Ax dt + B dW exactly from x = 0 as x <- Phi x + w, with
     Phi and cov(w) from ``van_loan``; the first fifth of the steps is
     discarded as warmup and the remainder is time-averaged, with the
-    standard error taken across contiguous batches.
+    standard error taken across contiguous batches. Only a Hurwitz A has
+    a steady state (else NotHurwitz).
     """
+    slowest_time_constant(model)
     if dt is None:
         dt = default_dt(model)
     steps = _check_step(dt, T)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import network as net_mod
 from . import numerics
-from .errors import IndexOutOfRange, NonUniformParams, NotHurwitz
+from .errors import IndexOutOfRange, NonFiniteState, NonUniformParams
 from .network import Network
 
 
@@ -83,7 +83,10 @@ class StateSpaceModel:
     """LTI triple (A, B, H) for dx/dt = Ax + Bw, y = Hx.
 
     ``state_labels`` tags each state as V<i> (bus voltage) or z<i>
-    (integrator); ``kind`` is slack, droop, or dapi.
+    (integrator); ``kind`` is slack, droop, or dapi. A must be finite
+    (else NonFiniteState: extreme gains can overflow it). Stability is not
+    checked here; each route that needs it decides it from the
+    eigenvalues it computes anyway.
     """
 
     a: np.ndarray
@@ -96,17 +99,19 @@ class StateSpaceModel:
     def dim(self) -> int:
         return self.a.shape[0]
 
+    def __post_init__(self):
+        if not np.isfinite(self.a).all():
+            raise NonFiniteState(
+                f"{self.kind} system matrix has non-finite entries")
+
     def voltage_indices(self) -> list[int]:
         return [k for k, lbl in enumerate(self.state_labels)
                 if lbl.startswith("V")]
 
 
-def _finish(a, b, h, labels, kind) -> StateSpaceModel:
-    if not numerics.is_hurwitz(a):
-        raise NotHurwitz(f"assembled {kind} system matrix is not Hurwitz")
-    return StateSpaceModel(a, b, h, tuple(labels), kind)
-
-
+# Extreme gains can overflow an entry of A to inf (or inf * 0 to nan);
+# StateSpaceModel rejects such an A, so the assemblers do not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def assemble_slack(net: Network, params: ControllerParams,
                    ground: int = 0) -> StateSpaceModel:
     """Grounded-slack-bus dynamics on the n-1 remaining buses."""
@@ -117,9 +122,10 @@ def assemble_slack(net: Network, params: ControllerParams,
     a = -c_inv[:, None] * lap_red
     b = np.eye(n - 1)
     h = np.eye(n - 1) / np.sqrt(n)
-    return _finish(a, b, h, [f"V{i}" for i in keep], "slack")
+    return StateSpaceModel(a, b, h, tuple(f"V{i}" for i in keep), "slack")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def assemble_droop(net: Network, params: ControllerParams) -> StateSpaceModel:
     """Decentralized proportional (droop) control on every bus."""
     n = net.node_count
@@ -129,9 +135,10 @@ def assemble_droop(net: Network, params: ControllerParams) -> StateSpaceModel:
     a = -c_inv[:, None] * (lap + np.diag(kp))
     b = np.eye(n)
     h = np.eye(n) / np.sqrt(n)
-    return _finish(a, b, h, [f"V{i}" for i in range(n)], "droop")
+    return StateSpaceModel(a, b, h, tuple(f"V{i}" for i in range(n)), "droop")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def assemble_dapi(net: Network, params: ControllerParams) -> StateSpaceModel:
     """Droop plus distributed averaging integral control.
 
@@ -152,8 +159,8 @@ def assemble_dapi(net: Network, params: ControllerParams) -> StateSpaceModel:
     ])
     b = np.vstack([np.zeros((n, n)), np.eye(n)])
     h = np.hstack([np.zeros((n, n)), eye / np.sqrt(n)])
-    labels = [f"z{i}" for i in range(n)] + [f"V{i}" for i in range(n)]
-    return _finish(a, b, h, labels, "dapi")
+    labels = tuple(f"{x}{i}" for x in "zV" for i in range(n))
+    return StateSpaceModel(a, b, h, labels, "dapi")
 
 
 # --- closed-form squared H2 norms ---

@@ -233,6 +233,9 @@ class TestBoundaries:
         ["resist", "--gen", "path:3", "--pair=-1,0"],
         ["h2", "--gen", "path:3", "--ground", "-1"],
         ["h2", "--gen", "path:5", "--resistance", "inf"],
+        ["sim", "--gen", "path:4", "--kind", "dapi", "--k", "1e-300",
+         "--gamma", "1e300"],
+        ["sim", "--gen", "path:4", "--c", "1e308", "--resistance", "1e20"],
     ])
     def test_computation_error(self, argv, capsys, tmp_path):
         assert run(argv + ["--out", "x"]) == 1
@@ -276,6 +279,23 @@ class TestBoundaries:
         assert captured.err.startswith("usage error:")
         assert "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("doc", [
+        {"n": 3, "edges": [[0.5, 1, 1.0], [1, 2, 1.0]]},
+        {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+         "coords": [[0], [1], [2.7]]},
+        {"n": 3.0, "edges": [[0, 1, 1.0], [1, 2, 1.0]]},
+        {"n": 3},
+    ], ids=["fractional-index", "fractional-coord", "float-n", "no-edges"])
+    def test_bad_network_file(self, doc, capsys, tmp_path):
+        # each was once truncated to an integer or ended in a traceback
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert run(["h2", "--gen", f"file:{path}", "--out", "x"]) == 1
+        captured = capsys.readouterr()
+        assert strict_json(captured.out)["error"] == "InvalidEdge"
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_huge_gamma_is_finite(self, capsys):
         code = run(["compare", "--gen", "path:5", "--gamma", "1e200"])

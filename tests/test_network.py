@@ -57,15 +57,37 @@ class TestBuildNetwork:
         with pytest.raises(errors.InvalidEdge):
             build_network(2, [])
 
+    @pytest.mark.parametrize("node_count, edges, coords", [
+        (3, [(0, 1.5, 1.0), (1, 2, 1.0)], None),
+        (3.0, [(0, 1, 1.0), (1, 2, 1.0)], None),
+        (3, [(0, 1), (1, 2)], None),
+        (3, [(0, 1, 1.0), (1, 2, "x")], None),
+        (3, [(0, 1, 1.0), (1, 2, 1.0)], [(0,), (1,), (2.5,)]),
+        (3, [(0, 1, 1.0), (1, 2, 1.0)], 7),
+    ], ids=["fractional-index", "float-count", "pairs", "text-resistance",
+            "fractional-coord", "scalar-coords"])
+    def test_malformed_input(self, node_count, edges, coords):
+        with pytest.raises(errors.InvalidEdge):
+            build_network(node_count, edges, coords)
+
+    def test_integral_float_index_accepted(self):
+        net = build_network(2, [(1.0, 0.0, 2.0)])
+        assert net.edges == ((0, 1, 2.0),)
+        assert all(type(x) is int for x in net.edges[0][:2])
+
+    def test_too_few_edges_for_node_count(self):
+        # rejected before anything of size node_count is allocated
+        with pytest.raises(errors.DisconnectedGraph):
+            build_network(10**15, [(0, 1, 1.0)])
+
 
 def brute_force_lattice_edges(sides):
-    """Independent oracle: enumerate all node pairs at Euclidean distance 1."""
+    """Independent oracle: all node pairs at Euclidean distance 1, as
+    (i, j) index pairs in row-major node order."""
     points = list(itertools.product(*(range(m) for m in sides)))
-    count = 0
-    for a, b in itertools.combinations(points, 2):
-        if sum((x - y) ** 2 for x, y in zip(a, b)) == 1:
-            count += 1
-    return count
+    return {(i, j) for (i, a), (j, b) in
+            itertools.combinations(enumerate(points), 2)
+            if sum((x - y) ** 2 for x, y in zip(a, b)) == 1}
 
 
 class TestLattice:
@@ -87,7 +109,9 @@ class TestLattice:
     @pytest.mark.parametrize("d,sides", [(1, (6,)), (2, (3, 4)), (3, (2, 3, 4))])
     def test_edge_count_vs_brute_force(self, d, sides):
         net = generate_lattice(d, sides)
-        assert net.edge_count == brute_force_lattice_edges(sides)
+        expected = brute_force_lattice_edges(sides)
+        assert net.edge_count == len(expected)
+        assert {(i, j) for i, j, _ in net.edges} == expected
 
     def test_coords_attached(self):
         net = generate_lattice(2, 3)
@@ -104,7 +128,10 @@ class TestLattice:
 
 
 def bfs_distances(net, source):
-    adj = net.adjacency_lists()
+    adj = [[] for _ in range(net.node_count)]
+    for i, j, _ in net.edges:
+        adj[i].append(j)
+        adj[j].append(i)
     dist = {source: 0}
     queue = deque([source])
     while queue:
@@ -137,14 +164,18 @@ class TestHFuzz:
 
     @pytest.mark.parametrize("h", [2, 3])
     def test_edge_set_vs_bfs_oracle(self, h):
-        base = generate_lattice(2, (3, 4))
-        fuzz = generate_hfuzz(base, h, 0.5)
-        expected = set()
-        for u in range(base.node_count):
-            for v, d in bfs_distances(base, u).items():
-                if 1 <= d <= h and u < v:
-                    expected.add((u, v))
-        assert set((i, j) for i, j, _ in fuzz.edges) == expected
+        rng = np.random.default_rng(h)
+        bases = [generate_lattice(2, (3, 4))] + [
+            random_connected_network(rng, n_max=15, edge_prob=0.2)
+            for _ in range(4)]
+        for base in bases:
+            fuzz = generate_hfuzz(base, h, 0.5)
+            expected = set()
+            for u in range(base.node_count):
+                for v, d in bfs_distances(base, u).items():
+                    if 1 <= d <= h and u < v:
+                        expected.add((u, v))
+            assert set((i, j) for i, j, _ in fuzz.edges) == expected
 
     def test_existing_resistance_preserved(self):
         base = generate_lattice(1, 4, 2.0)

@@ -5,7 +5,6 @@ from dcgrid import errors
 from dcgrid.network import build_network, generate_lattice, laplacian
 from dcgrid.numerics import (
     eig_sym,
-    is_hurwitz,
     lattice_eig,
     lattice_spectrum,
     laplacian_spectrum,
@@ -130,14 +129,6 @@ class TestSolveLyapunov:
                         + np.linalg.norm(q, "fro"))
         assert sol.residual <= bound
         assert np.array_equal(sol.P, sol.P.T)
-
-
-class TestIsHurwitz:
-    def test_stable(self):
-        assert is_hurwitz(np.diag([-1.0, -0.01]))
-
-    def test_unstable(self):
-        assert not is_hurwitz(np.diag([-1.0, 0.0]))
 
 
 def _pinv(lap):

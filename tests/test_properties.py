@@ -64,6 +64,40 @@ def test_laplacian_rows_sum_to_zero(net):
     assert np.abs(lap.sum(axis=1)).max() <= 1e-12 * scale
 
 
+def loop_laplacian(net):
+    """Reference Laplacian, accumulated one edge at a time."""
+    lap = np.zeros((net.node_count, net.node_count))
+    for i, j, r in net.edges:
+        g = 1.0 / r
+        lap[i, j] -= g
+        lap[j, i] -= g
+        lap[i, i] += g
+        lap[j, j] += g
+    return lap
+
+
+@given(connected_networks(), st.randoms(use_true_random=False))
+@settings(max_examples=50, deadline=None)
+def test_build_network_canonical_order(net, rand):
+    # the same edges shuffled and with random endpoint order build the same
+    # network: sorted (i, j, R) triples with i < j
+    edges = [(j, i, r) if rand.random() < 0.5 else (i, j, r)
+             for i, j, r in net.edges]
+    rand.shuffle(edges)
+    rebuilt = build_network(net.node_count, edges)
+    expected = tuple(sorted((min(i, j), max(i, j), float(r))
+                            for i, j, r in edges))
+    assert rebuilt.edges == expected
+    assert rebuilt == net and hash(rebuilt) == hash(net)
+
+
+@given(connected_networks())
+@settings(max_examples=50, deadline=None)
+def test_laplacian_matches_edge_loop(net):
+    lap, ref = laplacian(net), loop_laplacian(net)
+    assert np.abs(lap - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 @given(connected_networks(n_min=3), st.data())
 @settings(max_examples=50, deadline=None)
 def test_reduced_spectrum_interlaces(net, data):

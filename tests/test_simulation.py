@@ -43,6 +43,26 @@ class TestStepControl:
     def test_slowest_time_constant_scalar(self):
         assert np.isclose(slowest_time_constant(scalar_model(4.0)), 0.25)
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_not_hurwitz(self, rate):
+        # the stochastic routes' stability decision
+        with pytest.raises(errors.NotHurwitz):
+            slowest_time_constant(scalar_model(rate))
+        with pytest.raises(errors.NotHurwitz):
+            monte_carlo_h2(scalar_model(rate), samples=10)
+        with pytest.raises(errors.NotHurwitz):
+            white_noise_variance(scalar_model(rate), T=10.0, dt=0.1)
+
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(errors.NonFiniteState):
+            scalar_model(np.inf)
+
+    @pytest.mark.parametrize("rate", [0.0, 1e-320])
+    def test_no_finite_default_step(self, rate):
+        # an A that underflowed sets no time scale to step by
+        with pytest.raises(errors.StepTooLarge):
+            default_dt(scalar_model(rate))
+
     def test_step_too_large(self):
         with pytest.raises(errors.StepTooLarge):
             simulate(scalar_model(), [1.0], T=1.0, dt=10.0)
