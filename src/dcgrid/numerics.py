@@ -45,10 +45,14 @@ class SpectralDecomposition:
 class LaplacianSpectrum(SpectralDecomposition):
     """A connected graph's Laplacian spectrum, cached and shared by every
     consumer: ``values`` ascending with the zero mode exactly 0.0 first
-    (made read-only), and ``pinv(nodes)``, the |nodes| x |nodes| block of
-    the pseudoinverse L^+ on those nodes."""
+    (made read-only), ``pinv(nodes)``, the |nodes| x |nodes| block of
+    the pseudoinverse L^+ on those nodes, and ``reff(i, j)``, the
+    quadratic form (e_i - e_j)^T L^+ (e_i - e_j), the effective resistance.
+    ``reff`` forms the difference e_i - e_j before it applies L^+, so it
+    keeps the digits that P_ii + P_jj - 2 P_ij cancels on near pairs."""
 
     pinv: Callable[[Sequence[int]], np.ndarray]
+    reff: Callable[[int, int], float]
 
     def __post_init__(self):
         self.values.flags.writeable = False
@@ -100,10 +104,12 @@ def lattice_spectrum(sides, conductance: float) -> LaplacianSpectrum:
     L^+_ij is the sum over nonzero modes of v_ik v_jk / lambda_k. A node's
     mode row is the Kronecker product of its axes' DCT-II rows
     sqrt(2/m) cos(pi k (j + 1/2) / m) (sqrt(1/m) for k = 0), so a block on
-    |nodes| nodes costs O(|nodes| n) and needs no eigensolve.
+    |nodes| nodes costs O(|nodes| n) and needs no eigensolve. R_eff(i, j)
+    is the sum over nonzero modes of (v_ik - v_jk)^2 / lambda_k.
     """
 
-    def pinv(nodes):
+    def mode_rows(nodes):
+        """The nodes' nonzero-mode rows and eigenvalues, Kronecker order."""
         nodes = np.asarray(nodes, dtype=np.intp)
         rows = np.ones((nodes.size, 1))
         for m, j in zip(sides, np.unravel_index(nodes, sides)):
@@ -114,11 +120,18 @@ def lattice_spectrum(sides, conductance: float) -> LaplacianSpectrum:
             axis[:, 0] = np.sqrt(1.0 / m)
             rows = (rows[:, :, None] * axis[:, None, :]).reshape(nodes.size, -1)
         # rows run in Kronecker order, as do these values: no sort needed
-        kron = _kron_values(sides, conductance)
-        modes = rows[:, 1:]
-        return (modes / kron[1:]) @ modes.T
+        return rows[:, 1:], _kron_values(sides, conductance)[1:]
 
-    return LaplacianSpectrum(lattice_eig(sides, conductance).values, pinv)
+    def pinv(nodes):
+        modes, values = mode_rows(nodes)
+        return (modes / values) @ modes.T
+
+    def reff(i, j):
+        modes, values = mode_rows([i, j])
+        return float(np.sum((modes[0] - modes[1]) ** 2 / values))
+
+    return LaplacianSpectrum(lattice_eig(sides, conductance).values, pinv,
+                             reff)
 
 
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> LyapunovSolution:
@@ -157,6 +170,8 @@ def laplacian_spectrum(lap: np.ndarray) -> LaplacianSpectrum:
     is set to exactly 0.0. Blocks of L^+ come from one Cholesky factor,
     made on first use: L + s 11^T/n is positive definite with inverse
     L^+ + 11^T/(s n), and the shift s = tr(L)/n keeps it on L's own scale.
+    R_eff(i, j) is z_i - z_j for the solve z of e_i - e_j, which is
+    orthogonal to 1, so z = L^+ (e_i - e_j) exactly.
     """
     lap = np.asarray(lap, dtype=float)
     values = eig_sym(lap).values
@@ -183,4 +198,10 @@ def laplacian_spectrum(lap: np.ndarray) -> LaplacianSpectrum:
         unit[nodes, np.arange(nodes.size)] = 1.0
         return cho_solve(factor(), unit)[nodes] - 1.0 / (shift * n)
 
-    return LaplacianSpectrum(np.concatenate(([0.0], values[1:])), pinv)
+    def reff(i, j):
+        unit = np.zeros(n)
+        unit[i], unit[j] = 1.0, -1.0
+        z = cho_solve(factor(), unit)
+        return float(z[i] - z[j])
+
+    return LaplacianSpectrum(np.concatenate(([0.0], values[1:])), pinv, reff)

@@ -4,9 +4,10 @@ The spectral quantity K* = (1/n) * sum of reciprocal nonzero Laplacian
 eigenvalues controls how slack-bus performance degrades with network
 size; it equals K_f / n^2 where K_f is the Kirchhoff index (the sum of
 all pairwise effective resistances). This module computes both from the
-eigenvalues, single and pairwise effective resistances from blocks of
-L^+, checks Rayleigh monotonicity under edge removal or resistance
-increase, and sweeps lattice families to expose the growth laws.
+eigenvalues, one pair's effective resistance from the spectrum's
+difference form and all pairs' from the block of L^+, checks Rayleigh
+monotonicity under edge removal or resistance increase, and sweeps
+lattice families to expose the growth laws.
 """
 
 from __future__ import annotations
@@ -38,14 +39,13 @@ def reff_matrix(net: Network) -> np.ndarray:
 
 def effective_resistance(net: Network, i: int, j: int) -> float:
     """Two-terminal equivalent resistance between buses i and j:
-    P_ii + P_jj - 2 P_ij from the 2 x 2 block P of L^+ on (i, j)."""
+    (e_i - e_j)^T L^+ (e_i - e_j), from the spectrum's ``reff``."""
     n = net.node_count
     if not (0 <= i < n and 0 <= j < n):
         raise IndexOutOfRange(f"node pair ({i},{j}) outside [0,{n})")
     if i == j:
         raise SameNode(f"effective resistance needs two distinct nodes, got {i}")
-    p = net.spectrum.pinv([i, j])
-    return float(p[0, 0] + p[1, 1] - 2.0 * p[0, 1])
+    return net.spectrum.reff(i, j)
 
 
 def kirchhoff_index(net: Network) -> float:

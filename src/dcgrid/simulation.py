@@ -1,11 +1,14 @@
 """Time-domain simulation of the closed-loop systems.
 
 Every route steps the LTI system dx = Ax dt + B dW exactly, so no step
-size is too large for stability. Deterministic runs advance by the
-propagator expm(A h): recorded trajectories, and random initial
-conditions for the expected output energy route to the H2 norm. The
-white-noise run adds the exact discrete noise, whose covariance comes
-from Van Loan's block exponential (steady-state output variance route).
+size is too large for stability and none is refined or doubled.
+Recorded trajectories advance by the propagator expm(A h). The expected
+output energy route to the H2 norm advances random initial conditions by
+whole chunks and adds each chunk's output energy exactly, as a quadratic
+form in the chunk's observability Gramian. The white-noise run adds the
+exact discrete noise (steady-state output variance route). The Gramian
+and the noise covariance both come from Van Loan's block exponential
+(``van_loan``).
 Each estimate draws its randomness from one counter-based Philox stream
 per seed, sample after sample, so sample i depends only on (seed, i).
 """
@@ -29,6 +32,8 @@ from .systems import StateSpaceModel
 
 TAIL_THRESHOLD = 1e-8  # terminal ||x||^2 relative to initial, per sample mean
 T_MAX_CONSTANTS = 50.0  # default horizon cap in slowest time constants
+CHUNK_CONSTANTS = 10.0  # Monte Carlo chunk length in slowest time constants
+VAN_LOAN_TERMS = 20  # Taylor terms of van_loan's series at norm <= 1
 WARMUP_FRACTION = 0.2
 
 
@@ -63,17 +68,18 @@ def stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) << 64))
 
 
-def _halvings(a: np.ndarray, h: float) -> int:
-    """Least k with rho(a) h / 2^k <= 1, rho from the row-sum bound."""
-    scaled = spectral_radius_bound(a) * h
+def _halvings(bound: float, h: float) -> int:
+    """Least k with bound h / 2^k <= 1, for a norm bound of a matrix."""
+    scaled = bound * h
     return int(np.ceil(np.log2(scaled))) if scaled > 1.0 else 0
 
 
 def propagator(a: np.ndarray, h: float) -> np.ndarray:
     """expm(a h), taken at h / 2^k and squared k times (k from
-    ``_halvings``). expm itself returns NaN once ||a h|| passes about
-    1e38; the squarings of a Hurwitz a's propagator underflow to 0."""
-    k = _halvings(a, h)
+    ``_halvings`` of the row-sum bound). expm itself returns NaN once
+    ||a h|| passes about 1e38; the squarings of a Hurwitz a's propagator
+    underflow to 0."""
+    k = _halvings(spectral_radius_bound(a), h)
     phi = expm(a * (h / 2.0**k))
     for _ in range(k):
         phi = phi @ phi
@@ -83,21 +89,37 @@ def propagator(a: np.ndarray, h: float) -> np.ndarray:
 def van_loan(a: np.ndarray, q: np.ndarray, h: float):
     """Exact discretization of dx = a x dt + dW with cov(dW) = q dt.
 
-    Returns (Phi, Q_d): Phi = expm(a h) and Q_d, the covariance that one
-    step of length h adds, from Van Loan's block exponential of
-    [[-a, q], [0, a^T]] (IEEE TAC 1978). That block holds expm(-a h),
-    which overflows for stiff a at large h, so it is taken over
-    h0 = h / 2^k (``_halvings``) and then doubled k times:
-    Q_d(2h) = Q_d(h) + Phi(h) Q_d(h) Phi(h)^T.
+    Returns (Phi, Q_d): Phi = expm(a h) and Q_d, the integral over
+    [0, h] of e^{a s} q e^{a^T s}, the covariance that one step of length
+    h adds. Van Loan's block exponential (IEEE TAC 1978) of
+    M = [[-a, q], [0, a^T]] holds E = expm(a^T h) in its lower right block
+    and F with Q_d = E^T F in its upper right one. Only those two blocks
+    are summed, as the Taylor series of expm(M h0), term j + 1 from term
+    j: F <- (q E - a F) h0 / (j + 1), E <- a^T E h0 / (j + 1). At
+    h0 = h / 2^k, with ||a h0|| <= 1 in the 1- and infinity-norms, the
+    ``VAN_LOAN_TERMS`` terms take the truncation below rounding, and no
+    2 dim x 2 dim block is formed (the upper left block expm(-a h0) is
+    never needed, and it overflows for stiff a at large h). The step is
+    then doubled k times: Q_d(2h) = Q_d(h) + Phi(h) Q_d(h) Phi(h)^T.
     """
-    n = a.shape[0]
-    k = _halvings(a, h)
-    block = np.block([[-a, q], [np.zeros_like(a), a.T]]) * (h / 2.0**k)
-    e = expm(block)
-    phi = e[n:, n:].T
-    q_d = phi @ e[:n, n:]
+    k = _halvings(max(spectral_radius_bound(a), spectral_radius_bound(a.T)),
+                  h)
+    h0 = h / 2.0**k
+    e_term = np.eye(a.shape[0])
+    f_term = np.zeros_like(a)
+    e_sum = e_term.copy()
+    f_sum = f_term.copy()
+    for j in range(1, VAN_LOAN_TERMS + 1):
+        f_term = q @ e_term - a @ f_term
+        f_term *= h0 / j
+        e_term = a.T @ e_term
+        e_term *= h0 / j
+        e_sum += e_term
+        f_sum += f_term
+    phi = e_sum.T
+    q_d = phi @ f_sum
     for _ in range(k):
-        q_d = q_d + phi @ q_d @ phi.T
+        q_d += phi @ q_d @ phi.T
         phi = phi @ phi
     return phi, 0.5 * (q_d + q_d.T)
 
@@ -198,64 +220,52 @@ def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0,
     """Estimate the expected output energy integral over random initial
     conditions.
 
-    Integrates all samples simultaneously, accumulating the trapezoidal
-    integral of y^T y per sample. States advance by the exact one-step
-    propagator expm(A h); the step starts at ``default_dt`` and doubles
-    once the modes it was resolving have died out (h never exceeds a
-    tenth of the slowest time constant), which keeps stiff systems
-    tractable without biasing the integral. The horizon extends until the
-    mean squared state has decayed below a small fraction of its initial
-    value or ``t_max`` (default 50 slowest time constants) is hit;
-    hitting the cap flags the estimate as unconverged (and raises when
-    strict).
+    Advances all samples together by whole chunks of length
+    h = min(``CHUNK_CONSTANTS`` slowest time constants, t_max). Each
+    chunk adds its output energy exactly, as the quadratic form x^T G x
+    with the Gramian G = int_0^h e^{A^T s} H^T H e^{A s} ds, and then
+    steps x <- expm(A h) x; G and expm(A^T h) come from one ``van_loan``
+    call. Chunks run until the mean squared state has decayed below a
+    small fraction of its initial value or the horizon reaches ``t_max``
+    (default 50 slowest time constants), rounded up to whole chunks;
+    stopping at the cap flags the estimate as unconverged (and raises
+    when strict). The estimate's T is the horizon run and its dt the
+    chunk length.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     tau = slowest_time_constant(model)
-    dt = default_dt(model)
     if t_max is None:
         t_max = T_MAX_CONSTANTS * tau
+    if not (np.isfinite(t_max) and t_max > 0):
+        raise StepTooLarge(f"horizon t_max={t_max} must be positive and "
+                           "finite")
+    h = min(CHUNK_CONSTANTS * tau, t_max)
+    # a t_max within rounding of whole chunks adds no extra chunk
+    max_chunks = int(np.ceil(t_max / h * (1.0 - 4.0 * np.finfo(float).eps)))
+    phi_t, gram = van_loan(model.a.T, model.h.T @ model.h, h)
+    prop = phi_t.T
 
     x = sample_initial(model, seed, samples, mode)
     initial_ms = float(np.mean(np.sum(x * x, axis=0)))
-    integral = np.zeros(samples)
-    y = model.h @ x
-    w_prev = np.sum(y * y, axis=0)
-    t = 0.0
-    h = dt
-    h_cap = max(dt, tau / 10.0)
-    prop = propagator(model.a, h)
+    energy = np.zeros(samples)
+    chunks = 0
     converged = initial_ms == 0.0
-    target = min(10.0 * tau, t_max)
-    while not converged and t < t_max:
-        while t < target:
-            # a mode with rate >= 1/h has decayed by e^-100 once t >= 100 h,
-            # so doubling the step no longer costs trapezoid accuracy
-            if t >= 100.0 * h and 2.0 * h <= h_cap:
-                h *= 2.0
-                prop = propagator(model.a, h)
-            x = prop @ x
-            y = model.h @ x
-            w = np.sum(y * y, axis=0)
-            integral += 0.5 * h * (w_prev + w)
-            w_prev = w
-            t += h
+    while not converged and chunks < max_chunks:
+        energy += np.sum(x * (gram @ x), axis=0)
+        x = prop @ x
+        chunks += 1
         if not np.isfinite(x).all():
             raise NonFiniteState("Monte Carlo state overflowed")
-        tail = float(np.mean(np.sum(x * x, axis=0)))
-        if tail < TAIL_THRESHOLD * initial_ms:
-            converged = True
-        else:
-            target = min(t + 10.0 * tau, t_max)  # extend and keep going
-            if target <= t:
-                break
+        converged = (float(np.mean(np.sum(x * x, axis=0)))
+                     < TAIL_THRESHOLD * initial_ms)
     if strict and not converged:
         raise TruncationNotConverged(
             f"tail still above threshold at t_max={t_max}")
-    mean = float(np.mean(integral))
-    stderr = float(np.std(integral, ddof=1) / np.sqrt(samples))
+    mean = float(np.mean(energy))
+    stderr = float(np.std(energy, ddof=1) / np.sqrt(samples))
     return McEstimate(mean, stderr, samples, "initial_condition",
-                      seed, t, dt, converged)
+                      seed, chunks * h, h, converged)
 
 
 def white_noise_variance(model: StateSpaceModel, T: float,
@@ -303,9 +313,7 @@ def export_trajectory(traj: Trajectory, node_subset) -> str:
             raise IndexOutOfRange(f"no voltage state for bus {node}")
         cols.append(label_to_col[key])
     header = ",".join(["t"] + [f"V_{node}" for node in node_subset])
-    lines = [header]
-    for row, t in enumerate(traj.times):
-        values = [repr(float(t))]
-        values += [repr(float(traj.states[row, col])) for col in cols]
-        lines.append(",".join(values))
+    # repr of a listed Python float is the shortest round-trip string
+    table = np.column_stack([traj.times, traj.states[:, cols]]).tolist()
+    lines = [header] + [",".join(map(repr, row)) for row in table]
     return "\n".join(lines) + "\n"

@@ -56,6 +56,23 @@ class TestEffectiveResistance:
                     assert np.isclose(effective_resistance(net, i, j),
                                       reff[i, j], rtol=1e-10)
 
+    @pytest.mark.parametrize("n, coordless", [
+        (1000, False), (100000, False), (1000, True)])
+    def test_path_pairs_keep_their_digits(self, n, coordless):
+        # R_eff on a unit path is the hop distance; near pairs are small
+        # against L^+_ii, so P_ii + P_jj - 2 P_ij lost up to 2.3e-10 here
+        net = generate_lattice(1, n)
+        if coordless:  # no coordinates: the dense Cholesky route
+            net = build_network(n, net.edges)
+        near = [(0, 1), (n // 2 - 1, n // 2), (n - 1, n - 2)]
+        far = [(0, n - 1), (n // 4, 3 * n // 4)]
+        # the dense route's far pairs are limited by cond(L) ~ n^2
+        far_rtol = 1e-9 if coordless else 1e-13
+        for pairs, rtol in ((near, 1e-13), (far, far_rtol)):
+            for i, j in pairs:
+                assert np.isclose(effective_resistance(net, i, j),
+                                  abs(j - i), rtol=rtol, atol=0.0)
+
     def test_metric_properties(self):
         rng = np.random.default_rng(2)
         net = random_connected_network(rng)

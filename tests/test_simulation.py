@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -26,6 +28,8 @@ from dcgrid.systems import (
     h2_closed_form_droop,
     h2_closed_form_slack,
 )
+
+PAPER = ControllerParams(c=1e-3, k_p=0.1, k=100.0, gamma=1000.0)
 
 
 def scalar_model(rate=1.0):
@@ -214,13 +218,65 @@ class TestMonteCarloH2:
             monte_carlo_h2(m, samples=10, t_max=0.05, strict=True)
 
     def test_stiff_dapi_runs_fast(self, paper_params):
-        # 1 mF capacitances make the DAPI system stiff; the adaptive
+        # 1 mF capacitances make the DAPI system stiff; the chunked
         # propagator must still finish a realistic run in seconds
         net = generate_lattice(1, 10)
         m = assemble_dapi(net, paper_params)
         est = monte_carlo_h2(m, samples=50, seed=2, mode="paper_fig2")
         assert est.converged
         assert est.mean > 0
+
+    @pytest.mark.parametrize("case, mode, samples", [
+        ("droop K2", "bb_star", 2000), ("slack P3", "bb_star", 2000),
+        ("dapi path:10", "bb_star", 200), ("dapi path:10", "paper_fig2", 200),
+        ("dapi path:100", "bb_star", 200),
+        ("dapi path:100", "paper_fig2", 200)])
+    def test_mean_is_exact_quadratic_form(self, k2, p3, unit_params, case,
+                                          mode, samples):
+        # each sample's output energy is x0^T P x0 with A^T P + P A = -H^T H;
+        # the chunk energies add up to it with no step bias
+        if case == "droop K2":
+            m = assemble_droop(k2, unit_params)
+        elif case == "slack P3":
+            m = assemble_slack(p3, ControllerParams(c=1.0), ground=0)
+        else:
+            n = int(case.split(":")[1])
+            m = assemble_dapi(generate_lattice(1, n), PAPER)
+        est = monte_carlo_h2(m, samples=samples, seed=4, mode=mode)
+        x0 = sample_initial(m, 4, samples, mode)
+        p = solve_lyapunov(m.a, m.h.T @ m.h).P
+        exact = np.mean(np.sum(x0 * (p @ x0), axis=0))
+        assert est.converged
+        assert np.isclose(est.mean, exact, rtol=1e-7, atol=0.0)
+
+    @staticmethod
+    def _transient_model(coupling=1e18):
+        # ||x(t)|| grows like coupling t e^-t before it decays, so the tail
+        # test still fails after 50 time constants
+        a = np.array([[-1.0, coupling], [0.0, -1.0]])
+        return StateSpaceModel(a, np.eye(2), np.eye(2), ("V0", "V1"),
+                               "droop")
+
+    def test_default_horizon_is_five_chunks(self):
+        m = self._transient_model()
+        tau = slowest_time_constant(m)
+        est = monte_carlo_h2(m, samples=10, seed=1)
+        assert not est.converged
+        assert est.dt == 10.0 * tau
+        assert est.T == 5 * est.dt
+        with pytest.raises(errors.TruncationNotConverged):
+            monte_carlo_h2(m, samples=10, seed=1, strict=True)
+
+    def test_horizon_rounds_up_to_whole_chunks(self):
+        m = self._transient_model()
+        est = monte_carlo_h2(m, samples=10, t_max=25.0)
+        assert (est.dt, est.T) == (10.0, 30.0)
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_horizon_rejected(self, k2, unit_params, t_max):
+        with pytest.raises(errors.StepTooLarge):
+            monte_carlo_h2(assemble_droop(k2, unit_params), samples=10,
+                           t_max=t_max)
 
 
 class TestWhiteNoise:
@@ -268,6 +324,51 @@ class TestVanLoan:
         assert (np.linalg.norm(q_d - expected)
                 <= 1e-10 * np.linalg.norm(expected))
 
+    @staticmethod
+    def _block_reference(a, q, h):
+        # Van Loan's 2 dim x 2 dim block exponential, taken where both
+        # norms of a h0 are at most 1 and doubled back to h
+        n = a.shape[0]
+        scaled = max(np.abs(a).sum(axis=0).max(), np.abs(a).sum(axis=1).max())
+        k = max(0, int(np.ceil(np.log2(scaled * h))))
+        e = expm(np.block([[-a, q], [np.zeros_like(a), a.T]]) * (h / 2.0**k))
+        phi = e[n:, n:].T
+        q_d = phi @ e[:n, n:]
+        for _ in range(k):
+            q_d = q_d + phi @ q_d @ phi.T
+            phi = phi @ phi
+        return phi, q_d
+
+    @staticmethod
+    def _dapi_path100():
+        m = assemble_dapi(generate_lattice(1, 100), PAPER)
+        return m, 10.0 * slowest_time_constant(m)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_dim_200_matches_block_exponential(self, transpose):
+        m, h = self._dapi_path100()
+        a = m.a.T if transpose else m.a
+        q = m.h.T @ m.h
+        phi, q_d = van_loan(a, q, h)
+        ref_phi, ref_q_d = self._block_reference(a, q, h)
+        assert m.dim == 200
+        assert (np.linalg.norm(phi - ref_phi)
+                <= 1e-10 * np.linalg.norm(ref_phi))
+        assert (np.linalg.norm(q_d - ref_q_d)
+                <= 1e-10 * np.linalg.norm(ref_q_d))
+
+    def test_dim_200_memory(self):
+        # the 400 x 400 block and expm's work arrays took 9.8 MB
+        m, h = self._dapi_path100()
+        q = m.h.T @ m.h
+        tracemalloc.start()
+        try:
+            van_loan(m.a.T, q, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
 
 class TestEnergyDecay:
     def test_droop_capacitive_energy_monotone(self, p3):
@@ -291,6 +392,16 @@ class TestExportTrajectory:
         assert np.array_equal(parsed[:, 0], traj.times)
         assert np.array_equal(parsed[:, 1], traj.states[:, 0])
         assert np.array_equal(parsed[:, 2], traj.states[:, 2])
+
+    def test_same_text_as_per_value_repr(self, p3, paper_params):
+        m = assemble_dapi(p3, paper_params)
+        traj = simulate(m, np.arange(1.0, 7.0), T=1.0, dt=1e-3,
+                        record_every=7)
+        lines = ["t,V_2,V_0"]
+        for row, t in enumerate(traj.times):
+            lines.append(",".join([repr(float(t))] + [
+                repr(float(traj.states[row, col])) for col in (5, 3)]))
+        assert export_trajectory(traj, [2, 0]) == "\n".join(lines) + "\n"
 
     def test_empty_subset(self, k2, paper_params):
         m = assemble_droop(k2, paper_params)
