@@ -264,7 +264,7 @@ def _cmd_sim(args):
     dt = args.dt if args.dt is not None else simulation.default_dt(model)
     record_every = _record_every(args.T, dt, 1500)
     x0 = simulation.sample_initial(model, args.seed, 1, args.mode)[:, 0]
-    traj = simulation.simulate(model, x0, args.T, dt, record_every, args.seed)
+    traj = simulation.simulate(model, x0, args.T, dt, record_every)
     path = f"{args.out}_traj.csv"
     _write(path, simulation.export_trajectory(traj, buses))
     return {"file": path, "kind": args.kind, "rows": len(traj.times),
@@ -292,8 +292,7 @@ def _cmd_fig2(args):
             record_every = _record_every(horizon, dt, args.rows)
             x0 = simulation.sample_initial(model, args.seed, 1,
                                            "paper_fig2")[:, 0]
-            traj = simulation.simulate(model, x0, horizon, dt, record_every,
-                                       args.seed)
+            traj = simulation.simulate(model, x0, horizon, dt, record_every)
             csv = simulation.export_trajectory(
                 traj, [b for b in range(args.n) if f"V{b}" in
                        model.state_labels][:10])

@@ -10,7 +10,7 @@ class DCGridError(Exception):
 class InvalidEdge(DCGridError):
     """Self-loop, duplicate or absent edge, a resistance that is not
     positive and finite, or a malformed network description (a
-    non-integer index, node count or coordinate, a missing key)."""
+    non-integer index or node count, a missing key, a malformed file)."""
 
 
 class IndexOutOfRange(DCGridError):
@@ -18,8 +18,9 @@ class IndexOutOfRange(DCGridError):
 
 
 class DisconnectedGraph(DCGridError):
-    """The edge list does not connect all declared nodes, or a Laplacian
-    has more than one (numerically) zero eigenvalue."""
+    """The edge list does not connect all declared nodes (also after an
+    edge is removed), or a Laplacian has more than one (numerically) zero
+    eigenvalue."""
 
 
 class InvalidDimension(DCGridError):
@@ -63,10 +64,6 @@ class NonUniformParams(DCGridError):
 
 class SameNode(DCGridError):
     pass
-
-
-class DisconnectsGraph(DCGridError):
-    """Removing this edge would disconnect the graph."""
 
 
 class RayleighViolation(DCGridError):

@@ -5,9 +5,10 @@ resistive lines. This module builds and validates such graphs, generates
 finite d-dimensional lattices and their h-fuzzes, and produces their
 (reduced) Laplacians and the one cached Laplacian spectrum per network:
 its eigenvalues and blocks of L^+ on demand. That spectrum is the
-closed-form Kronecker-sum spectrum when the network is a uniform box
-lattice (:func:`lattice_box`, decided from its coords and edges) and the
-dense Laplacian's eigenvalues plus a Cholesky solve otherwise.
+closed-form Kronecker-sum spectrum when the edges are those of a uniform
+box lattice in row-major node order (:func:`lattice_box`), however the
+network was made, and the dense Laplacian's eigenvalues plus a Cholesky
+solve otherwise.
 
 Per-edge work (validation, lattice edges, Laplacian assembly, lattice
 detection) runs on numpy arrays of the edge columns; the one Python
@@ -17,7 +18,6 @@ h-fuzz.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,14 +41,12 @@ class Network:
     """Undirected weighted resistor network.
 
     ``edges`` holds (i, j, R) triples with i < j, sorted, resistances in
-    ohms. ``coords`` carries integer lattice coordinates when the network
-    was produced by a generator. Instances are validated by
-    :func:`build_network` and immutable.
+    ohms; they alone decide the network, its equality and its spectrum.
+    Instances are validated by :func:`build_network` and immutable.
     """
 
     node_count: int
     edges: tuple[tuple[int, int, float], ...]
-    coords: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def edge_count(self) -> int:
@@ -70,8 +68,11 @@ class Network:
 
 def _columns(edges):
     """Endpoint index arrays and resistance array of (i, j, R) triples."""
-    arr = np.array(edges, dtype=float)
-    return arr[:, 0].astype(np.intp), arr[:, 1].astype(np.intp), arr[:, 2]
+    # one list per column converts about twice as fast as one m x 3 array
+    m = len(edges)
+    return (np.fromiter([e[0] for e in edges], np.intp, m),
+            np.fromiter([e[1] for e in edges], np.intp, m),
+            np.fromiter([e[2] for e in edges], float, m))
 
 
 def _adjacency(n: int, i: np.ndarray, j: np.ndarray):
@@ -97,28 +98,35 @@ def _bfs(adj, source: int, radius: int) -> list[int]:
     return queue[1:]
 
 
-def build_network(node_count, edge_list, coords=None) -> Network:
-    """Validate an edge list and return an immutable Network.
-
-    ``edge_list`` holds (i, j, R) triples, or is an m x 3 array of them;
-    each index must be integral (1.0 counts as 1). ``node_count`` and
-    every coordinate must be ints. Raises InvalidEdge for a malformed
-    list or coordinates, a non-integer index, self-loops, duplicates or R
-    not in (0, inf), IndexOutOfRange for bad node indices, and
-    DisconnectedGraph when the graph does not reach every node.
-    """
-    if not isinstance(node_count, (int, np.integer)) or node_count < 2:
-        raise InvalidEdge(
-            f"need an integer node count of at least 2, got {node_count!r}")
-    node_count = int(node_count)
+def _triples(edge_list) -> np.ndarray:
+    """The m x 3 float array of a non-empty list of (i, j, R) triples
+    (numbers or number strings); InvalidEdge for anything else."""
     try:
-        arr = np.array(edge_list, dtype=float)
+        arr = np.asarray(edge_list, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidEdge(f"edges must be (i, j, R) number triples: {exc}"
                           ) from exc
     if arr.ndim != 2 or arr.shape[1] != 3 or len(arr) == 0:
         raise InvalidEdge(f"need a non-empty list of (i, j, R) triples, got "
                           f"an array of shape {arr.shape}")
+    return arr
+
+
+def build_network(node_count, edge_list) -> Network:
+    """Validate an edge list and return an immutable Network.
+
+    ``edge_list`` holds (i, j, R) triples, or is an m x 3 array of them;
+    each index must be integral (1.0 counts as 1) and ``node_count`` an
+    int. Raises InvalidEdge for a malformed list, a non-integer index,
+    self-loops, duplicates or R not in (0, inf), IndexOutOfRange for bad
+    node indices, and DisconnectedGraph when the graph does not reach
+    every node.
+    """
+    if not isinstance(node_count, (int, np.integer)) or node_count < 2:
+        raise InvalidEdge(
+            f"need an integer node count of at least 2, got {node_count!r}")
+    node_count = int(node_count)
+    arr = _triples(edge_list)
     if len(arr) < node_count - 1:  # also bounds n before any O(n) array
         raise DisconnectedGraph(
             f"{len(arr)} edges cannot connect {node_count} nodes")
@@ -145,18 +153,8 @@ def build_network(node_count, edge_list, coords=None) -> Network:
     if len(reached) != node_count - 1:
         raise DisconnectedGraph(
             f"graph on {node_count} nodes is not connected")
-    if coords is not None:
-        try:
-            coords = tuple(map(tuple, coords))
-        except TypeError as exc:
-            raise InvalidEdge(f"coords must be a list of points: {exc}"
-                              ) from exc
-        if len(coords) != node_count:
-            raise InvalidEdge("coords length must equal node_count")
-        if set(map(type, itertools.chain.from_iterable(coords))) - {int}:
-            raise InvalidEdge("coordinates must be ints")
     edges = tuple(zip(i.tolist(), j.tolist(), r.tolist()))
-    return Network(node_count, edges, coords)
+    return Network(node_count, edges)
 
 
 def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
@@ -164,7 +162,7 @@ def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
 
     ``sides`` is a single side length or one per dimension; every
     nearest-neighbor pair gets an edge of the given resistance. Node order
-    is row-major over the box, and lattice coordinates are attached.
+    is row-major over the box.
     """
     if d not in (1, 2, 3):
         raise InvalidDimension(f"lattice dimension must be 1, 2 or 3, got {d}")
@@ -185,8 +183,7 @@ def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
     j = np.concatenate([index.take(range(1, m), axis=axis).ravel()
                         for axis, m in enumerate(sides)])
     edges = np.column_stack((i, j, np.full(i.size, resistance, dtype=float)))
-    coords = tuple(itertools.product(*map(range, sides)))
-    return build_network(index.size, edges, coords)
+    return build_network(index.size, edges)
 
 
 def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Network:
@@ -208,36 +205,40 @@ def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Networ
     adj = _adjacency(base.node_count, i, j)
     edges = [(u, v, existing.get((u, v), r_fuzz))
              for u in range(base.node_count) for v in _bfs(adj, u, h) if u < v]
-    return build_network(base.node_count, edges, coords=base.coords)
+    return build_network(base.node_count, edges)
 
 
 def lattice_box(net: Network) -> tuple[tuple[int, ...], float] | None:
-    """(sides, conductance) when ``net`` is a full box lattice with one
-    resistance on every edge, else None.
+    """(sides, conductance) when ``net``'s edges are exactly those of a
+    row-major box lattice with one resistance on every edge, else None.
 
-    Decided from the network's own data, so equal networks agree: the
-    coords list the whole box in row-major order (as
-    :func:`generate_lattice` and a JSON file written from it do), the edge
-    count is the box's nearest-neighbour count, every edge joins
-    coordinates at L1 distance 1, and every edge has the same R.
+    Decided from the edges alone, so a generated lattice and its JSON or
+    edge-list file agree. The distinct index gaps j - i are the strides:
+    each must divide the next, and the last n, giving sides >= 2 (the
+    smallest gap is 1, or the edges could not connect the graph). Every
+    edge must step along its axis without wrapping, and the edge count
+    must be the box's; with no duplicates, the edges are then the box's.
+    A side of 1 adds no edge, so it is not reported.
     """
-    if net.coords is None:
-        return None
-    sides = tuple(c + 1 for c in net.coords[-1])
-    if min(sides, default=0) < 1 or math.prod(sides) != net.node_count:
-        return None
-    pairs = sum((m - 1) * (net.node_count // m) for m in sides)
-    if net.edge_count != pairs:
-        return None
-    if net.coords != tuple(itertools.product(*map(range, sides))):
+    r0 = net.edges[0][2]
+    if net.edges[-1][2] != r0:  # O(1) exit for most other graphs
         return None
     i, j, r = _columns(net.edges)
-    hops = np.abs(np.subtract(np.unravel_index(i, sides),
-                              np.unravel_index(j, sides))).sum(axis=0)
-    r0 = net.edges[0][2]
-    if (hops != 1).any() or (r != r0).any():
+    if (r != r0).any():
         return None
-    return sides, 1.0 / r0
+    n = net.node_count
+    gap = j - i
+    strides = np.unique(gap).tolist()
+    bounds = strides[1:] + [n]
+    if any(b % s for s, b in zip(strides, bounds)):
+        return None
+    sides = [b // s for s, b in zip(strides, bounds)]  # fastest axis first
+    if net.edge_count != sum((m - 1) * (n // m) for m in sides):
+        return None
+    m = np.array(sides)[np.searchsorted(strides, gap)]
+    if ((i // gap) % m == m - 1).any():
+        return None
+    return tuple(reversed(sides)), 1.0 / r0
 
 
 def laplacian(net: Network) -> np.ndarray:
@@ -260,20 +261,15 @@ def reduced_laplacian(lap: np.ndarray, ground: int = 0) -> np.ndarray:
 
 # --- file formats ---
 
-def parse_edge_list(text: str, node_count: int | None = None) -> Network:
-    """Parse the "i j R" one-edge-per-line text format."""
-    edges = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise InvalidEdge(f"malformed edge line: {line!r}")
-        edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    if node_count is None:
-        node_count = 1 + max(max(i, j) for i, j, _ in edges)
-    return build_network(node_count, edges)
+def parse_edge_list(text: str) -> Network:
+    """Parse the "i j R" one-edge-per-line text format (blank and # lines
+    skipped); n is one more than the largest index. A malformed row, or
+    no row at all, raises InvalidEdge as in :func:`build_network`."""
+    arr = _triples([line.split() for line in text.splitlines()
+                    if line.strip() and not line.lstrip().startswith("#")])
+    top = np.nan_to_num(arr[:, :2].max(), posinf=0.0)
+    # n >= 2 leaves a negative or non-finite index to build_network's checks
+    return build_network(max(2, int(top) + 1), arr)
 
 
 def format_edge_list(net: Network) -> str:
@@ -281,10 +277,7 @@ def format_edge_list(net: Network) -> str:
 
 
 def to_json_dict(net: Network) -> dict:
-    doc = {"n": net.node_count, "edges": [[i, j, r] for i, j, r in net.edges]}
-    if net.coords is not None:
-        doc["coords"] = [list(p) for p in net.coords]
-    return doc
+    return {"n": net.node_count, "edges": [[i, j, r] for i, j, r in net.edges]}
 
 
 def from_json_dict(doc: dict) -> Network:
@@ -293,14 +286,17 @@ def from_json_dict(doc: dict) -> Network:
     except (KeyError, TypeError) as exc:
         raise InvalidEdge("a network document needs the keys 'n' and 'edges'"
                           ) from exc
-    return build_network(node_count, edges, coords=doc.get("coords"))
+    return build_network(node_count, edges)
 
 
 def load_network(path) -> Network:
     """Load a network from a JSON file or an "i j R" edge-list file."""
     with open(path) as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return from_json_dict(json.loads(text))
+    if text.lstrip().startswith("{"):
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidEdge(f"malformed network JSON: {exc}") from exc
+        return from_json_dict(doc)
     return parse_edge_list(text)

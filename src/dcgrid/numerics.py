@@ -35,14 +35,7 @@ SYMMETRY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues of a symmetric matrix, ascending."""
-
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class LaplacianSpectrum(SpectralDecomposition):
+class LaplacianSpectrum:
     """A connected graph's Laplacian spectrum, cached and shared by every
     consumer: ``values`` ascending with the zero mode exactly 0.0 first
     (made read-only), ``pinv(nodes)``, the |nodes| x |nodes| block of
@@ -51,6 +44,7 @@ class LaplacianSpectrum(SpectralDecomposition):
     ``reff`` forms the difference e_i - e_j before it applies L^+, so it
     keeps the digits that P_ii + P_jj - 2 P_ij cancels on near pairs."""
 
+    values: np.ndarray
     pinv: Callable[[Sequence[int]], np.ndarray]
     reff: Callable[[int, int], float]
 
@@ -66,17 +60,16 @@ class LyapunovSolution:
     residual: float
 
 
-def eig_sym(mat: np.ndarray) -> SpectralDecomposition:
+def eig_sym(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending (no eigenvectors)."""
     mat = np.asarray(mat, dtype=float)
     scale = np.linalg.norm(mat, ord=np.inf)
     if scale > 0 and np.abs(mat - mat.T).max() > SYMMETRY_RTOL * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     try:
-        values = np.linalg.eigvalsh(mat)
+        return np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NoConvergence(str(exc)) from exc
-    return SpectralDecomposition(values)
 
 
 def _kron_values(sides, conductance: float) -> np.ndarray:
@@ -91,20 +84,15 @@ def _kron_values(sides, conductance: float) -> np.ndarray:
     return conductance * values
 
 
-def lattice_eig(sides, conductance: float) -> SpectralDecomposition:
-    """Laplacian eigenvalues of a box lattice with one conductance on every
-    edge, ascending: the Kronecker sum of the axes' path Laplacians, with
-    no eigensolve."""
-    return SpectralDecomposition(np.sort(_kron_values(sides, conductance)))
-
-
 def lattice_spectrum(sides, conductance: float) -> LaplacianSpectrum:
-    """Laplacian spectrum of a box lattice, nodes in row-major order.
+    """Laplacian spectrum of a box lattice with one conductance on every
+    edge, nodes in row-major order, with no eigensolve.
 
-    L^+_ij is the sum over nonzero modes of v_ik v_jk / lambda_k. A node's
-    mode row is the Kronecker product of its axes' DCT-II rows
-    sqrt(2/m) cos(pi k (j + 1/2) / m) (sqrt(1/m) for k = 0), so a block on
-    |nodes| nodes costs O(|nodes| n) and needs no eigensolve. R_eff(i, j)
+    The eigenvalues, sorted, are the Kronecker sum of the axes' path
+    Laplacian eigenvalues. L^+_ij is the sum over nonzero modes of
+    v_ik v_jk / lambda_k. A node's mode row is the Kronecker product of
+    its axes' DCT-II rows sqrt(2/m) cos(pi k (j + 1/2) / m) (sqrt(1/m)
+    for k = 0), so a block on |nodes| nodes costs O(|nodes| n). R_eff(i, j)
     is the sum over nonzero modes of (v_ik - v_jk)^2 / lambda_k.
     """
 
@@ -130,7 +118,7 @@ def lattice_spectrum(sides, conductance: float) -> LaplacianSpectrum:
         modes, values = mode_rows([i, j])
         return float(np.sum((modes[0] - modes[1]) ** 2 / values))
 
-    return LaplacianSpectrum(lattice_eig(sides, conductance).values, pinv,
+    return LaplacianSpectrum(np.sort(_kron_values(sides, conductance)), pinv,
                              reff)
 
 
@@ -174,7 +162,7 @@ def laplacian_spectrum(lap: np.ndarray) -> LaplacianSpectrum:
     orthogonal to 1, so z = L^+ (e_i - e_j) exactly.
     """
     lap = np.asarray(lap, dtype=float)
-    values = eig_sym(lap).values
+    values = eig_sym(lap)
     n = values.size
     bound = n * np.finfo(float).eps * values[-1]
     if not abs(values[0]) <= bound < values[1]:

@@ -20,7 +20,6 @@ from . import network as net_mod
 from . import systems
 from .errors import (
     DisconnectedGraph,
-    DisconnectsGraph,
     IndexOutOfRange,
     InvalidEdge,
     RayleighViolation,
@@ -77,8 +76,9 @@ def rayleigh_check(net: Network, edge: tuple[int, int],
     pairwise effective resistance decreases.
 
     Raises InvalidEdge when the edge is not in the network,
-    DisconnectsGraph when removal would split it, and RayleighViolation
-    when some effective resistance decreases by more than 1e-10.
+    DisconnectedGraph naming the edge when removal would split it, and
+    RayleighViolation when some effective resistance decreases by more
+    than 1e-10.
     """
     i, j = min(edge), max(edge)
     before = reff_matrix(net)
@@ -89,7 +89,8 @@ def rayleigh_check(net: Network, edge: tuple[int, int],
         try:
             perturbed = net_mod.build_network(net.node_count, kept)
         except DisconnectedGraph as exc:
-            raise DisconnectsGraph(f"removing edge {edge} disconnects") from exc
+            raise DisconnectedGraph(f"removing edge {edge} disconnects"
+                                    ) from exc
     else:
         perturbed = net_mod.build_network(
             net.node_count, kept + [(i, j, new_resistance)])

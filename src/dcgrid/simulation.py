@@ -15,7 +15,6 @@ per seed, sample after sample, so sample i depends only on (seed, i).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,7 @@ T_MAX_CONSTANTS = 50.0  # default horizon cap in slowest time constants
 CHUNK_CONSTANTS = 10.0  # Monte Carlo chunk length in slowest time constants
 VAN_LOAN_TERMS = 20  # Taylor terms of van_loan's series at norm <= 1
 WARMUP_FRACTION = 0.2
+WHITE_NOISE_BATCHES = 10  # contiguous batches behind the white-noise stderr
 
 
 def spectral_radius_bound(a: np.ndarray) -> float:
@@ -130,8 +130,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray  # (len(times), dim)
-    kind: str
-    seed: int
     dt: float
     state_labels: tuple[str, ...]
 
@@ -149,13 +147,6 @@ class McEstimate:
     dt: float
     converged: bool
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "mean": self.mean, "stderr": self.stderr, "samples": self.samples,
-            "mode": self.mode, "seed": self.seed, "T": self.T, "dt": self.dt,
-            "converged": self.converged,
-        }, indent=2, sort_keys=True)
-
 
 def _check_step(dt: float, T: float) -> int:
     """Number of steps of length dt in [0, T], which must hold at least one."""
@@ -168,7 +159,7 @@ def _check_step(dt: float, T: float) -> int:
 
 
 def simulate(model: StateSpaceModel, x0, T: float, dt: float | None = None,
-             record_every: int = 1, seed: int = 0) -> Trajectory:
+             record_every: int = 1) -> Trajectory:
     """Solve dx/dt = Ax from x0 over [0, T] on a grid of step dt.
 
     Every ``record_every``-th step is recorded; each recorded row is one
@@ -190,8 +181,7 @@ def simulate(model: StateSpaceModel, x0, T: float, dt: float | None = None,
     if not np.isfinite(states).all():
         raise NonFiniteState("trajectory overflowed to non-finite values")
     times = rec_dt * np.arange(len(recorded))
-    return Trajectory(times, states, model.kind, seed, rec_dt,
-                      model.state_labels)
+    return Trajectory(times, states, rec_dt, model.state_labels)
 
 
 def sample_initial(model: StateSpaceModel, seed: int, samples: int,
@@ -269,20 +259,21 @@ def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0,
 
 
 def white_noise_variance(model: StateSpaceModel, T: float,
-                         dt: float | None = None, seed: int = 0,
-                         batches: int = 10) -> McEstimate:
+                         dt: float | None = None, seed: int = 0
+                         ) -> McEstimate:
     """Steady-state output variance under white-noise input.
 
     Steps dx = Ax dt + B dW exactly from x = 0 as x <- Phi x + w, with
     Phi and cov(w) from ``van_loan``; the first fifth of the steps is
     discarded as warmup and the remainder is time-averaged, with the
-    standard error taken across contiguous batches. Only a Hurwitz A has
-    a steady state (else NotHurwitz).
+    standard error taken across ``WHITE_NOISE_BATCHES`` contiguous
+    batches. Only a Hurwitz A has a steady state (else NotHurwitz).
     """
     slowest_time_constant(model)
     if dt is None:
         dt = default_dt(model)
     steps = _check_step(dt, T)
+    batches = WHITE_NOISE_BATCHES
     if steps < 10 * batches:
         raise StepTooLarge(f"horizon T={T} too short for {batches} batches")
     phi, q_d = van_loan(model.a, model.b @ model.b.T, dt)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcgrid import ControllerParams, build_network
+from dcgrid import ControllerParams, build_network, network, numerics
 
 
 @pytest.fixture
@@ -42,6 +42,25 @@ def random_connected_network(rng, n_min=3, n_max=12, edge_prob=0.5,
             return build_network(n, edges)
         except Exception:
             continue
+
+
+def dense_twin(net, monkeypatch):
+    """An equal copy of ``net`` whose cached spectrum comes from the dense
+    eigh/Cholesky route even when ``net`` is a box lattice, and the shapes
+    of the matrices that the dense eigensolver saw on the way."""
+    calls = []
+    eig_sym = numerics.eig_sym
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return eig_sym(mat)
+
+    twin = build_network(net.node_count, net.edges)
+    with monkeypatch.context() as patch:
+        patch.setattr(network, "lattice_box", lambda _: None)
+        patch.setattr(numerics, "eig_sym", counting)
+        twin.spectrum
+    return twin, calls
 
 
 def path_laplacian_eigenvalues(n):

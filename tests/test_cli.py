@@ -67,6 +67,17 @@ class TestLargeLattices:
         assert code == 0
         assert abs(doc["h2_slack"] / (99999 / 4) - 1) <= 1e-13
 
+    def test_path_100000_edge_list(self, capsys, tmp_path):
+        # a lattice read back from its edge-list file is still analytic
+        assert run(["gen", "--gen", "path:100000", "--format", "edges",
+                    "--out", "p"]) == 0
+        capsys.readouterr()
+        path = tmp_path / "p_network.edges"
+        code, doc = run_json(["h2", "--gen", f"file:{path}", "--c", "1"],
+                             capsys)
+        assert code == 0
+        assert abs(doc["h2_slack"] / (99999 / 4) - 1) <= 1e-13
+
     def test_path_100000_resistance(self, capsys):
         code, doc = run_json(["resist", "--gen", "path:100000", "--pair",
                               "0,99999"], capsys)
@@ -280,17 +291,25 @@ class TestBoundaries:
         assert "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("doc", [
-        {"n": 3, "edges": [[0.5, 1, 1.0], [1, 2, 1.0]]},
-        {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
-         "coords": [[0], [1], [2.7]]},
-        {"n": 3.0, "edges": [[0, 1, 1.0], [1, 2, 1.0]]},
-        {"n": 3},
-    ], ids=["fractional-index", "fractional-coord", "float-n", "no-edges"])
-    def test_bad_network_file(self, doc, capsys, tmp_path):
-        # each was once truncated to an integer or ended in a traceback
-        path = tmp_path / "net.json"
-        path.write_text(json.dumps(doc))
+    @pytest.mark.parametrize("name, text", [
+        ("net.json", json.dumps({"n": 3, "edges": [[0.5, 1, 1.0],
+                                                   [1, 2, 1.0]]})),
+        ("net.json", json.dumps({"n": 3.0, "edges": [[0, 1, 1.0],
+                                                     [1, 2, 1.0]]})),
+        ("net.json", json.dumps({"n": 3})),
+        ("net.json", '{"n": 3, "edges": [[0, 1, 1.0]'),
+        ("net.edges", "0 1.5 1\n"),
+        ("net.edges", "0 1 x\n"),
+        ("net.edges", "# a header and no edge line\n\n"),
+        ("net.edges", "0 nan 1\n"),
+    ], ids=["fractional-index", "float-n", "no-edges", "malformed-json",
+            "edges-fractional-index", "edges-text-resistance",
+            "edges-none", "edges-nan-index"])
+    def test_bad_network_file(self, name, text, capsys, tmp_path):
+        # each was once truncated to an integer, ended in a traceback or
+        # exited 2 as a bad generator spec
+        path = tmp_path / name
+        path.write_text(text)
         assert run(["h2", "--gen", f"file:{path}", "--out", "x"]) == 1
         captured = capsys.readouterr()
         assert strict_json(captured.out)["error"] == "InvalidEdge"
@@ -327,8 +346,12 @@ class TestSpectrumShared:
         (["compare", "--gen", "path:9"], 0),
         (["resist", "--gen", "grid3:2x3x4", "--pair", "0,23"], 0),
         (["sweep", "--family", "grid2d", "--sizes", "3,4,5"], 0),
+        (["h2", "--gen", "file:grid3_network.edges"], 0),
     ])
     def test_eig_sym_calls(self, argv, expected, capsys, monkeypatch):
+        # the edge list that the file: spec above reads
+        assert run(["gen", "--gen", "grid3:2x3x4", "--format", "edges",
+                    "--out", "grid3"]) == 0
         calls = []
         original = numerics.eig_sym
 

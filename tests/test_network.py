@@ -15,7 +15,7 @@ from dcgrid.network import (
     reduced_laplacian,
 )
 
-from .conftest import random_connected_network
+from .conftest import dense_twin, random_connected_network
 
 
 class TestBuildNetwork:
@@ -57,18 +57,15 @@ class TestBuildNetwork:
         with pytest.raises(errors.InvalidEdge):
             build_network(2, [])
 
-    @pytest.mark.parametrize("node_count, edges, coords", [
-        (3, [(0, 1.5, 1.0), (1, 2, 1.0)], None),
-        (3.0, [(0, 1, 1.0), (1, 2, 1.0)], None),
-        (3, [(0, 1), (1, 2)], None),
-        (3, [(0, 1, 1.0), (1, 2, "x")], None),
-        (3, [(0, 1, 1.0), (1, 2, 1.0)], [(0,), (1,), (2.5,)]),
-        (3, [(0, 1, 1.0), (1, 2, 1.0)], 7),
-    ], ids=["fractional-index", "float-count", "pairs", "text-resistance",
-            "fractional-coord", "scalar-coords"])
-    def test_malformed_input(self, node_count, edges, coords):
+    @pytest.mark.parametrize("node_count, edges", [
+        (3, [(0, 1.5, 1.0), (1, 2, 1.0)]),
+        (3.0, [(0, 1, 1.0), (1, 2, 1.0)]),
+        (3, [(0, 1), (1, 2)]),
+        (3, [(0, 1, 1.0), (1, 2, "x")]),
+    ], ids=["fractional-index", "float-count", "pairs", "text-resistance"])
+    def test_malformed_input(self, node_count, edges):
         with pytest.raises(errors.InvalidEdge):
-            build_network(node_count, edges, coords)
+            build_network(node_count, edges)
 
     def test_integral_float_index_accepted(self):
         net = build_network(2, [(1.0, 0.0, 2.0)])
@@ -112,11 +109,6 @@ class TestLattice:
         expected = brute_force_lattice_edges(sides)
         assert net.edge_count == len(expected)
         assert {(i, j) for i, j, _ in net.edges} == expected
-
-    def test_coords_attached(self):
-        net = generate_lattice(2, 3)
-        assert net.coords is not None
-        assert len(net.coords) == 9
 
     def test_invalid_dimension(self):
         with pytest.raises(errors.InvalidDimension):
@@ -271,20 +263,54 @@ class TestLatticeBox:
 
     def test_edge_removed(self):
         net = generate_lattice(2, 4)
-        cut = build_network(16, net.edges[1:], coords=net.coords)
-        assert lattice_box(cut) is None
+        assert lattice_box(build_network(16, net.edges[1:])) is None
 
     def test_edge_reweighted(self):
         net = generate_lattice(3, 3)
         edges = list(net.edges)
         edges[5] = (edges[5][0], edges[5][1], 1.0 + 1e-12)
-        assert lattice_box(build_network(27, edges, coords=net.coords)) is None
+        assert lattice_box(build_network(27, edges)) is None
 
-    def test_permuted_coords(self):
-        net = generate_lattice(2, (3, 4))
-        coords = list(net.coords)
-        coords[0], coords[1] = coords[1], coords[0]
-        assert lattice_box(build_network(12, net.edges, coords)) is None
+    def test_permuted_labels(self):
+        # the same graph, but nodes 0 and 1 swap places in the box
+        swap = {0: 1, 1: 0}
+        edges = [(swap.get(i, i), swap.get(j, j), r)
+                 for i, j, r in generate_lattice(2, (3, 4)).edges]
+        assert lattice_box(build_network(12, edges)) is None
+
+    @pytest.mark.parametrize("n, pairs", [
+        (4, [(0, 1), (0, 2), (0, 3)]),
+        (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+        (6, [(0, 1), (1, 2), (2, 3), (4, 5), (0, 3), (1, 4), (2, 5)]),
+    ], ids=["star", "4-cycle", "2x3-row-wrapped"])
+    def test_other_graphs(self, n, pairs):
+        net = build_network(n, [(i, j, 1.0) for i, j in pairs])
+        assert lattice_box(net) is None
+
+    @pytest.mark.parametrize("sides", [(6,), (2, 4), (3, 4), (2, 2, 3),
+                                       (2, 2, 2, 2)])
+    def test_matches_brute_force(self, sides):
+        # relabelled and rewired variants of each box against the oracle:
+        # a box whose nearest-neighbour pairs are exactly the edges
+        rng = np.random.default_rng(len(sides))
+        n = int(np.prod(sides))
+        pairs = sorted(brute_force_lattice_edges(sides))
+        variants = [pairs]
+        for _ in range(30):
+            perm = rng.permutation(n) if rng.random() < 0.5 else np.arange(n)
+            edges = [tuple(sorted((int(perm[i]), int(perm[j]))))
+                     for i, j in pairs]
+            if rng.random() < 0.7:
+                i, j = rng.choice(n, size=2, replace=False)
+                edges[rng.integers(len(edges))] = (min(i, j), max(i, j))
+            variants.append(edges)
+        for edges in variants:
+            try:
+                net = build_network(n, [(i, j, 1.0) for i, j in edges])
+            except (errors.InvalidEdge, errors.DisconnectedGraph):
+                continue
+            found = lattice_box(net)
+            assert (found[0] if found else None) == _reference_box(net)
 
     @pytest.mark.parametrize("coords", [
         [(1,), (2,), (3,)],
@@ -293,21 +319,25 @@ class TestLatticeBox:
         [(), (), ()],
     ], ids=["shifted", "negative", "ragged", "empty"])
     def test_other_coords(self, coords):
-        net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)], coords)
-        assert lattice_box(net) is None
+        # a JSON file may still hold the "coords" key that generated files
+        # once carried; whatever it holds, the edges alone decide
+        doc = {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]], "coords": coords}
+        net = network.from_json_dict(doc)
+        assert net == build_network(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        assert lattice_box(net) == ((3,), 1.0)
 
     def test_unit_side(self):
-        # a file may list a path as a 1 x 3 box
-        net = build_network(3, [(0, 1, 2.0), (1, 2, 2.0)],
-                            [(0, 0), (0, 1), (0, 2)])
-        assert lattice_box(net) == ((1, 3), 0.5)
+        # a side of 1 adds no edge, so a 1 x 3 box is the path (3,)
+        net = build_network(3, [(0, 1, 2.0), (1, 2, 2.0)])
+        assert lattice_box(net) == ((3,), 0.5)
         assert np.allclose(net.spectrum.values, [0.0, 0.5, 1.5], rtol=0.0,
                            atol=1e-15)
 
     def test_edge_list_load(self):
         net = generate_lattice(2, 4)
         loaded = network.parse_edge_list(network.format_edge_list(net))
-        assert loaded.edges == net.edges and lattice_box(loaded) is None
+        assert loaded.edges == net.edges
+        assert lattice_box(loaded) == lattice_box(net) == ((4, 4), 1.0)
 
     def test_json_roundtrip(self):
         net = generate_lattice(3, (2, 3, 2), 0.5)
@@ -316,16 +346,35 @@ class TestLatticeBox:
         assert lattice_box(back) == lattice_box(net) == ((2, 3, 2), 2.0)
 
 
+def _ordered_factorizations(n):
+    """Every tuple of factors >= 2 whose product is n, in every order."""
+    if n == 1:
+        return [()]
+    return [(f,) + rest for f in range(2, n + 1) if n % f == 0
+            for rest in _ordered_factorizations(n // f)]
+
+
+def _reference_box(net):
+    """Independent oracle for lattice_box's sides: the box whose
+    nearest-neighbour pairs are the network's edges, or None."""
+    pairs = {(i, j) for i, j, _ in net.edges}
+    for sides in _ordered_factorizations(net.node_count):
+        if brute_force_lattice_edges(sides) == pairs:
+            return sides
+    return None
+
+
 class TestAnalyticSpectrumConsumers:
     """Every quantity read from a lattice's analytic spectrum equals the
-    one from its coord-less twin, whose spectrum comes from eigh."""
+    one from its dense twin, whose spectrum comes from eigh."""
 
     @pytest.mark.parametrize("d, sides, r", [(1, 7, 0.5), (2, (3, 5), 1.0),
                                              (3, (2, 3, 4), 2.0)])
-    def test_matches_eigh_twin(self, d, sides, r):
+    def test_matches_eigh_twin(self, d, sides, r, monkeypatch):
         net = generate_lattice(d, sides, r)
-        twin = build_network(net.node_count, net.edges)
-        assert lattice_box(net) is not None and lattice_box(twin) is None
+        twin, calls = dense_twin(net, monkeypatch)
+        n = net.node_count
+        assert lattice_box(net) is not None and calls == [(n, n)]
         params = ControllerParams(c=0.7, k_p=0.3, k=50.0, gamma=200.0)
         for ground in range(net.node_count):
             assert np.isclose(
@@ -345,10 +394,6 @@ class TestAnalyticSpectrumConsumers:
                           rtol=1e-9, atol=0.0)
         assert np.isclose(resistance.kstar(net), resistance.kstar(twin),
                           rtol=1e-9, atol=0.0)
-
-
-def _coordless(net):
-    return build_network(net.node_count, net.edges)
 
 
 class TestSpectrumPinv:
@@ -371,11 +416,13 @@ class TestSpectrumPinv:
     @pytest.mark.parametrize("d, sides, r", [
         (1, 2, 1.0), (1, 50, 0.5), (2, (3, 5), 2.0), (2, (12, 12), 1.0),
         (3, (2, 3, 4), 0.25), (3, (5, 5, 5), 1.0)])
-    def test_lattice_and_twin(self, d, sides, r):
+    def test_lattice_and_twin(self, d, sides, r, monkeypatch):
         net = generate_lattice(d, sides, r)
-        assert lattice_box(net) is not None
+        twin, calls = dense_twin(net, monkeypatch)
+        n = net.node_count
+        assert lattice_box(net) is not None and calls == [(n, n)]
         self._check_blocks(net)
-        self._check_blocks(_coordless(net))
+        self._check_blocks(twin)
 
     def test_hfuzz(self):
         net = generate_hfuzz(generate_lattice(2, 9), 2)
@@ -387,10 +434,11 @@ class TestSpectrumPinv:
         for _ in range(8):
             self._check_blocks(random_connected_network(rng, n_max=40))
 
-    def test_large_resistance_is_connected(self):
+    def test_large_resistance_is_connected(self, monkeypatch):
         # lambda_1 = 4 sin^2(pi / 2000) / 1e4 = 2.5e-10: a zero-mode rule
         # scaled by max(1, lambda_max) calls this path disconnected
-        net = _coordless(generate_lattice(1, 1000, 1e4))
+        net, calls = dense_twin(generate_lattice(1, 1000, 1e4), monkeypatch)
+        assert calls == [(1000, 1000)]
         params = ControllerParams(c=1.0)
         slack = systems.h2_closed_form_slack(net, params)
         assert np.isclose(slack, 1e4 * 999 / 4, rtol=1e-9, atol=0.0)
@@ -411,8 +459,7 @@ class TestFileFormats:
         net = generate_lattice(2, 3, 0.25)
         doc = network.to_json_dict(net)
         back = network.from_json_dict(json.loads(json.dumps(doc)))
-        assert back.edges == net.edges
-        assert back.coords == net.coords
+        assert back.edges == net.edges and set(doc) == {"n", "edges"}
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc))
         assert network.load_network(path).edges == net.edges

@@ -23,7 +23,7 @@ from dcgrid.systems import (
     h2_closed_form_droop,
     h2_closed_form_slack,
 )
-from .conftest import random_connected_network
+from .conftest import dense_twin, random_connected_network
 
 
 class TestEffectiveResistance:
@@ -56,18 +56,19 @@ class TestEffectiveResistance:
                     assert np.isclose(effective_resistance(net, i, j),
                                       reff[i, j], rtol=1e-10)
 
-    @pytest.mark.parametrize("n, coordless", [
+    @pytest.mark.parametrize("n, dense", [
         (1000, False), (100000, False), (1000, True)])
-    def test_path_pairs_keep_their_digits(self, n, coordless):
+    def test_path_pairs_keep_their_digits(self, n, dense, monkeypatch):
         # R_eff on a unit path is the hop distance; near pairs are small
         # against L^+_ii, so P_ii + P_jj - 2 P_ij lost up to 2.3e-10 here
         net = generate_lattice(1, n)
-        if coordless:  # no coordinates: the dense Cholesky route
-            net = build_network(n, net.edges)
+        if dense:  # the dense Cholesky route
+            net, calls = dense_twin(net, monkeypatch)
+            assert calls == [(n, n)]
         near = [(0, 1), (n // 2 - 1, n // 2), (n - 1, n - 2)]
         far = [(0, n - 1), (n // 4, 3 * n // 4)]
         # the dense route's far pairs are limited by cond(L) ~ n^2
-        far_rtol = 1e-9 if coordless else 1e-13
+        far_rtol = 1e-9 if dense else 1e-13
         for pairs, rtol in ((near, 1e-13), (far, far_rtol)):
             for i, j in pairs:
                 assert np.isclose(effective_resistance(net, i, j),
@@ -118,7 +119,7 @@ class TestGutmanIdentity:
         rng = np.random.default_rng(4)
         for _ in range(10):
             net = random_connected_network(rng)
-            lam = eig_sym(laplacian(net)).values
+            lam = eig_sym(laplacian(net))
             spectral = net.node_count * float(np.sum(1.0 / lam[1:]))
             pairwise = float(np.sum(np.triu(reff_matrix(net), k=1)))
             assert np.isclose(pairwise, spectral, rtol=1e-8)
@@ -136,7 +137,7 @@ class TestRayleigh:
         assert np.isclose(rep.max_delta, 2 - 2 / 3)
 
     def test_bridge_removal(self, p3):
-        with pytest.raises(errors.DisconnectsGraph):
+        with pytest.raises(errors.DisconnectedGraph, match=r"\(0, 1\)"):
             rayleigh_check(p3, (0, 1))
 
     def test_resistance_increase(self, triangle):

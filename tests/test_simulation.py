@@ -134,7 +134,6 @@ class TestSimulate:
         m = assemble_dapi(p3, paper_params)
         traj = simulate(m, np.zeros(6), T=0.001, dt=1e-5)
         assert traj.state_labels == m.state_labels
-        assert traj.kind == "dapi"
 
 
 class TestStreams:
