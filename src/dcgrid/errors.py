@@ -28,7 +28,8 @@ class InvalidDimension(DCGridError):
 
 
 class InvalidSize(DCGridError):
-    """Lattice side length below 2."""
+    """Lattice side length below 2, or a network too large for a dense
+    n x n matrix (see ``network.DENSE_MAX_NODES``)."""
 
 
 class InvalidFuzzRadius(DCGridError):
@@ -51,7 +52,9 @@ class NotHurwitz(DCGridError):
 
 class SingularSystem(DCGridError):
     """The Lyapunov equation is (numerically) singular: an eigenvalue pair
-    of A sums to about zero, so its solve would need a perturbation."""
+    of A sums to about zero, so its solve would need a perturbation. Or
+    the covariance one white-noise step adds is not numerically positive
+    definite, so it has no Cholesky factor."""
 
 
 # --- systems ---

@@ -241,8 +241,24 @@ def lattice_box(net: Network) -> tuple[tuple[int, ...], float] | None:
     return tuple(reversed(sides)), 1.0 / r0
 
 
+# The dense route's largest user, ``sim --kind dapi``, holds about 36 n x n
+# doubles at its peak (expm of the 2n x 2n state matrix; 300 MB measured at
+# n = 1024). A 2 GiB budget for it admits n <= sqrt(2^31 / (36 * 8)) = 2730.
+DENSE_MAX_NODES = 2730
+
+
+def require_dense(n: int) -> None:
+    """InvalidSize when an n x n matrix would pass the dense route's memory
+    budget (``DENSE_MAX_NODES``); called before any such allocation."""
+    if n > DENSE_MAX_NODES:
+        raise InvalidSize(f"{n} buses exceed the dense route's limit of "
+                          f"{DENSE_MAX_NODES} (n x n matrices)")
+
+
 def laplacian(net: Network) -> np.ndarray:
-    """Weighted graph Laplacian with conductance (1/R) edge weights."""
+    """Weighted graph Laplacian with conductance (1/R) edge weights; dense,
+    so InvalidSize beyond ``DENSE_MAX_NODES`` buses."""
+    require_dense(net.node_count)
     i, j, r = _columns(net.edges)
     lap = np.zeros((net.node_count, net.node_count))
     lap[i, j] = lap[j, i] = -1.0 / r

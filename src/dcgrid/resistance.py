@@ -30,7 +30,8 @@ from .network import Network
 
 def reff_matrix(net: Network) -> np.ndarray:
     """All pairwise effective resistances from the block of L^+ over every
-    node (O(n^2) memory, so for small networks)."""
+    node (O(n^2) memory, so InvalidSize beyond ``DENSE_MAX_NODES``)."""
+    net_mod.require_dense(net.node_count)
     pinv = net.spectrum.pinv(np.arange(net.node_count))
     d = np.diag(pinv)
     return d[:, None] + d[None, :] - 2.0 * pinv

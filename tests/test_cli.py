@@ -78,6 +78,25 @@ class TestLargeLattices:
         assert code == 0
         assert abs(doc["h2_slack"] / (99999 / 4) - 1) <= 1e-13
 
+    def test_dense_limit_is_an_error(self, capsys, tmp_path, monkeypatch):
+        # one reweighted edge takes path:100000 off the analytic route; the
+        # 74.5 GiB dense Laplacian must be refused before it is allocated
+        path = tmp_path / "p.edges"
+        path.write_text("0 1 2.0\n" + "".join(
+            f"{i} {i + 1} 1.0\n" for i in range(1, 99999)))
+        zeros = np.zeros
+
+        def small_zeros(shape, *args, **kwargs):
+            assert np.prod(shape) < 1e8, f"allocation of {shape} started"
+            return zeros(shape, *args, **kwargs)
+        monkeypatch.setattr(np, "zeros", small_zeros)
+        assert run(["h2", "--gen", f"file:{path}", "--out", "x"]) == 1
+        captured = capsys.readouterr()
+        doc = strict_json(captured.out)
+        assert doc["error"] == "InvalidSize"
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_path_100000_resistance(self, capsys):
         code, doc = run_json(["resist", "--gen", "path:100000", "--pair",
                               "0,99999"], capsys)

@@ -200,6 +200,18 @@ class TestLaplacian:
         scale = np.abs(lap).max()
         assert np.abs(lap @ np.ones(net.node_count)).max() <= 1e-12 * scale
 
+    def test_dense_limit(self):
+        # a lattice past the limit keeps its analytic spectrum, but no
+        # dense n x n matrix: Laplacian, assembled model or R_eff table
+        network.require_dense(network.DENSE_MAX_NODES)
+        net = generate_lattice(1, network.DENSE_MAX_NODES + 1)
+        assert net.spectrum.values.size == net.node_count
+        for dense in (laplacian, resistance.reff_matrix,
+                      lambda n: systems.assemble_dapi(n, ControllerParams())):
+            with pytest.raises(errors.InvalidSize,
+                               match=str(network.DENSE_MAX_NODES)):
+                dense(net)
+
 
 class TestReducedLaplacian:
     def test_p3_ground0(self, p3):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dcgrid import errors
+from dcgrid import errors, simulation
 from dcgrid.network import generate_lattice
 from dcgrid.numerics import solve_lyapunov
 from dcgrid.simulation import (
@@ -25,6 +25,7 @@ from dcgrid.systems import (
     assemble_dapi,
     assemble_droop,
     assemble_slack,
+    h2_closed_form_dapi,
     h2_closed_form_droop,
     h2_closed_form_slack,
 )
@@ -55,7 +56,7 @@ class TestStepControl:
         with pytest.raises(errors.NotHurwitz):
             monte_carlo_h2(scalar_model(rate), samples=10)
         with pytest.raises(errors.NotHurwitz):
-            white_noise_variance(scalar_model(rate), T=10.0, dt=0.1)
+            white_noise_variance(scalar_model(rate), T=10.0)
 
     def test_non_finite_matrix_rejected(self):
         with pytest.raises(errors.NonFiniteState):
@@ -82,8 +83,9 @@ class TestStepControl:
     def test_non_finite_or_non_positive_rejected(self, dt, T):
         with pytest.raises(errors.StepTooLarge):
             simulate(scalar_model(), [1.0], T=T, dt=dt)
+        # white noise takes no dt; T = 1 is too short for its chains
         with pytest.raises(errors.StepTooLarge):
-            white_noise_variance(scalar_model(), T=T, dt=dt)
+            white_noise_variance(scalar_model(), T=T)
 
 
 class TestSimulate:
@@ -281,26 +283,145 @@ class TestMonteCarloH2:
 class TestWhiteNoise:
     def test_scalar_variance(self):
         # dx = -x dt + dW has stationary variance 1/2
-        est = white_noise_variance(scalar_model(), T=4000.0, dt=0.01, seed=5)
+        est = white_noise_variance(scalar_model(), T=4000.0, seed=5)
         assert abs(est.mean - 0.5) <= 3 * est.stderr
         assert est.mode == "white_noise"
 
     def test_droop_k2(self, k2, unit_params):
         m = assemble_droop(k2, unit_params)
-        est = white_noise_variance(m, T=3000.0, dt=0.005, seed=9)
+        est = white_noise_variance(m, T=3000.0, seed=9)
         assert abs(est.mean - 1 / 3) <= 3 * est.stderr
 
     def test_zero_output_map(self, k2, unit_params):
         m = assemble_droop(k2, unit_params)
         silent = StateSpaceModel(m.a, m.b, np.zeros_like(m.h),
                                  m.state_labels, m.kind)
-        est = white_noise_variance(silent, T=50.0, dt=0.01)
+        est = white_noise_variance(silent, T=50.0)
         assert est.mean == 0.0
 
     def test_horizon_too_short(self, k2, unit_params):
         m = assemble_droop(k2, unit_params)
         with pytest.raises(errors.StepTooLarge):
-            white_noise_variance(m, T=0.1, dt=0.01)
+            white_noise_variance(m, T=0.1)
+
+    def test_reports_chains_step_and_horizon(self):
+        # tau = 1: T = 4000 is 4000 / (chains h) steps per chain, rounded
+        est = white_noise_variance(scalar_model(), T=4000.0, seed=5)
+        chains = simulation.WHITE_NOISE_CHAINS
+        h = simulation.WHITE_NOISE_STEP
+        assert (est.samples, est.dt) == (chains, h)
+        assert est.T == round(4000.0 / (chains * h)) * chains * h
+
+    def test_noise_blocks_keep_the_draws(self, p3, paper_params, monkeypatch):
+        # the stream is read step after step whatever the block length
+        m = assemble_dapi(p3, paper_params)
+        tau = slowest_time_constant(m)
+        whole = white_noise_variance(m, T=100 * tau, seed=4)
+        monkeypatch.setattr(simulation, "NOISE_BLOCK", 5 * m.dim
+                            * simulation.WHITE_NOISE_CHAINS)
+        assert white_noise_variance(m, T=100 * tau, seed=4) == whole
+
+    def test_matches_one_chain_at_a_time(self, p3, paper_params):
+        # reference: each chain stepped alone on its column of the draws
+        m = assemble_dapi(p3, paper_params)
+        tau = slowest_time_constant(m)
+        est = white_noise_variance(m, T=100 * tau, seed=4)
+        chains = est.samples
+        kept = round(est.T / (chains * est.dt))
+        warmup = round(simulation.WARMUP_CONSTANTS
+                       / simulation.WHITE_NOISE_STEP)
+        phi, q_d = van_loan(m.a, m.b @ m.b.T, est.dt)
+        factor = np.linalg.cholesky(q_d)
+        draws = stream(4).standard_normal((warmup + kept, m.dim, chains))
+        means = []
+        for c in range(chains):
+            x = np.zeros(m.dim)
+            energy = 0.0
+            for k in range(warmup + kept):
+                x = phi @ x + factor @ draws[k, :, c]
+                if k >= warmup:
+                    energy += float(np.sum((m.h @ x) ** 2))
+            means.append(energy / kept)
+        assert np.isclose(est.mean, np.mean(means), rtol=1e-12, atol=0.0)
+        assert np.isclose(est.stderr, np.std(means, ddof=1) / np.sqrt(chains),
+                          rtol=1e-10, atol=0.0)
+
+    def test_seed_that_missed_by_5_6_stderr(self, k2, unit_params):
+        # contiguous batches of one chain put this seed 5.6 stderr off 1/3
+        m = assemble_droop(k2, unit_params)
+        tau = slowest_time_constant(m)
+        est = white_noise_variance(m, T=200 * tau, seed=245584351)
+        assert abs(est.mean - 1 / 3) <= 5 * est.stderr
+
+    def test_z_scores_over_200_seeds(self, k2, p3, unit_params):
+        # the criterion-7 cases at T = 200 tau: no seed misses by 5 stderr
+        cases = [(assemble_droop(k2, unit_params), 1 / 3),
+                 (assemble_slack(p3, ControllerParams(c=1.0), 0), 0.5)]
+        for m, target in cases:
+            tau = slowest_time_constant(m)
+            z = [(est.mean - target) / est.stderr for est in (
+                white_noise_variance(m, T=200 * tau, seed=seed)
+                for seed in range(200))]
+            assert max(map(abs, z)) <= 5.0
+
+    def test_paper_gain_dapi_path100(self):
+        # 28 steps of tau / 2 at dim 200: the peak is the Van Loan terms
+        # plus at most three noise blocks of NOISE_BLOCK doubles (2.9 MB)
+        net = generate_lattice(1, 100)
+        m = assemble_dapi(net, PAPER)
+        tau = slowest_time_constant(m)
+        tracemalloc.start()
+        try:
+            est = white_noise_variance(m, T=200 * tau, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(est.mean - h2_closed_form_dapi(net, PAPER)) <= 3 * est.stderr
+        assert peak < 4e6
+
+    def test_memory_does_not_grow_with_horizon(self):
+        # 2100 steps in two noise blocks; at the hand-over three blocks of
+        # NOISE_BLOCK doubles (0.5 MiB each) are alive
+        tracemalloc.start()
+        try:
+            white_noise_variance(scalar_model(), T=1e5, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    def test_noise_factor_is_stable(self, monkeypatch):
+        # a 2e-16 relative change in every entry of Q_d (kappa about 7e10
+        # at paper gains) barely moves the seeded estimate
+        m = assemble_dapi(generate_lattice(1, 100), PAPER)
+        tau = slowest_time_constant(m)
+        base = white_noise_variance(m, T=200 * tau, seed=3)
+        exact = simulation.van_loan
+        signs = np.where(stream(0).random((m.dim, m.dim)) < 0.5, -1.0, 1.0)
+        signs = np.triu(signs) + np.triu(signs, 1).T
+
+        def perturbed(a, q, h):
+            phi, q_d = exact(a, q, h)
+            return phi, q_d * (1.0 + 2e-16 * signs)
+        monkeypatch.setattr(simulation, "van_loan", perturbed)
+        moved = white_noise_variance(m, T=200 * tau, seed=3)
+        assert abs(moved.mean / base.mean - 1.0) < 1e-11
+
+    def test_singular_noise_covariance(self):
+        # the noise never reaches the second state: Q_d has no Cholesky
+        # factor
+        m = StateSpaceModel(np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]),
+                            np.eye(2), ("V0", "V1"), "droop")
+        with pytest.raises(errors.SingularSystem, match="Q_d"):
+            white_noise_variance(m, T=100.0)
+
+    @pytest.mark.parametrize("b, h", [(1e200, 1.0), (1.0, 1e200)],
+                             ids=["noise", "output"])
+    def test_overflow(self, b, h):
+        m = StateSpaceModel(np.array([[-1.0]]), np.array([[b]]),
+                            np.array([[h]]), ("V0",), "droop")
+        with pytest.raises(errors.NonFiniteState):
+            white_noise_variance(m, T=100.0)
 
 
 class TestVanLoan:
