@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 computation error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -87,7 +88,11 @@ def _add_common(parser, with_network=True):
                         help="output file prefix")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``run`` of a process (not
+    at import) and reused; ``parse_args`` returns a fresh namespace on
+    every call, so no state carries from one run to the next."""
     top = argparse.ArgumentParser(
         prog="dcgrid", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)

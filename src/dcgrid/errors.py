@@ -9,8 +9,9 @@ class DCGridError(Exception):
 
 class InvalidEdge(DCGridError):
     """Self-loop, duplicate or absent edge, a resistance that is not
-    positive and finite, or a malformed network description (a
-    non-integer index or node count, a missing key, a malformed file)."""
+    positive and finite or whose node's conductance sum overflows, or a
+    malformed network description (a non-integer index or node count, a
+    missing key, a malformed file)."""
 
 
 class IndexOutOfRange(DCGridError):
@@ -37,14 +38,6 @@ class InvalidFuzzRadius(DCGridError):
 
 
 # --- numerics ---
-
-class NotSymmetric(DCGridError):
-    pass
-
-
-class NoConvergence(DCGridError):
-    """Eigensolver failed to converge."""
-
 
 class NotHurwitz(DCGridError):
     """System matrix has an eigenvalue with non-negative real part."""

@@ -7,8 +7,8 @@ finite d-dimensional lattices and their h-fuzzes, and produces their
 its eigenvalues and blocks of L^+ on demand. That spectrum is the
 closed-form Kronecker-sum spectrum when the edges are those of a uniform
 box lattice in row-major node order (:func:`lattice_box`), however the
-network was made, and the dense Laplacian's eigenvalues plus a Cholesky
-solve otherwise.
+network was made, and the dense Laplacian's eigenvalues plus a banded
+Cholesky factor of the Laplacian grounded at node 0 otherwise.
 
 Per-edge work (validation, lattice edges, Laplacian assembly, lattice
 detection) runs on numpy arrays of the edge columns; the one Python
@@ -118,7 +118,9 @@ def build_network(node_count, edge_list) -> Network:
     ``edge_list`` holds (i, j, R) triples, or is an m x 3 array of them;
     each index must be integral (1.0 counts as 1) and ``node_count`` an
     int. Raises InvalidEdge for a malformed list, a non-integer index,
-    self-loops, duplicates or R not in (0, inf), IndexOutOfRange for bad
+    self-loops, duplicates, R not in (0, inf) or a node whose conductances
+    1/R sum past the largest float (its Laplacian row would not be
+    finite), IndexOutOfRange for bad
     node indices, and DisconnectedGraph when the graph does not reach
     every node.
     """
@@ -142,6 +144,12 @@ def build_network(node_count, edge_list) -> Network:
         if bad.any():
             raise error(f"edge ({', '.join(f'{x:g}' for x in arr[bad][0])}) "
                         f"{what}")
+    with np.errstate(over="ignore"):
+        degree = np.bincount(ends.ravel().astype(np.intp),
+                             np.repeat(1.0 / r, 2), node_count)
+    if not np.isfinite(degree).all():
+        raise InvalidEdge(f"node {np.argmin(np.isfinite(degree))}'s "
+                          "conductances 1/R sum past the largest float")
     i, j = np.sort(ends, axis=1).astype(np.intp).T
     order = np.lexsort((j, i))
     i, j, r = i[order], j[order], r[order]

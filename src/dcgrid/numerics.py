@@ -9,8 +9,8 @@ eigenvector matrix is ever formed. It comes from one of two sources:
 :func:`lattice_spectrum`, the Kronecker-sum formula for a uniform box
 lattice (no eigensolve; O(n) work per node of L^+), or
 :func:`laplacian_spectrum`, a dense eigenvalue solve (:func:`eig_sym`)
-and a Cholesky solve for L^+ on any other graph. All routines are pure
-functions.
+and, for L^+, a banded Cholesky factor of L grounded at node 0 on any
+other graph. All routines are pure functions.
 """
 
 from __future__ import annotations
@@ -20,18 +20,12 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, schur
+from scipy.linalg import cho_solve_banded, cholesky_banded, schur
 from scipy.linalg.lapack import dtrsyl
 
-from .errors import (
-    DisconnectedGraph,
-    NoConvergence,
-    NotHurwitz,
-    NotSymmetric,
-    SingularSystem,
-)
+from .errors import DisconnectedGraph, NotHurwitz, SingularSystem
 
-SYMMETRY_RTOL = 1e-12
+BAND_SCAN_ROWS = 256  # rows per mask while the Laplacian's band is found
 
 
 @dataclass(frozen=True)
@@ -61,15 +55,10 @@ class LyapunovSolution:
 
 
 def eig_sym(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending (no eigenvectors)."""
-    mat = np.asarray(mat, dtype=float)
-    scale = np.linalg.norm(mat, ord=np.inf)
-    if scale > 0 and np.abs(mat - mat.T).max() > SYMMETRY_RTOL * scale:
-        raise NotSymmetric("matrix is not symmetric within tolerance")
-    try:
-        return np.linalg.eigvalsh(mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NoConvergence(str(exc)) from exc
+    """Eigenvalues of a symmetric matrix, ascending (no eigenvectors). Only
+    the lower triangle is read; its callers pass ``laplacian`` output,
+    which is symmetric by construction."""
+    return np.linalg.eigvalsh(mat)
 
 
 def _kron_values(sides, conductance: float) -> np.ndarray:
@@ -149,17 +138,82 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> LyapunovSolution:
     return LyapunovSolution(p, residual)
 
 
+def _grounded_band(lap: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L[1:, 1:], L grounded at node 0, in LAPACK lower band storage (row k
+    holds the k-th subdiagonal), and the edges it holds: (rows, cols), the
+    nonzeros below the diagonal. The width b is the largest rows - cols,
+    read off the first nonzero of each row, ``BAND_SCAN_ROWS`` rows at a
+    time so that no m x m mask is made."""
+    red = lap[1:, 1:]
+    m = red.shape[0]
+    width = 0
+    for start in range(0, m, BAND_SCAN_ROWS):
+        first = np.argmax(red[start:start + BAND_SCAN_ROWS] != 0, axis=1)
+        width = max(width, int((start + np.arange(first.size) - first).max()))
+    # Fortran order lets the factor overwrite the band in place
+    band = np.zeros((width + 1, m), order="F")
+    for k in range(width + 1):
+        band[k, :m - k] = red.diagonal(-k)
+    cols, gap = np.nonzero(band[1:].T)  # the C-ordered view scans fastest
+    return band, cols + gap + 1, cols
+
+
+def _grounded_solver(lap: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """solve(rhs) = G rhs for an n x k block, where G is the inverse of L
+    grounded at node 0 padded with zeros at node 0: node 0's row of rhs is
+    dropped going in and zero coming out. One banded Cholesky factor
+    serves every solve; a LinAlgError from it raises DisconnectedGraph.
+    Each solve is refined once against ``product``, which brings it to
+    full precision."""
+    n = lap.shape[0]
+    band, rows, cols = _grounded_band(lap)
+    conductance = -band[rows - cols, cols]
+    to_ground = -lap[1:, 0]  # each node's conductance to node 0
+    try:
+        chol = cholesky_banded(band, overwrite_ab=True, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise DisconnectedGraph(
+            "Laplacian is numerically singular beyond its zero mode"
+        ) from exc
+
+    def product(x):
+        """L[1:, 1:] x for an (n - 1) x k block, summed edge by edge as
+        c_ij (x_i - x_j). The band's diagonal is a rounded sum of
+        conductances, so its rows miss zero sum by a few ulps, an error the
+        grounded solve amplifies (4e-13 in L^+_00 at n = 1024); a residual
+        formed this way does not carry it."""
+        y = to_ground[:, None] * x
+        for column, out in zip(x.T, y.T):
+            flow = conductance * (column[rows] - column[cols])
+            out += (np.bincount(rows, flow, n - 1)
+                    - np.bincount(cols, flow, n - 1))
+        return y
+
+    def solve(rhs):
+        rhs = rhs[1:]
+        z = cho_solve_banded((chol, True), rhs, check_finite=False)
+        out = np.zeros((n, rhs.shape[1]))
+        out[1:] = z + cho_solve_banded((chol, True), rhs - product(z),
+                                       check_finite=False)
+        return out
+
+    return solve
+
+
 def laplacian_spectrum(lap: np.ndarray) -> LaplacianSpectrum:
     """Laplacian spectrum of a connected graph from its dense Laplacian.
 
     The eigenvalues come from :func:`eig_sym`. The graph's connectivity is
     already proven, so the zero mode must pass the scale-invariant test
     |lambda_0| <= n eps lambda_max < lambda_1 (else DisconnectedGraph); it
-    is set to exactly 0.0. Blocks of L^+ come from one Cholesky factor,
-    made on first use: L + s 11^T/n is positive definite with inverse
-    L^+ + 11^T/(s n), and the shift s = tr(L)/n keeps it on L's own scale.
-    R_eff(i, j) is z_i - z_j for the solve z of e_i - e_j, which is
-    orthogonal to 1, so z = L^+ (e_i - e_j) exactly.
+    is set to exactly 0.0. Blocks of L^+ come from the solver of L
+    grounded at node 0 (:func:`_grounded_solver`), made on first use. With
+    G its padded inverse, L^+ = P G P for P = I - 11^T/n, so
+    L^+_ab = G_ab - g_a/n - g_b/n + 1^T g/n^2 for g = G 1, solved once
+    with the factor. R_eff(i, j) is z_i - z_j for z = G (e_i - e_j),
+    since e_i - e_j is orthogonal to 1. No n x n array is made for L^+;
+    the factor holds (b + 1)(n - 1) doubles for bandwidth b.
     """
     lap = np.asarray(lap, dtype=float)
     values = eig_sym(lap)
@@ -169,27 +223,26 @@ def laplacian_spectrum(lap: np.ndarray) -> LaplacianSpectrum:
         raise DisconnectedGraph(
             f"expected exactly one zero eigenvalue, got {values[:2]} against "
             f"the bound {bound}")
-    shift = np.trace(lap) / n
 
     @cache
-    def factor():
-        try:
-            return cho_factor(lap + shift / n)
-        except np.linalg.LinAlgError as exc:
-            raise DisconnectedGraph(
-                "Laplacian is numerically singular beyond its zero mode"
-            ) from exc
+    def grounded():
+        """The grounded solver, and g = G 1 solved with it."""
+        solve = _grounded_solver(lap)
+        return solve, solve(np.ones((n, 1)))[:, 0]
 
     def pinv(nodes):
         nodes = np.asarray(nodes, dtype=np.intp)
+        solve, g = grounded()
         unit = np.zeros((n, nodes.size))
         unit[nodes, np.arange(nodes.size)] = 1.0
-        return cho_solve(factor(), unit)[nodes] - 1.0 / (shift * n)
+        row_mean = g[nodes] / n
+        return (solve(unit)[nodes] - row_mean[:, None] - row_mean[None, :]
+                + g.sum() / n**2)
 
     def reff(i, j):
-        unit = np.zeros(n)
+        unit = np.zeros((n, 1))
         unit[i], unit[j] = 1.0, -1.0
-        z = cho_solve(factor(), unit)
+        z = grounded()[0](unit)[:, 0]
         return float(z[i] - z[j])
 
     return LaplacianSpectrum(np.concatenate(([0.0], values[1:])), pinv, reff)

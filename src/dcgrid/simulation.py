@@ -49,6 +49,11 @@ VAN_LOAN_TERMS = 20  # Taylor terms of van_loan's series at norm <= 1
 WHITE_NOISE_STEP = 0.5  # step in tau
 WARMUP_CONSTANTS = 10.0  # each chain's discarded start in tau
 WHITE_NOISE_CHAINS = 48  # independent chains behind the mean and stderr
+# Kept steps per chain that a horizon may ask for: about a minute at the
+# fastest rate measured, 8.4e4 steps per second on a scalar model (48
+# chains at once, one core of a 2-vCPU x86 machine). A 200-state DAPI
+# model steps at 2e3 per second, so at the budget it takes about 40 min.
+WHITE_NOISE_MAX_STEPS = 5_000_000
 NOISE_BLOCK = 1 << 16  # normal draws held at once (512 KiB)
 
 
@@ -292,15 +297,21 @@ def white_noise_variance(model: StateSpaceModel, T: float, seed: int = 0
     The estimate's samples is the chain count, dt the step h and T the
     horizon averaged, summed over the chains (T rounded to whole steps
     per chain). Only a Hurwitz A has a steady state (else NotHurwitz);
-    T must be finite and hold at least one step per chain (else
-    StepTooLarge); Q_d must have a Cholesky factor (else SingularSystem).
+    T must be finite and hold at least one step per chain, and at most
+    ``WHITE_NOISE_MAX_STEPS`` (else StepTooLarge, before any stepping);
+    Q_d must have a Cholesky factor (else SingularSystem).
     """
     tau = slowest_time_constant(model)
     chains = WHITE_NOISE_CHAINS
     h = WHITE_NOISE_STEP * tau
     if not (np.isfinite(T) and T > 0):
         raise StepTooLarge(f"horizon T={T} must be positive and finite")
-    kept = int(round(T / (chains * h)))
+    per_chain = T / (chains * h)
+    if not per_chain <= WHITE_NOISE_MAX_STEPS:
+        raise StepTooLarge(f"horizon T={T} needs {per_chain:.3g} steps h={h} "
+                           f"per chain, past the budget of "
+                           f"{WHITE_NOISE_MAX_STEPS}")
+    kept = int(round(per_chain))
     if kept < 1:
         raise StepTooLarge(f"horizon T={T} holds less than one step h={h} "
                            f"for each of {chains} chains")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dcgrid import numerics
+from dcgrid import cli, numerics
 from dcgrid.cli import run
 
 
@@ -255,6 +255,39 @@ class TestErrors:
         assert not (tmp_path / "x_meta.json").exists()
 
 
+class TestRepeatedRuns:
+    """The parser is built once per process; successive runs share it but
+    no parsed state."""
+
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_option_does_not_carry_over(self, capsys, tmp_path):
+        _, wide = run_json(["h2", "--gen", "path:10", "--c", "2"], capsys)
+        _, plain = run_json(["h2", "--gen", "path:10"], capsys)
+        assert np.isclose(wide["h2_slack"], 4.5)
+        assert np.isclose(plain["h2_slack"], 2.25e-3)
+        meta = json.loads((tmp_path / "dcgrid_run_meta.json").read_text())
+        assert meta["config"]["c"] == 1e-3
+
+    def test_subcommand_options_do_not_carry_over(self, capsys, tmp_path):
+        assert run(["resist", "--gen", "path:5", "--pair", "0,4"]) == 0
+        capsys.readouterr()
+        _, doc = run_json(["resist", "--gen", "path:5"], capsys)
+        assert "pair" not in doc
+        meta = json.loads((tmp_path / "dcgrid_run_meta.json").read_text())
+        assert meta["config"]["pair"] is None
+
+    @pytest.mark.parametrize("bad", [["h2"], ["h2", "--gen", "path:5",
+                                              "--c", "x"], ["frobnicate"]])
+    def test_usage_error_does_not_poison_next_run(self, bad, capsys):
+        assert run(bad) == 2
+        capsys.readouterr()
+        code, doc = run_json(["h2", "--gen", "path:10"], capsys)
+        assert code == 0
+        assert np.isclose(doc["h2_slack"], 2.25e-3)
+
+
 class TestBoundaries:
     """Each bad input exits 1 or 2 with no traceback and no _meta.json."""
 
@@ -266,6 +299,9 @@ class TestBoundaries:
         ["sim", "--gen", "path:4", "--kind", "dapi", "--k", "1e-300",
          "--gamma", "1e300"],
         ["sim", "--gen", "path:4", "--c", "1e308", "--resistance", "1e20"],
+        # a conductance 1/R past the largest float, on both spectrum routes
+        ["h2", "--gen", "path:4", "--resistance", "1e-320"],
+        ["h2", "--gen", "fuzz:2:path:5", "--resistance", "1e-320"],
     ])
     def test_computation_error(self, argv, capsys, tmp_path):
         assert run(argv + ["--out", "x"]) == 1

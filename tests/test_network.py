@@ -40,6 +40,14 @@ class TestBuildNetwork:
         with pytest.raises(errors.InvalidEdge):
             build_network(2, [(0, 1, 1.0), (1, 0, 2.0)])
 
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 1.0), (1, 2, 1e-320)],  # 1/R overflows
+        [(0, 1, 1e-308), (1, 2, 1e-308)],  # node 1's sum 2e308 overflows
+    ])
+    def test_conductance_overflow(self, edges):
+        with pytest.raises(errors.InvalidEdge, match="largest float"):
+            build_network(3, edges)
+
     def test_nonpositive_resistance(self):
         with pytest.raises(errors.InvalidEdge):
             build_network(2, [(0, 1, 0.0)])

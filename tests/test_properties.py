@@ -1,7 +1,7 @@
 """Property-based invariants over randomly generated connected networks."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcgrid.network import (
@@ -111,16 +111,19 @@ def test_reduced_spectrum_interlaces(net, data):
 
 
 @given(connected_networks(n_max=6), positive_params)
+@example(build_network(2, [(0, 1, 0.25)]),
+         ControllerParams(c=8.0, k_p=0.01, k=0.1, gamma=755.5))
 @settings(max_examples=25, deadline=None)
 def test_closed_forms_match_lyapunov(net, params):
-    slack = assemble_slack(net, params, ground=0)
-    droop = assemble_droop(net, params)
-    dapi = assemble_dapi(net, params)
-    tol = 1e-6
-    assert abs(h2_lyapunov(slack)
-               - h2_closed_form_slack(net, params, 0)) <= tol
-    assert abs(h2_lyapunov(droop) - h2_closed_form_droop(net, params)) <= tol
-    assert abs(h2_lyapunov(dapi) - h2_closed_form_dapi(net, params)) <= tol
+    # relative, as criterion 1 bounds the oracle: H2 values here reach
+    # about 500, and the pinned draw's DAPI oracle (H2 = 200) is off by
+    # 5.3e-9 relative from cond(A), its closed form by 9e-18 (mpmath)
+    pairs = [(assemble_slack(net, params, ground=0),
+              h2_closed_form_slack(net, params, 0)),
+             (assemble_droop(net, params), h2_closed_form_droop(net, params)),
+             (assemble_dapi(net, params), h2_closed_form_dapi(net, params))]
+    for model, closed in pairs:
+        assert abs(h2_lyapunov(model) - closed) <= 1e-6 * closed
 
 
 @given(connected_networks(), positive_params)

@@ -304,6 +304,22 @@ class TestWhiteNoise:
         with pytest.raises(errors.StepTooLarge):
             white_noise_variance(m, T=0.1)
 
+    @pytest.mark.parametrize("budgets", [1.01, 1e290])
+    def test_horizon_past_step_budget(self, budgets, monkeypatch):
+        # tau = 1, so T holds `budgets` times the budgeted steps per chain
+        # (1e290 makes T = 1.2e298); it is refused before the step matrices
+        # are even made
+        T = budgets * (simulation.WHITE_NOISE_MAX_STEPS
+                       * simulation.WHITE_NOISE_CHAINS
+                       * simulation.WHITE_NOISE_STEP)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("van_loan ran past the step budget")
+
+        monkeypatch.setattr(simulation, "van_loan", refuse)
+        with pytest.raises(errors.StepTooLarge, match="budget"):
+            white_noise_variance(scalar_model(), T=T)
+
     def test_reports_chains_step_and_horizon(self):
         # tau = 1: T = 4000 is 4000 / (chains h) steps per chain, rounded
         est = white_noise_variance(scalar_model(), T=4000.0, seed=5)
