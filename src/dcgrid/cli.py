@@ -71,21 +71,25 @@ def _params(args, c=None) -> systems.ControllerParams:
         raise UsageError(str(exc)) from exc
 
 
-def _add_common(parser, with_network=True):
-    if with_network:
-        parser.add_argument("--gen", required=True,
-                            help="network spec (path:N, grid2:MxM, "
-                                 "grid3:MxMxM, fuzz:h:<base>, file:<path>)")
-        parser.add_argument("--resistance", type=float,
-                            default=PAPER_DEFAULTS["resistance"])
-    parser.add_argument("--c", type=float, default=PAPER_DEFAULTS["c"])
-    parser.add_argument("--kp", type=float, default=PAPER_DEFAULTS["kp"])
-    parser.add_argument("--k", type=float, default=PAPER_DEFAULTS["k"])
-    parser.add_argument("--gamma", type=float, default=PAPER_DEFAULTS["gamma"])
-    parser.add_argument("--ground", type=int, default=0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="dcgrid_run",
-                        help="output file prefix")
+# shared options; each subcommand takes only those it reads
+_OPTIONS = {
+    "gen": {"required": True,
+            "help": "network spec (path:N, grid2:MxM, grid3:MxMxM, "
+                    "fuzz:h:<base>, file:<path>)"},
+    "resistance": {"type": float, "default": PAPER_DEFAULTS["resistance"]},
+    "c": {"type": float, "default": PAPER_DEFAULTS["c"]},
+    "kp": {"type": float, "default": PAPER_DEFAULTS["kp"]},
+    "k": {"type": float, "default": PAPER_DEFAULTS["k"]},
+    "gamma": {"type": float, "default": PAPER_DEFAULTS["gamma"]},
+    "ground": {"type": int, "default": 0},
+    "seed": {"type": int, "default": 0},
+    "out": {"default": "dcgrid_run", "help": "output file prefix"},
+}
+
+
+def _add_options(parser, names: str) -> None:
+    for name in names.split():
+        parser.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 @functools.cache
@@ -99,29 +103,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a network file")
-    _add_common(p)
+    _add_options(p, "gen resistance out")
     p.add_argument("--format", choices=("json", "edges"), default="json")
 
     p = sub.add_parser("h2", help="closed-form squared H2 norms")
-    _add_common(p)
+    _add_options(p, "gen resistance c kp k gamma ground out")
 
     p = sub.add_parser("compare", help="controller comparison report")
-    _add_common(p)
+    _add_options(p, "gen resistance c kp k gamma ground out")
 
     p = sub.add_parser("sweep", help="scaling sweep over network sizes")
-    _add_common(p, with_network=False)
+    _add_options(p, "resistance c kp k gamma ground out")
     p.add_argument("--family", choices=resistance.FAMILIES, required=True)
     p.add_argument("--sizes", required=True,
                    help="comma-separated ascending sizes")
-    p.add_argument("--resistance", type=float,
-                   default=PAPER_DEFAULTS["resistance"])
 
     p = sub.add_parser("resist", help="effective resistance indices")
-    _add_common(p)
+    _add_options(p, "gen resistance out")
     p.add_argument("--pair", help="i,j node pair for a single resistance")
 
     p = sub.add_parser("sim", help="simulate one controller run")
-    _add_common(p)
+    _add_options(p, "gen resistance c kp k gamma ground seed out")
     p.add_argument("--kind", choices=("slack", "droop", "dapi"),
                    default="slack")
     p.add_argument("--T", type=float, default=30.0)
@@ -133,10 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "first 10)")
 
     p = sub.add_parser("fig2", help="radial-network trajectory study")
-    _add_common(p, with_network=False)
+    _add_options(p, "resistance kp k gamma ground seed out")
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--resistance", type=float,
-                   default=PAPER_DEFAULTS["resistance"])
     p.add_argument("--T", type=float, default=30.0,
                    help="horizon in seconds for the 1 mF variant")
     p.add_argument("--rows", type=int, default=1500,

@@ -9,9 +9,9 @@ class DCGridError(Exception):
 
 class InvalidEdge(DCGridError):
     """Self-loop, duplicate or absent edge, a resistance that is not
-    positive and finite or whose node's conductance sum overflows, or a
-    malformed network description (a non-integer index or node count, a
-    missing key, a malformed file)."""
+    positive and finite or whose node's conductance sum, doubled,
+    overflows, or a malformed network description (a non-integer index or
+    node count, a missing key, a malformed file)."""
 
 
 class IndexOutOfRange(DCGridError):
@@ -76,7 +76,3 @@ class StepTooLarge(DCGridError):
 
 class NonFiniteState(DCGridError):
     """A system matrix or a trajectory holds non-finite values."""
-
-
-class TruncationNotConverged(DCGridError):
-    """Monte Carlo horizon hit T_max with the trajectory tail still large."""

@@ -10,10 +10,12 @@ box lattice in row-major node order (:func:`lattice_box`), however the
 network was made, and the dense Laplacian's eigenvalues plus a banded
 Cholesky factor of the Laplacian grounded at node 0 otherwise.
 
-Per-edge work (validation, lattice edges, Laplacian assembly, lattice
-detection) runs on numpy arrays of the edge columns; the one Python
-loop is the breadth-first search behind the connectivity check and the
-h-fuzz.
+A network keeps its validated edges as two read-only arrays, the
+endpoints and the resistances, and every per-edge step (validation,
+lattice edges, Laplacian assembly, lattice detection, the grounded band)
+runs on them; (i, j, R) tuples are made only on request (``edges``). The
+one Python loop is the breadth-first search behind the connectivity
+check and the h-fuzz.
 """
 
 from __future__ import annotations
@@ -36,21 +38,41 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """Undirected weighted resistor network.
 
-    ``edges`` holds (i, j, R) triples with i < j, sorted, resistances in
-    ohms; they alone decide the network, its equality and its spectrum.
-    Instances are validated by :func:`build_network` and immutable.
+    ``ends`` is the m x 2 intp array of edge endpoints (i, j), i < j,
+    sorted, and ``resistance`` the m edge resistances in ohms; both are
+    read-only and alone decide the network, its equality, its hash and
+    its spectrum. Instances are validated by :func:`build_network`.
     """
 
     node_count: int
-    edges: tuple[tuple[int, int, float], ...]
+    ends: np.ndarray
+    resistance: np.ndarray
+
+    def __post_init__(self):
+        self.ends.flags.writeable = False
+        self.resistance.flags.writeable = False
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """(i, j, R) tuples of Python numbers, built on each access."""
+        return tuple(zip(*self.ends.T.tolist(), self.resistance.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.resistance)
+
+    def _key(self):
+        return self.node_count, self.ends.tobytes(), self.resistance.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, Network) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def spectrum(self) -> numerics.LaplacianSpectrum:
@@ -62,17 +84,9 @@ class Network:
         """
         box = lattice_box(self)
         if box is None:
-            return numerics.laplacian_spectrum(laplacian(self))
+            return numerics.laplacian_spectrum(laplacian(self), self.ends,
+                                               self.resistance)
         return numerics.lattice_spectrum(*box)
-
-
-def _columns(edges):
-    """Endpoint index arrays and resistance array of (i, j, R) triples."""
-    # one list per column converts about twice as fast as one m x 3 array
-    m = len(edges)
-    return (np.fromiter([e[0] for e in edges], np.intp, m),
-            np.fromiter([e[1] for e in edges], np.intp, m),
-            np.fromiter([e[2] for e in edges], float, m))
 
 
 def _adjacency(n: int, i: np.ndarray, j: np.ndarray):
@@ -119,10 +133,10 @@ def build_network(node_count, edge_list) -> Network:
     each index must be integral (1.0 counts as 1) and ``node_count`` an
     int. Raises InvalidEdge for a malformed list, a non-integer index,
     self-loops, duplicates, R not in (0, inf) or a node whose conductances
-    1/R sum past the largest float (its Laplacian row would not be
-    finite), IndexOutOfRange for bad
-    node indices, and DisconnectedGraph when the graph does not reach
-    every node.
+    1/R sum past half the largest float (the Laplacian's eigenvalues,
+    at most twice the largest such sum, would not be finite),
+    IndexOutOfRange for bad node indices, and DisconnectedGraph when the
+    graph does not reach every node.
     """
     if not isinstance(node_count, (int, np.integer)) or node_count < 2:
         raise InvalidEdge(
@@ -147,22 +161,22 @@ def build_network(node_count, edge_list) -> Network:
     with np.errstate(over="ignore"):
         degree = np.bincount(ends.ravel().astype(np.intp),
                              np.repeat(1.0 / r, 2), node_count)
-    if not np.isfinite(degree).all():
-        raise InvalidEdge(f"node {np.argmin(np.isfinite(degree))}'s "
-                          "conductances 1/R sum past the largest float")
-    i, j = np.sort(ends, axis=1).astype(np.intp).T
-    order = np.lexsort((j, i))
-    i, j, r = i[order], j[order], r[order]
-    duplicate = (i[1:] == i[:-1]) & (j[1:] == j[:-1])
+        finite = np.isfinite(2.0 * degree)  # lambda_max <= 2 max degree
+    if not finite.all():
+        raise InvalidEdge(f"node {np.argmin(finite)}'s conductances 1/R "
+                          "sum past half the largest float")
+    ends = np.sort(ends, axis=1).astype(np.intp)
+    order = np.lexsort(ends.T[::-1])
+    ends, r = ends[order], r[order]
+    duplicate = (ends[1:] == ends[:-1]).all(axis=1)
     if duplicate.any():
         k = np.argmax(duplicate)
-        raise InvalidEdge(f"duplicate edge ({i[k]}, {j[k]})")
-    reached = _bfs(_adjacency(node_count, i, j), 0, node_count)
+        raise InvalidEdge(f"duplicate edge {tuple(ends[k].tolist())}")
+    reached = _bfs(_adjacency(node_count, *ends.T), 0, node_count)
     if len(reached) != node_count - 1:
         raise DisconnectedGraph(
             f"graph on {node_count} nodes is not connected")
-    edges = tuple(zip(i.tolist(), j.tolist(), r.tolist()))
-    return Network(node_count, edges)
+    return Network(node_count, ends, r)
 
 
 def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
@@ -209,8 +223,7 @@ def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Networ
     if not r_fuzz > 0:
         raise InvalidEdge(f"fuzz resistance must be positive, got {r_fuzz}")
 
-    i, j, _ = _columns(base.edges)
-    adj = _adjacency(base.node_count, i, j)
+    adj = _adjacency(base.node_count, *base.ends.T)
     edges = [(u, v, existing.get((u, v), r_fuzz))
              for u in range(base.node_count) for v in _bfs(adj, u, h) if u < v]
     return build_network(base.node_count, edges)
@@ -228,12 +241,10 @@ def lattice_box(net: Network) -> tuple[tuple[int, ...], float] | None:
     must be the box's; with no duplicates, the edges are then the box's.
     A side of 1 adds no edge, so it is not reported.
     """
-    r0 = net.edges[0][2]
-    if net.edges[-1][2] != r0:  # O(1) exit for most other graphs
+    r0 = float(net.resistance[0])
+    if (net.resistance != r0).any():
         return None
-    i, j, r = _columns(net.edges)
-    if (r != r0).any():
-        return None
+    i, j = net.ends.T
     n = net.node_count
     gap = j - i
     strides = np.unique(gap).tolist()
@@ -267,9 +278,9 @@ def laplacian(net: Network) -> np.ndarray:
     """Weighted graph Laplacian with conductance (1/R) edge weights; dense,
     so InvalidSize beyond ``DENSE_MAX_NODES`` buses."""
     require_dense(net.node_count)
-    i, j, r = _columns(net.edges)
+    i, j = net.ends.T
     lap = np.zeros((net.node_count, net.node_count))
-    lap[i, j] = lap[j, i] = -1.0 / r
+    lap[i, j] = lap[j, i] = -1.0 / net.resistance
     np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap
 

@@ -9,8 +9,9 @@ eigenvector matrix is ever formed. It comes from one of two sources:
 :func:`lattice_spectrum`, the Kronecker-sum formula for a uniform box
 lattice (no eigensolve; O(n) work per node of L^+), or
 :func:`laplacian_spectrum`, a dense eigenvalue solve (:func:`eig_sym`)
-and, for L^+, a banded Cholesky factor of L grounded at node 0 on any
-other graph. All routines are pure functions.
+and, for L^+, a banded Cholesky factor of L grounded at node 0, built
+from the graph's edge arrays, on any other graph. All routines are pure
+functions.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from scipy.linalg import cho_solve_banded, cholesky_banded, schur
 from scipy.linalg.lapack import dtrsyl
 
 from .errors import DisconnectedGraph, NotHurwitz, SingularSystem
-
-BAND_SCAN_ROWS = 256  # rows per mask while the Laplacian's band is found
-
 
 @dataclass(frozen=True)
 class LaplacianSpectrum:
@@ -138,38 +136,28 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> LyapunovSolution:
     return LyapunovSolution(p, residual)
 
 
-def _grounded_band(lap: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """L[1:, 1:], L grounded at node 0, in LAPACK lower band storage (row k
-    holds the k-th subdiagonal), and the edges it holds: (rows, cols), the
-    nonzeros below the diagonal. The width b is the largest rows - cols,
-    read off the first nonzero of each row, ``BAND_SCAN_ROWS`` rows at a
-    time so that no m x m mask is made."""
-    red = lap[1:, 1:]
-    m = red.shape[0]
-    width = 0
-    for start in range(0, m, BAND_SCAN_ROWS):
-        first = np.argmax(red[start:start + BAND_SCAN_ROWS] != 0, axis=1)
-        width = max(width, int((start + np.arange(first.size) - first).max()))
-    # Fortran order lets the factor overwrite the band in place
-    band = np.zeros((width + 1, m), order="F")
-    for k in range(width + 1):
-        band[k, :m - k] = red.diagonal(-k)
-    cols, gap = np.nonzero(band[1:].T)  # the C-ordered view scans fastest
-    return band, cols + gap + 1, cols
-
-
-def _grounded_solver(lap: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _grounded_solver(diagonal: np.ndarray, ends: np.ndarray,
+                     resistance: np.ndarray
+                     ) -> Callable[[np.ndarray], np.ndarray]:
     """solve(rhs) = G rhs for an n x k block, where G is the inverse of L
     grounded at node 0 padded with zeros at node 0: node 0's row of rhs is
-    dropped going in and zero coming out. One banded Cholesky factor
-    serves every solve; a LinAlgError from it raises DisconnectedGraph.
-    Each solve is refined once against ``product``, which brings it to
-    full precision."""
-    n = lap.shape[0]
-    band, rows, cols = _grounded_band(lap)
-    conductance = -band[rows - cols, cols]
-    to_ground = -lap[1:, 0]  # each node's conductance to node 0
+    dropped going in and zero coming out. L is given by its diagonal and
+    its edges (m x 2 endpoints i < j, and resistances). One banded
+    Cholesky factor of L[1:, 1:] in LAPACK lower band storage (row k holds
+    the k-th subdiagonal, so the width is the largest j - i of an edge
+    off node 0) serves every solve; a LinAlgError from it raises
+    DisconnectedGraph. Each solve is refined once against ``product``,
+    which brings it to full precision."""
+    n = diagonal.size
+    off_ground = ends[:, 0] > 0
+    cols, rows = (ends[off_ground] - 1).T  # grounded indices, rows > cols
+    conductance = 1.0 / resistance[off_ground]
+    to_ground = np.zeros(n - 1)  # each node's conductance to node 0
+    to_ground[ends[~off_ground, 1] - 1] = 1.0 / resistance[~off_ground]
+    # Fortran order lets the factor overwrite the band in place
+    band = np.zeros(((rows - cols).max(initial=0) + 1, n - 1), order="F")
+    band[0] = diagonal[1:]
+    band[rows - cols, cols] = -conductance
     try:
         chol = cholesky_banded(band, overwrite_ab=True, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -201,19 +189,24 @@ def _grounded_solver(lap: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
-def laplacian_spectrum(lap: np.ndarray) -> LaplacianSpectrum:
-    """Laplacian spectrum of a connected graph from its dense Laplacian.
+def laplacian_spectrum(lap: np.ndarray, ends: np.ndarray,
+                       resistance: np.ndarray) -> LaplacianSpectrum:
+    """Laplacian spectrum of a connected graph from its dense Laplacian
+    and the edges it was built from: m x 2 endpoints i < j and their
+    resistances.
 
     The eigenvalues come from :func:`eig_sym`. The graph's connectivity is
     already proven, so the zero mode must pass the scale-invariant test
     |lambda_0| <= n eps lambda_max < lambda_1 (else DisconnectedGraph); it
     is set to exactly 0.0. Blocks of L^+ come from the solver of L
-    grounded at node 0 (:func:`_grounded_solver`), made on first use. With
-    G its padded inverse, L^+ = P G P for P = I - 11^T/n, so
-    L^+_ab = G_ab - g_a/n - g_b/n + 1^T g/n^2 for g = G 1, solved once
-    with the factor. R_eff(i, j) is z_i - z_j for z = G (e_i - e_j),
-    since e_i - e_j is orthogonal to 1. No n x n array is made for L^+;
-    the factor holds (b + 1)(n - 1) doubles for bandwidth b.
+    grounded at node 0 (:func:`_grounded_solver`), made on first use from
+    the edges and ``lap``'s diagonal, the same rounded row sums that the
+    eigenvalues see. With G its padded inverse, L^+ = P G P for
+    P = I - 11^T/n, so L^+_ab = G_ab - g_a/n - g_b/n + 1^T g/n^2 for
+    g = G 1, solved once with the factor. R_eff(i, j) is z_i - z_j for
+    z = G (e_i - e_j), since e_i - e_j is orthogonal to 1. No n x n array
+    is made for L^+; the factor holds (b + 1)(n - 1) doubles for
+    bandwidth b.
     """
     lap = np.asarray(lap, dtype=float)
     values = eig_sym(lap)
@@ -227,7 +220,7 @@ def laplacian_spectrum(lap: np.ndarray) -> LaplacianSpectrum:
     @cache
     def grounded():
         """The grounded solver, and g = G 1 solved with it."""
-        solve = _grounded_solver(lap)
+        solve = _grounded_solver(lap.diagonal(), ends, resistance)
         return solve, solve(np.ones((n, 1)))[:, 0]
 
     def pinv(nodes):

@@ -84,7 +84,7 @@ def rayleigh_check(net: Network, edge: tuple[int, int],
     i, j = min(edge), max(edge)
     before = reff_matrix(net)
     kept = [(a, b, r) for a, b, r in net.edges if (a, b) != (i, j)]
-    if len(kept) == len(net.edges):
+    if len(kept) == net.edge_count:
         raise InvalidEdge(f"edge {edge} not present in network")
     if new_resistance is None:
         try:

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -239,6 +240,41 @@ class TestFig2:
             assert header.startswith("t,V_")
 
 
+class TestOptions:
+    """Each subcommand accepts exactly the options it reads, so no option
+    is settable without effect."""
+
+    EXPECTED = {
+        "gen": "gen resistance out format",
+        "h2": "gen resistance c kp k gamma ground out",
+        "compare": "gen resistance c kp k gamma ground out",
+        "sweep": "resistance c kp k gamma ground out family sizes",
+        "resist": "gen resistance out pair",
+        "sim": "gen resistance c kp k gamma ground seed out kind T dt mode "
+               "buses",
+        "fig2": "resistance kp k gamma ground seed out n T rows",
+    }
+
+    def test_option_sets(self):
+        (commands,) = [a.choices for a in cli._build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        got = {name: {a.dest for a in parser._actions if a.dest != "help"}
+               for name, parser in commands.items()}
+        assert got == {name: set(dests.split())
+                       for name, dests in self.EXPECTED.items()}
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--gen", "path:4", "--c", "5"],
+        ["resist", "--gen", "path:4", "--ground", "9"],
+        ["h2", "--gen", "path:4", "--seed", "1"],
+        ["sweep", "--family", "path", "--sizes", "3,4", "--seed", "1"],
+        ["fig2", "--n", "3", "--c", "1"],
+    ])
+    def test_unread_option_is_usage_error(self, argv, tmp_path):
+        assert run(argv) == 2
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestErrors:
     def test_unknown_generator_is_usage_error(self):
         assert run(["h2", "--gen", "torus:5"]) == 2
@@ -302,6 +338,9 @@ class TestBoundaries:
         # a conductance 1/R past the largest float, on both spectrum routes
         ["h2", "--gen", "path:4", "--resistance", "1e-320"],
         ["h2", "--gen", "fuzz:2:path:5", "--resistance", "1e-320"],
+        # a conductance sum below the largest float whose double is not,
+        # past the bound 2 d_max on the largest eigenvalue
+        ["h2", "--gen", "grid3:3x3x3", "--resistance", "4e-308"],
     ])
     def test_computation_error(self, argv, capsys, tmp_path):
         assert run(argv + ["--out", "x"]) == 1

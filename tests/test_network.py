@@ -28,6 +28,19 @@ class TestBuildNetwork:
         net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)])
         assert net.edge_count == 2
 
+    def test_edge_arrays(self):
+        net = build_network(4, [(3, 2, 0.5), (1, 0, 2.0), (0, 2, 1.0)])
+        assert net.ends.dtype == np.intp
+        assert net.ends.tolist() == [[0, 1], [0, 2], [2, 3]]
+        assert net.resistance.tolist() == [2.0, 1.0, 0.5]
+        assert net != build_network(4, [(3, 2, 0.5), (1, 0, 2.0),
+                                        (0, 2, 1.5)])
+
+    @pytest.mark.parametrize("field", ["ends", "resistance"])
+    def test_edge_arrays_read_only(self, p3, field):
+        with pytest.raises(ValueError):
+            getattr(p3, field)[0] = 0
+
     def test_disconnected(self):
         with pytest.raises(errors.DisconnectedGraph):
             build_network(3, [(0, 1, 1.0)])
@@ -43,6 +56,8 @@ class TestBuildNetwork:
     @pytest.mark.parametrize("edges", [
         [(0, 1, 1.0), (1, 2, 1e-320)],  # 1/R overflows
         [(0, 1, 1e-308), (1, 2, 1e-308)],  # node 1's sum 2e308 overflows
+        # node 1's sum 1e308 is finite, but not 2e308, which bounds lambda_max
+        [(0, 1, 1.0), (1, 2, 1e-308)],
     ])
     def test_conductance_overflow(self, edges):
         with pytest.raises(errors.InvalidEdge, match="largest float"):

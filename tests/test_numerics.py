@@ -136,44 +136,53 @@ class TestSolveLyapunov:
         assert np.array_equal(sol.P, sol.P.T)
 
 
-def _pinv(lap):
-    return laplacian_spectrum(lap).pinv(np.arange(len(lap)))
+def _spectrum(net):
+    """The dense route's spectrum, even on a box lattice."""
+    return laplacian_spectrum(laplacian(net), net.ends, net.resistance)
+
+
+def _pinv(lap, ends, resistance):
+    return laplacian_spectrum(lap, ends, resistance).pinv(np.arange(len(lap)))
 
 
 class TestPinvLaplacian:
     def test_k2_closed_form(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
         expected = 0.25 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert np.allclose(_pinv(lap), expected)
+        assert np.allclose(_pinv(lap, np.array([[0, 1]]), np.ones(1)),
+                           expected)
 
     def test_pseudoinverse_property_p3(self):
-        lap = laplacian(build_network(3, [(0, 1, 1.0), (1, 2, 1.0)]))
-        pinv = _pinv(lap)
+        net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        lap = laplacian(net)
+        pinv = _pinv(lap, net.ends, net.resistance)
         assert np.linalg.norm(lap @ pinv @ lap - lap) <= 1e-10
         assert np.linalg.norm(pinv @ lap @ pinv - pinv) <= 1e-10
 
     def test_p3_series_resistance(self):
-        lap = laplacian(build_network(3, [(0, 1, 1.0), (1, 2, 1.0)]))
+        net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0)])
         e = np.array([1.0, 0.0, -1.0])
-        assert np.isclose(e @ _pinv(lap) @ e, 2.0)
+        pinv = _pinv(laplacian(net), net.ends, net.resistance)
+        assert np.isclose(e @ pinv @ e, 2.0)
 
     def test_disconnected_rejected(self):
         lap = np.array([[1.0, -1, 0, 0], [-1, 1, 0, 0],
                         [0, 0, 1, -1], [0, 0, -1, 1]])
         with pytest.raises(errors.DisconnectedGraph):
-            _pinv(lap)
+            _pinv(lap, np.array([[0, 1], [2, 3]]), np.ones(2))
 
 
 class TestLaplacianSpectrum:
     def test_zero_mode_set_exactly(self):
-        lap = laplacian(build_network(3, [(0, 1, 0.3), (1, 2, 0.7)]))
-        spec = laplacian_spectrum(lap)
+        net = build_network(3, [(0, 1, 0.3), (1, 2, 0.7)])
+        spec = _spectrum(net)
         assert spec.values[0] == 0.0
-        assert np.array_equal(spec.values[1:], eig_sym(lap)[1:])
+        assert np.array_equal(spec.values[1:], eig_sym(laplacian(net))[1:])
 
     def test_no_zero_mode_rejected(self):
         with pytest.raises(errors.DisconnectedGraph):
-            laplacian_spectrum(np.diag([1.0, 2.0]))
+            laplacian_spectrum(np.diag([1.0, 2.0]), np.empty((0, 2), np.intp),
+                               np.empty(0))
 
 
 def _exact_pinv_diagonal(net, node):
@@ -222,9 +231,8 @@ class TestGroundedBand:
 
     def test_pinv_and_reff_match_dense_pinv(self):
         for net in self._nets():
-            lap = laplacian(net)
-            ref = np.linalg.pinv(lap)
-            spec = laplacian_spectrum(lap)
+            ref = np.linalg.pinv(laplacian(net))
+            spec = _spectrum(net)
             n = net.node_count
             scale = np.abs(ref).max()
             assert np.abs(spec.pinv(np.arange(n)) - ref).max() <= 1e-10 * scale
@@ -241,7 +249,7 @@ class TestGroundedBand:
         # solve miss L^+_00 by 3e-13 here (grounding at node 0 leaves the
         # smallest eigenvalue at 3.4e-5, 4x below lambda_1)
         net = generate_hfuzz(generate_lattice(1, 1000), 3)
-        got = laplacian_spectrum(laplacian(net)).pinv([node])[0, 0]
+        got = _spectrum(net).pinv([node])[0, 0]
         exact = _exact_pinv_diagonal(net, node)
         assert abs(got - exact) <= 1e-14 * exact
 

@@ -215,8 +215,6 @@ class TestMonteCarloH2:
         m = assemble_droop(k2, unit_params)
         est = monte_carlo_h2(m, samples=10, t_max=0.05)
         assert not est.converged
-        with pytest.raises(errors.TruncationNotConverged):
-            monte_carlo_h2(m, samples=10, t_max=0.05, strict=True)
 
     def test_stiff_dapi_runs_fast(self, paper_params):
         # 1 mF capacitances make the DAPI system stiff; the chunked
@@ -265,8 +263,6 @@ class TestMonteCarloH2:
         assert not est.converged
         assert est.dt == 10.0 * tau
         assert est.T == 5 * est.dt
-        with pytest.raises(errors.TruncationNotConverged):
-            monte_carlo_h2(m, samples=10, seed=1, strict=True)
 
     def test_horizon_rounds_up_to_whole_chunks(self):
         m = self._transient_model()
