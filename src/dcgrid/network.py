@@ -7,15 +7,17 @@ finite d-dimensional lattices and their h-fuzzes, and produces their
 its eigenvalues and blocks of L^+ on demand. That spectrum is the
 closed-form Kronecker-sum spectrum when the edges are those of a uniform
 box lattice in row-major node order (:func:`lattice_box`), however the
-network was made, and the dense Laplacian's eigenvalues plus a banded
-Cholesky factor of the Laplacian grounded at node 0 otherwise.
+network was made, and the dense Laplacian's eigenvalues (split into two
+half-size solves when the edges are their own mirror image) plus a
+banded Cholesky factor of the Laplacian grounded at node 0 otherwise.
 
 A network keeps its validated edges as two read-only arrays, the
 endpoints and the resistances, and every per-edge step (validation,
 lattice edges, Laplacian assembly, lattice detection, the grounded band)
 runs on them; (i, j, R) tuples are made only on request (``edges``). The
-one Python loop is the breadth-first search behind the connectivity
-check and the h-fuzz.
+h-fuzz gathers its node pairs by h rounds of numpy frontier expansion.
+The one Python loop is the breadth-first search behind the connectivity
+check.
 """
 
 from __future__ import annotations
@@ -80,7 +82,9 @@ class Network:
         L^+ on demand, computed on first use and shared thereafter.
 
         A uniform box lattice (see :func:`lattice_box`) gets the analytic
-        Kronecker-sum spectrum, any other graph the dense route.
+        Kronecker-sum spectrum, any other graph the dense route, whose
+        eigensolve splits into two half-size ones when the edges are their
+        own mirror image under i -> n - 1 - i (every h-fuzz of a box).
         """
         box = lattice_box(self)
         if box is None:
@@ -90,17 +94,17 @@ class Network:
 
 
 def _adjacency(n: int, i: np.ndarray, j: np.ndarray):
-    """Compressed adjacency of the undirected edges (i, j) as Python lists:
+    """Compressed adjacency of the undirected edges (i, j) as intp arrays:
     node u's neighbours are ``nbr[ptr[u]:ptr[u + 1]]``."""
     ptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(np.concatenate((i, j)), minlength=n), out=ptr[1:])
     order = np.argsort(np.concatenate((i, j)), kind="stable")
-    return ptr.tolist(), np.concatenate((j, i))[order].tolist()
+    return ptr, np.concatenate((j, i))[order]
 
 
 def _bfs(adj, source: int, radius: int) -> list[int]:
     """Nodes at 1 to ``radius`` hops from ``source``, nearest first."""
-    ptr, nbr = adj
+    ptr, nbr = (a.tolist() for a in adj)
     dist = {source: 0}
     queue = [source]
     for u in queue:  # appending while iterating makes the list a queue
@@ -110,6 +114,30 @@ def _bfs(adj, source: int, radius: int) -> list[int]:
                     dist[v] = dist[u] + 1
                     queue.append(v)
     return queue[1:]
+
+
+def _pairs_within(adj, h: int) -> np.ndarray:
+    """Sorted codes u n + v of the ordered node pairs (u, v) at most h hops
+    apart, u = v included: h rounds of frontier expansion, each pairing
+    every newly reached (u, v) with v's neighbours w and keeping the
+    (u, w) not reached before."""
+    ptr, nbr = adj
+    n = ptr.size - 1
+    reached = frontier = np.arange(n) * (n + 1)  # the pairs (u, u)
+    for _ in range(h):
+        u, v = np.divmod(frontier, n)
+        degree = ptr[v + 1] - ptr[v]
+        # position of each (u, v, w) triple's w in nbr
+        offset = np.arange(degree.sum()) - np.repeat(
+            np.cumsum(degree) - degree - ptr[v], degree)
+        step = np.sort(np.repeat(u, degree) * n + nbr[offset])
+        # sort-based dedup: np.unique's hash table is slower here
+        step = step[np.concatenate(([True], step[1:] != step[:-1]))]
+        frontier = step[~np.isin(step, reached, assume_unique=True)]
+        if frontier.size == 0:
+            break
+        reached = np.concatenate((reached, frontier))
+    return np.sort(reached)
 
 
 def _triples(edge_list) -> np.ndarray:
@@ -217,16 +245,19 @@ def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Networ
     """
     if h < 1:
         raise InvalidFuzzRadius(f"fuzz radius must be >= 1, got {h}")
-    existing = {(i, j): r for i, j, r in base.edges}
     if r_fuzz is None:
-        r_fuzz = max(existing.values())
+        r_fuzz = float(base.resistance.max())
     if not r_fuzz > 0:
         raise InvalidEdge(f"fuzz resistance must be positive, got {r_fuzz}")
 
-    adj = _adjacency(base.node_count, *base.ends.T)
-    edges = [(u, v, existing.get((u, v), r_fuzz))
-             for u in range(base.node_count) for v in _bfs(adj, u, h) if u < v]
-    return build_network(base.node_count, edges)
+    n = base.node_count
+    code = _pairs_within(_adjacency(n, *base.ends.T), h)
+    code = code[code // n < code % n]  # u < v
+    # the base edges' codes, ascending as their endpoints are sorted
+    base_code = base.ends[:, 0] * n + base.ends[:, 1]
+    at = np.searchsorted(base_code, code).clip(max=base.edge_count - 1)
+    r = np.where(base_code[at] == code, base.resistance[at], r_fuzz)
+    return build_network(n, np.column_stack((*np.divmod(code, n), r)))
 
 
 def lattice_box(net: Network) -> tuple[tuple[int, ...], float] | None:

@@ -44,10 +44,9 @@ def random_connected_network(rng, n_min=3, n_max=12, edge_prob=0.5,
             continue
 
 
-def dense_twin(net, monkeypatch):
-    """An equal copy of ``net`` whose cached spectrum comes from the dense
-    eigh/Cholesky route even when ``net`` is a box lattice, and the shapes
-    of the matrices that the dense eigensolver saw on the way."""
+def count_eig_sym(patch):
+    """Make ``numerics.eig_sym`` record the shape of every matrix it is
+    given, through the monkeypatch ``patch``; returns that list."""
     calls = []
     eig_sym = numerics.eig_sym
 
@@ -55,12 +54,29 @@ def dense_twin(net, monkeypatch):
         calls.append(mat.shape)
         return eig_sym(mat)
 
+    patch.setattr(numerics, "eig_sym", counting)
+    return calls
+
+
+def dense_twin(net, monkeypatch):
+    """An equal copy of ``net`` whose cached spectrum comes from the dense
+    eigh/Cholesky route even when ``net`` is a box lattice, and the shapes
+    of the matrices that the dense eigensolver saw on the way: one n x n
+    on most graphs, the two halves of :func:`mirror_shapes` on a graph
+    that its node reversal maps onto itself (every box lattice)."""
     twin = build_network(net.node_count, net.edges)
     with monkeypatch.context() as patch:
         patch.setattr(network, "lattice_box", lambda _: None)
-        patch.setattr(numerics, "eig_sym", counting)
+        calls = count_eig_sym(patch)
         twin.spectrum
     return twin, calls
+
+
+def mirror_shapes(n):
+    """The eigensolves of the dense route's mirror split of an n-node
+    Laplacian, in call order: the symmetric block, then the antisymmetric
+    one."""
+    return [((n + 1) // 2,) * 2, (n // 2,) * 2]
 
 
 def path_laplacian_eigenvalues(n):

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from dcgrid import cli, numerics
+from dcgrid import cli
 from dcgrid.cli import run
+
+from .conftest import count_eig_sym, mirror_shapes
 
 
 @pytest.fixture(autouse=True)
@@ -427,32 +429,35 @@ class TestBoundaries:
         assert code == 0
 
 
-class TestSpectrumShared:
-    """One dense eigensolve per network, shared by every quantity, and
-    none on a box lattice, whose spectrum is analytic."""
+SPECTRUM_CASES = [
+    (["h2", "--gen", "fuzz:2:grid2:4x4"], mirror_shapes(16)),
+    (["compare", "--gen", "fuzz:2:grid2:4x4"], mirror_shapes(16)),
+    (["resist", "--gen", "fuzz:2:grid2:4x4", "--pair", "0,15"],
+     mirror_shapes(16)),
+    (["sweep", "--family", "hfuzz", "--sizes", "3,4,5"],
+     mirror_shapes(9) + mirror_shapes(16) + mirror_shapes(25)),
+    (["h2", "--gen", "grid2:4x4"], []),
+    (["compare", "--gen", "path:9"], []),
+    (["resist", "--gen", "grid3:2x3x4", "--pair", "0,23"], []),
+    (["sweep", "--family", "grid2d", "--sizes", "3,4,5"], []),
+    (["h2", "--gen", "file:grid3_network.edges"], []),
+]
 
-    @pytest.mark.parametrize("argv, expected", [
-        (["h2", "--gen", "fuzz:2:grid2:4x4"], 1),
-        (["compare", "--gen", "fuzz:2:grid2:4x4"], 1),
-        (["resist", "--gen", "fuzz:2:grid2:4x4", "--pair", "0,15"], 1),
-        (["sweep", "--family", "hfuzz", "--sizes", "3,4,5"], 3),
-        (["h2", "--gen", "grid2:4x4"], 0),
-        (["compare", "--gen", "path:9"], 0),
-        (["resist", "--gen", "grid3:2x3x4", "--pair", "0,23"], 0),
-        (["sweep", "--family", "grid2d", "--sizes", "3,4,5"], 0),
-        (["h2", "--gen", "file:grid3_network.edges"], 0),
-    ])
+
+class TestSpectrumShared:
+    """One dense eigensolve per network, shared by every quantity (split
+    in two halves on an h-fuzz, which its node reversal maps onto
+    itself), and none on a box lattice, whose spectrum is analytic."""
+
+    # each id: the case's index, then the networks on the dense route
+    @pytest.mark.parametrize(
+        "argv, expected", SPECTRUM_CASES,
+        ids=[f"argv{k}-{len(shapes) // 2}"
+             for k, (_, shapes) in enumerate(SPECTRUM_CASES)])
     def test_eig_sym_calls(self, argv, expected, capsys, monkeypatch):
         # the edge list that the file: spec above reads
         assert run(["gen", "--gen", "grid3:2x3x4", "--format", "edges",
                     "--out", "grid3"]) == 0
-        calls = []
-        original = numerics.eig_sym
-
-        def counting(mat):
-            calls.append(mat.shape)
-            return original(mat)
-
-        monkeypatch.setattr(numerics, "eig_sym", counting)
+        calls = count_eig_sym(monkeypatch)
         assert run(argv) == 0
-        assert len(calls) == expected
+        assert calls == expected

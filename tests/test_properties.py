@@ -1,9 +1,11 @@
 """Property-based invariants over randomly generated connected networks."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dcgrid import numerics
 from dcgrid.network import (
     build_network,
     generate_hfuzz,
@@ -25,6 +27,8 @@ from dcgrid.systems import (
     h2_lyapunov,
 )
 
+from .conftest import count_eig_sym, mirror_shapes
+
 
 @st.composite
 def connected_networks(draw, n_min=2, n_max=8):
@@ -44,6 +48,18 @@ def connected_networks(draw, n_min=2, n_max=8):
             if key not in edges:
                 edges[key] = draw(resist)
     return build_network(n, [(u, v, r) for (u, v), r in edges.items()])
+
+
+@st.composite
+def mirrored_networks(draw, n_max=16):
+    """A random connected network with each edge (i, j) joined by its
+    mirror image (n - 1 - j, n - 1 - i) at the same resistance."""
+    net = draw(connected_networks(n_max=n_max))
+    n = net.node_count
+    edges = {}
+    for i, j, r in net.edges:
+        edges[i, j] = edges[n - 1 - j, n - 1 - i] = r
+    return build_network(n, [(i, j, r) for (i, j), r in edges.items()])
 
 
 positive_params = st.builds(
@@ -179,3 +195,17 @@ def test_lattice_spectrum_matches_eigh(sides, r):
     rows = spec.pinv(np.arange(n))[[0, n - 1]]
     assert np.allclose(rows, pinv[[0, n - 1]], rtol=1e-9,
                        atol=1e-9 * np.abs(pinv).max())
+
+
+@given(mirrored_networks())
+@settings(max_examples=50, deadline=None)
+def test_mirror_split_matches_eigh(net):
+    with pytest.MonkeyPatch.context() as patch:
+        shapes = count_eig_sym(patch)
+        spec = numerics.laplacian_spectrum(laplacian(net), net.ends,
+                                           net.resistance)
+    n = net.node_count
+    assert shapes == mirror_shapes(n)
+    ref = np.linalg.eigvalsh(laplacian(net))
+    assert spec.values[0] == 0.0
+    assert np.abs(spec.values - ref).max() <= 1e-12 * ref[-1]

@@ -27,3 +27,38 @@ def test_import_leaves_out_scipy_sparse():
                          text=True, check=True,
                          cwd=Path(dcgrid.__file__).parents[1])
     assert out.stdout.strip() == "False"
+
+
+EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "eig_banded",
+                "eigvals_banded"}
+# (module, function) -> the eigensolvers it may call
+EIGENSOLVER_CALLERS = {("numerics", "eig_sym"): {"eigvalsh"},
+                       # a nonsymmetric A: its decay rates, not a spectrum
+                       ("simulation", "slowest_time_constant"): {"eigvals"}}
+
+
+def _calls_by_function(tree, scope="<module>"):
+    """(enclosing top-level function, called name) for every call whose
+    callee is a bare or dotted name."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if (scope == "<module>"
+                and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))):
+            inner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if name is not None:
+                yield scope, name
+        yield from _calls_by_function(node, inner)
+
+
+def test_eigensolves_go_through_eig_sym():
+    # the benchmark's span wrapper and the call-shape tests see a symmetric
+    # eigensolve only when it goes through numerics.eig_sym
+    found = {}
+    for path in SOURCES:
+        for scope, name in _calls_by_function(ast.parse(path.read_text())):
+            if name in EIGENSOLVERS:
+                found.setdefault((path.stem, scope), set()).add(name)
+    assert found == EIGENSOLVER_CALLERS
