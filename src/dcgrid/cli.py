@@ -19,6 +19,7 @@ import math
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__, network, resistance, simulation, systems
 from .errors import DCGridError
@@ -148,7 +149,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _metadata(args) -> dict:
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     return {"config": cfg,
-            "versions": {"dcgrid": __version__, "numpy": np.__version__}}
+            "versions": {"dcgrid": __version__, "numpy": np.__version__,
+                         "scipy": scipy.__version__,
+                         "python": ".".join(map(str, sys.version_info[:3])),
+                         "platform": sys.platform}}
 
 
 def _write(path: str, text: str) -> None:

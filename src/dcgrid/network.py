@@ -16,8 +16,12 @@ endpoints and the resistances, and every per-edge step (validation,
 lattice edges, Laplacian assembly, lattice detection, the grounded band)
 runs on them; (i, j, R) tuples are made only on request (``edges``). The
 h-fuzz gathers its node pairs by h rounds of numpy frontier expansion.
-The one Python loop is the breadth-first search behind the connectivity
-check.
+
+Whether the edges form a box lattice is decided once per network, at
+build, and kept (``Network.box``). A box is connected by construction,
+and so is an h-fuzz of a connected base, so the one Python loop, the
+breadth-first search behind the connectivity check, runs only when
+:func:`build_network` is given any other graph.
 """
 
 from __future__ import annotations
@@ -77,20 +81,24 @@ class Network:
         return hash(self._key())
 
     @cached_property
+    def box(self) -> tuple[tuple[int, ...], float] | None:
+        """:func:`lattice_box` of this network, decided once and kept."""
+        return lattice_box(self)
+
+    @cached_property
     def spectrum(self) -> numerics.LaplacianSpectrum:
         """Laplacian eigenvalues (zero mode exactly 0.0 first) and blocks of
         L^+ on demand, computed on first use and shared thereafter.
 
-        A uniform box lattice (see :func:`lattice_box`) gets the analytic
+        A uniform box lattice (see :attr:`box`) gets the analytic
         Kronecker-sum spectrum, any other graph the dense route, whose
         eigensolve splits into two half-size ones when the edges are their
         own mirror image under i -> n - 1 - i (every h-fuzz of a box).
         """
-        box = lattice_box(self)
-        if box is None:
+        if self.box is None:
             return numerics.laplacian_spectrum(laplacian(self), self.ends,
                                                self.resistance)
-        return numerics.lattice_spectrum(*box)
+        return numerics.lattice_spectrum(*self.box)
 
 
 def _adjacency(n: int, i: np.ndarray, j: np.ndarray):
@@ -102,18 +110,19 @@ def _adjacency(n: int, i: np.ndarray, j: np.ndarray):
     return ptr, np.concatenate((j, i))[order]
 
 
-def _bfs(adj, source: int, radius: int) -> list[int]:
-    """Nodes at 1 to ``radius`` hops from ``source``, nearest first."""
+def _bfs(adj) -> int:
+    """The number of nodes that a breadth-first search from node 0 reaches,
+    node 0 included."""
     ptr, nbr = (a.tolist() for a in adj)
-    dist = {source: 0}
-    queue = [source]
+    seen = [False] * (len(ptr) - 1)
+    seen[0] = True
+    queue = [0]
     for u in queue:  # appending while iterating makes the list a queue
-        if dist[u] < radius:
-            for v in nbr[ptr[u]:ptr[u + 1]]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-    return queue[1:]
+        for v in nbr[ptr[u]:ptr[u + 1]]:
+            if not seen[v]:
+                seen[v] = True
+                queue.append(v)
+    return len(queue)
 
 
 def _pairs_within(adj, h: int) -> np.ndarray:
@@ -164,8 +173,19 @@ def build_network(node_count, edge_list) -> Network:
     1/R sum past half the largest float (the Laplacian's eigenvalues,
     at most twice the largest such sum, would not be finite),
     IndexOutOfRange for bad node indices, and DisconnectedGraph when the
-    graph does not reach every node.
+    graph does not reach every node. A box lattice (:func:`lattice_box`)
+    is connected by construction; only other graphs are searched.
     """
+    net = _validated(node_count, edge_list)
+    n = net.node_count
+    if net.box is None and _bfs(_adjacency(n, *net.ends.T)) != n:
+        raise DisconnectedGraph(f"graph on {n} nodes is not connected")
+    return net
+
+
+def _validated(node_count, edge_list) -> Network:
+    """:func:`build_network` without the connectivity search: every check
+    but that one, then the edges sorted by endpoints."""
     if not isinstance(node_count, (int, np.integer)) or node_count < 2:
         raise InvalidEdge(
             f"need an integer node count of at least 2, got {node_count!r}")
@@ -186,24 +206,20 @@ def build_network(node_count, edge_list) -> Network:
         if bad.any():
             raise error(f"edge ({', '.join(f'{x:g}' for x in arr[bad][0])}) "
                         f"{what}")
+    ends = ends.astype(np.intp)  # one copy, sorted in place below
     with np.errstate(over="ignore"):
-        degree = np.bincount(ends.ravel().astype(np.intp),
-                             np.repeat(1.0 / r, 2), node_count)
+        degree = np.bincount(ends.ravel(), np.repeat(1.0 / r, 2), node_count)
         finite = np.isfinite(2.0 * degree)  # lambda_max <= 2 max degree
     if not finite.all():
         raise InvalidEdge(f"node {np.argmin(finite)}'s conductances 1/R "
                           "sum past half the largest float")
-    ends = np.sort(ends, axis=1).astype(np.intp)
+    ends.sort(axis=1)
     order = np.lexsort(ends.T[::-1])
     ends, r = ends[order], r[order]
     duplicate = (ends[1:] == ends[:-1]).all(axis=1)
     if duplicate.any():
         k = np.argmax(duplicate)
         raise InvalidEdge(f"duplicate edge {tuple(ends[k].tolist())}")
-    reached = _bfs(_adjacency(node_count, *ends.T), 0, node_count)
-    if len(reached) != node_count - 1:
-        raise DisconnectedGraph(
-            f"graph on {node_count} nodes is not connected")
     return Network(node_count, ends, r)
 
 
@@ -225,15 +241,19 @@ def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
         raise InvalidSize(f"side lengths must be >= 2, got {sides}")
     if not resistance > 0:
         raise InvalidEdge(f"resistance must be positive, got {resistance}")
+    return build_network(math.prod(sides), _lattice_edges(sides, resistance))
 
+
+def _lattice_edges(sides: tuple[int, ...], resistance: float) -> np.ndarray:
+    """The m x 3 (i, j, R) array of the row-major box's nearest-neighbour
+    pairs; its index arrays are freed before the edges are validated."""
     # one slice per axis pairs each node with its successor along that axis
     index = np.arange(math.prod(sides)).reshape(sides)
     i = np.concatenate([index.take(range(m - 1), axis=axis).ravel()
                         for axis, m in enumerate(sides)])
     j = np.concatenate([index.take(range(1, m), axis=axis).ravel()
                         for axis, m in enumerate(sides)])
-    edges = np.column_stack((i, j, np.full(i.size, resistance, dtype=float)))
-    return build_network(index.size, edges)
+    return np.column_stack((i, j, np.full(i.size, resistance, dtype=float)))
 
 
 def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Network:
@@ -257,7 +277,8 @@ def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Networ
     base_code = base.ends[:, 0] * n + base.ends[:, 1]
     at = np.searchsorted(base_code, code).clip(max=base.edge_count - 1)
     r = np.where(base_code[at] == code, base.resistance[at], r_fuzz)
-    return build_network(n, np.column_stack((*np.divmod(code, n), r)))
+    # the edges include the connected base's, so the fuzz is connected
+    return _validated(n, np.column_stack((*np.divmod(code, n), r)))
 
 
 def lattice_box(net: Network) -> tuple[tuple[int, ...], float] | None:
@@ -266,11 +287,13 @@ def lattice_box(net: Network) -> tuple[tuple[int, ...], float] | None:
 
     Decided from the edges alone, so a generated lattice and its JSON or
     edge-list file agree. The distinct index gaps j - i are the strides:
-    each must divide the next, and the last n, giving sides >= 2 (the
-    smallest gap is 1, or the edges could not connect the graph). Every
-    edge must step along its axis without wrapping, and the edge count
-    must be the box's; with no duplicates, the edges are then the box's.
-    A side of 1 adds no edge, so it is not reported.
+    the smallest must be 1 and each must divide the next, and the last n,
+    giving sides >= 2 whose product is n. Every edge must step along its
+    axis without wrapping, and the edge count must be the box's; with no
+    duplicates, the edges are then the box's, and a box is connected.
+    (Without the stride 1, edges (0, 2) and (1, 3) on 4 nodes would pass
+    as a disconnected box of side 2.) A side of 1 adds no edge, so it is
+    not reported.
     """
     r0 = float(net.resistance[0])
     if (net.resistance != r0).any():
@@ -280,7 +303,7 @@ def lattice_box(net: Network) -> tuple[tuple[int, ...], float] | None:
     gap = j - i
     strides = np.unique(gap).tolist()
     bounds = strides[1:] + [n]
-    if any(b % s for s, b in zip(strides, bounds)):
+    if strides[0] != 1 or any(b % s for s, b in zip(strides, bounds)):
         return None
     sides = [b // s for s, b in zip(strides, bounds)]  # fastest axis first
     if net.edge_count != sum((m - 1) * (n // m) for m in sides):

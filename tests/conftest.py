@@ -63,10 +63,12 @@ def dense_twin(net, monkeypatch):
     eigh/Cholesky route even when ``net`` is a box lattice, and the shapes
     of the matrices that the dense eigensolver saw on the way: one n x n
     on most graphs, the two halves of :func:`mirror_shapes` on a graph
-    that its node reversal maps onto itself (every box lattice)."""
-    twin = build_network(net.node_count, net.edges)
+    that its node reversal maps onto itself (every box lattice). The twin
+    is built while the box test is patched out, since a network decides
+    its box at build and keeps it."""
     with monkeypatch.context() as patch:
         patch.setattr(network, "lattice_box", lambda _: None)
+        twin = build_network(net.node_count, net.edges)
         calls = count_eig_sym(patch)
         twin.spectrum
     return twin, calls

@@ -1,5 +1,7 @@
 import argparse
 import json
+import platform
+import sys
 
 import numpy as np
 import pytest
@@ -51,7 +53,10 @@ class TestH2:
         meta = json.loads((tmp_path / "zz_meta.json").read_text())
         assert doc["metadata"] == "zz_meta.json"
         assert meta["config"]["gen"] == "path:5"
-        assert "dcgrid" in meta["versions"]
+        assert set(meta["versions"]) == {"dcgrid", "numpy", "scipy", "python",
+                                         "platform"}
+        assert meta["versions"]["platform"] == sys.platform
+        assert meta["versions"]["python"] == platform.python_version()
 
 
 class TestLargeLattices:
@@ -409,6 +414,22 @@ class TestBoundaries:
         assert run(["h2", "--gen", f"file:{path}", "--out", "x"]) == 1
         captured = capsys.readouterr()
         assert strict_json(captured.out)["error"] == "InvalidEdge"
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("pairs", [
+        [(0, 2), (1, 3)],
+        [(0, 2), (4, 6), (0, 4), (2, 6), (1, 3), (5, 7), (1, 5), (3, 7)],
+    ], ids=["two-stride-2-paths", "two-stride-2-grids"])
+    def test_interleaved_boxes_are_disconnected(self, pairs, capsys,
+                                                tmp_path):
+        # equal gaps and a box's edge count, but no gap of 1: the graph
+        # falls apart into interleaved copies of a smaller box
+        path = tmp_path / "net.edges"
+        path.write_text("".join(f"{i} {j} 1\n" for i, j in pairs))
+        assert run(["h2", "--gen", f"file:{path}", "--out", "x"]) == 1
+        captured = capsys.readouterr()
+        assert strict_json(captured.out)["error"] == "DisconnectedGraph"
         assert "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == [path]
 

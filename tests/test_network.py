@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from collections import deque
 
 import numpy as np
@@ -384,6 +385,111 @@ class TestLatticeBox:
         doc = json.loads(json.dumps(network.to_json_dict(net)))
         back = network.from_json_dict(doc)
         assert lattice_box(back) == lattice_box(net) == ((2, 3, 2), 2.0)
+
+
+def count_calls(monkeypatch, name):
+    """Make ``network.<name>`` append its first argument to a list on every
+    call, through ``monkeypatch``; returns that list."""
+    calls = []
+    func = getattr(network, name)
+
+    def counting(*args):
+        calls.append(args[0])
+        return func(*args)
+
+    monkeypatch.setattr(network, name, counting)
+    return calls
+
+
+# edges with one distinct gap or two, and the edge count of a box, whose
+# smallest gap is not 1: disconnected copies of a box on interleaved nodes
+INTERLEAVED_BOXES = {
+    "two-stride-2-paths": (4, [(0, 2), (1, 3)]),
+    "two-stride-2-grids": (8, [(0, 2), (4, 6), (0, 4), (2, 6),
+                               (1, 3), (5, 7), (1, 5), (3, 7)]),
+}
+
+BOX_SPECS = [(1, (7,), 0.5), (2, (3, 4), 1.0), (3, (2, 3, 4), 2.0)]
+
+
+class TestConnectivityByConstruction:
+    """The connectivity search runs only on graphs that are neither a box
+    lattice nor an h-fuzz, and the box is decided once per network."""
+
+    @pytest.mark.parametrize("case", INTERLEAVED_BOXES)
+    def test_interleaved_boxes_are_not_boxes(self, case):
+        n, pairs = INTERLEAVED_BOXES[case]
+        bare = network.Network(n, np.array(pairs, dtype=np.intp),
+                               np.ones(len(pairs)))
+        assert lattice_box(bare) is None
+        with pytest.raises(errors.DisconnectedGraph):
+            build_network(n, [(i, j, 1.0) for i, j in pairs])
+        with pytest.raises(errors.DisconnectedGraph):
+            network.parse_edge_list("".join(f"{i} {j} 1\n" for i, j in pairs))
+
+    @pytest.mark.parametrize("d, sides, r", BOX_SPECS)
+    def test_no_search_on_boxes_and_their_files(self, d, sides, r,
+                                                 monkeypatch):
+        bfs = count_calls(monkeypatch, "_bfs")
+        net = generate_lattice(d, sides, r)
+        text = network.format_edge_list(net)
+        doc = json.loads(json.dumps(network.to_json_dict(net)))
+        assert network.parse_edge_list(text) == net
+        assert network.from_json_dict(doc) == net
+        assert generate_hfuzz(net, 2).box is None
+        assert bfs == []
+        assert net.box == (sides, 1.0 / r)
+
+    def test_no_search_on_fuzz_of_other_graphs(self, monkeypatch):
+        base = random_connected_network(np.random.default_rng(3), n_min=8)
+        bfs = count_calls(monkeypatch, "_bfs")
+        for h in (1, 2, 3):
+            generate_hfuzz(base, h)
+        assert bfs == []
+
+    def test_one_search_on_other_graphs(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        edges = random_connected_network(rng, n_min=8).edges
+        bfs = count_calls(monkeypatch, "_bfs")
+        net = build_network(1 + max(j for _, j, _ in edges), edges)
+        assert net.box is None and len(bfs) == 1
+
+    def test_one_search_on_rayleigh_perturbation(self, monkeypatch):
+        # two triangles joined by the bridge (2, 3): without the bridge
+        # there are still n - 1 edges, so only the search can tell
+        pairs = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]
+        net = build_network(6, [(i, j, 1.0) for i, j in pairs])
+        lattice = generate_lattice(2, 3)
+        bfs = count_calls(monkeypatch, "_bfs")
+        resistance.rayleigh_check(net, (0, 1))
+        assert len(bfs) == 1
+        with pytest.raises(errors.DisconnectedGraph, match=r"\(2, 3\)"):
+            resistance.rayleigh_check(net, (2, 3))
+        assert len(bfs) == 2
+        resistance.rayleigh_check(lattice, (0, 1), new_resistance=2.0)
+        assert len(bfs) == 3
+
+    def test_box_decided_once_per_network(self, monkeypatch):
+        decided = count_calls(monkeypatch, "lattice_box")
+        lattice = generate_lattice(2, 4)
+        other = build_network(3, [(0, 1, 1.0), (1, 2, 2.0)])
+        fuzz = generate_hfuzz(lattice, 2)
+        assert decided == [lattice, other]
+        for net in (lattice, other, fuzz, lattice, other, fuzz):
+            net.spectrum
+            assert net.box is net.box
+        assert decided == [lattice, other, fuzz]
+
+    def test_fuzz_resistance_still_checked(self):
+        # positive, so only the edge validation can refuse it
+        with pytest.raises(errors.InvalidEdge, match="positive and finite"):
+            generate_hfuzz(generate_lattice(2, 3), 2, math.inf)
+
+    def test_fuzz_conductance_overflow(self):
+        # the path's degrees pass the check, its 2-fuzz's inner ones do not
+        base = generate_lattice(1, 5, 3e-308)
+        with pytest.raises(errors.InvalidEdge, match="conductances"):
+            generate_hfuzz(base, 2)
 
 
 def _ordered_factorizations(n):

@@ -62,3 +62,13 @@ def test_eigensolves_go_through_eig_sym():
             if name in EIGENSOLVERS:
                 found.setdefault((path.stem, scope), set()).add(name)
     assert found == EIGENSOLVER_CALLERS
+
+
+def test_connectivity_search_only_in_build_network():
+    # box lattices, h-fuzzes and their files are connected by construction,
+    # so the Python search belongs to build_network's other graphs alone
+    found = {(path.stem, scope)
+             for path in SOURCES
+             for scope, name in _calls_by_function(ast.parse(path.read_text()))
+             if name == "_bfs"}
+    assert found == {("network", "build_network")}
