@@ -11,7 +11,7 @@ from .network import (  # noqa: F401
     load_network,
     reduced_laplacian,
 )
-from .numerics import eig_sym, solve_lyapunov  # noqa: F401
+from .numerics import solve_lyapunov  # noqa: F401
 from .resistance import (  # noqa: F401
     effective_resistance,
     kirchhoff_index,

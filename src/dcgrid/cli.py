@@ -5,7 +5,9 @@ prints a machine-readable JSON summary to stdout and writes a metadata
 JSON (full configuration, seed, versions) alongside any output files, so
 a run can be reproduced byte-identically from its metadata. Parameter
 defaults follow the radial-network simulation study: R = 1 ohm,
-C = 1 mF, k_P = 0.1, k = 100, gamma = 1000.
+C = 1 mF, k_P = 0.1, k = 100, gamma = 1000. ``sim`` and ``fig2`` check
+--T and --rows as input only and pass them to ``simulation.simulate``,
+which lays out the trajectory grid (``DEFAULT_ROWS`` rows for ``sim``).
 
 Exit codes: 0 success, 1 computation error, 2 usage error.
 """
@@ -27,8 +29,9 @@ from .network import Network
 
 PAPER_DEFAULTS = {"c": 1e-3, "kp": 0.1, "k": 100.0, "gamma": 1000.0,
                   "resistance": 1.0}
-# fig2 keeps every recorded row in memory; more rows than this add no
-# visible detail to a trajectory plot
+# recorded rows per trajectory: sim's and fig2's default, and fig2's cap
+# (every row is kept in memory, and more add no visible detail to a plot)
+DEFAULT_ROWS = 1500
 MAX_ROWS = 100_000
 
 
@@ -128,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("slack", "droop", "dapi"),
                    default="slack")
     p.add_argument("--T", type=float, default=30.0)
-    p.add_argument("--dt", type=float, default=None)
     p.add_argument("--mode", choices=("bb_star", "paper_fig2"),
                    default="paper_fig2")
     p.add_argument("--buses", default=None,
@@ -140,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--T", type=float, default=30.0,
                    help="horizon in seconds for the 1 mF variant")
-    p.add_argument("--rows", type=int, default=1500,
+    p.add_argument("--rows", type=int, default=DEFAULT_ROWS,
                    help="approximate recorded rows per trajectory "
                         f"(at most {MAX_ROWS})")
     return top
@@ -177,13 +179,9 @@ def _cmd_gen(args):
 
 def _cmd_h2(args):
     net = parse_generator_spec(args.gen, args.resistance)
-    params = _params(args)
-    return {
-        "n": net.node_count,
-        "h2_slack": systems.h2_closed_form_slack(net, params, args.ground),
-        "h2_droop": systems.h2_closed_form_droop(net, params),
-        "h2_dapi": systems.h2_closed_form_dapi(net, params),
-    }
+    report = systems.compare_controllers(net, _params(args), args.ground)
+    return {"n": report.n, "h2_slack": report.value_slack,
+            "h2_droop": report.value_droop, "h2_dapi": report.value_dapi}
 
 
 def _cmd_compare(args):
@@ -244,19 +242,15 @@ def _bus_subset(args, model) -> list[int]:
     return buses[:10]
 
 
-def _record_every(T: float, dt: float, rows: int) -> int:
-    """Steps per recorded row, so a run of T / dt steps records about
-    ``rows`` rows."""
-    for name, value in (("T", T), ("dt", dt), ("rows", rows)):
+def _check_grid(T: float, rows: int) -> None:
+    """Reject a --T or --rows that no trajectory grid can take; the grid
+    itself is laid out by ``simulation.simulate``."""
+    for name, value in (("T", T), ("rows", rows)):
         if not 0 < value < math.inf:
             raise UsageError(f"--{name} must be positive and finite, "
                              f"got {value}")
     if rows > MAX_ROWS:
         raise UsageError(f"--rows must be at most {MAX_ROWS}, got {rows}")
-    steps = T / dt
-    if steps == math.inf:
-        raise UsageError(f"--T {T} / --dt {dt} is not a finite step count")
-    return max(1, round(steps) // rows)
 
 
 def _check_seed(seed: int) -> None:
@@ -270,10 +264,9 @@ def _cmd_sim(args):
     params = _params(args)
     model = _assemble(args.kind, net, params, args.ground)
     buses = _bus_subset(args, model)
-    dt = args.dt if args.dt is not None else simulation.default_dt(model)
-    record_every = _record_every(args.T, dt, 1500)
+    _check_grid(args.T, DEFAULT_ROWS)
     x0 = simulation.sample_initial(model, args.seed, 1, args.mode)[:, 0]
-    traj = simulation.simulate(model, x0, args.T, dt, record_every)
+    traj = simulation.simulate(model, x0, args.T, DEFAULT_ROWS)
     path = f"{args.out}_traj.csv"
     _write(path, simulation.export_trajectory(traj, buses))
     return {"file": path, "kind": args.kind, "rows": len(traj.times),
@@ -295,13 +288,12 @@ def _cmd_fig2(args):
     outputs = []
     for tag, c, horizon in variants:
         params = _params(args, c)
+        _check_grid(horizon, args.rows)
         for kind in ("slack", "droop", "dapi"):
             model = _assemble(kind, net, params, args.ground)
-            dt = simulation.default_dt(model)
-            record_every = _record_every(horizon, dt, args.rows)
             x0 = simulation.sample_initial(model, args.seed, 1,
                                            "paper_fig2")[:, 0]
-            traj = simulation.simulate(model, x0, horizon, dt, record_every)
+            traj = simulation.simulate(model, x0, horizon, args.rows)
             csv = simulation.export_trajectory(
                 traj, [b for b in range(args.n) if f"V{b}" in
                        model.state_labels][:10])

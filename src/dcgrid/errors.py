@@ -70,8 +70,9 @@ class RayleighViolation(DCGridError):
 # --- simulation ---
 
 class StepTooLarge(DCGridError):
-    """Time step or horizon is not positive and finite, or the horizon is
-    too short for the steps it must hold."""
+    """The time grid cannot be laid out: A sets no finite step, the
+    horizon is not positive and finite, too short for the steps it must
+    hold or too long to count them, or fewer than one row is asked for."""
 
 
 class NonFiniteState(DCGridError):

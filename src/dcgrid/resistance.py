@@ -190,11 +190,10 @@ def scaling_sweep(family: str, sizes, params: systems.ControllerParams,
         net = _family_network(family, size, resistance)
         n = net.node_count
         kf = kirchhoff_index(net)
+        report = systems.compare_controllers(net, params, ground)
         records.append(ScalingRecord(
-            family=family, n=n,
-            h2_slack=systems.h2_closed_form_slack(net, params, ground),
-            h2_droop=systems.h2_closed_form_droop(net, params),
-            h2_dapi=systems.h2_closed_form_dapi(net, params),
+            family=family, n=n, h2_slack=report.value_slack,
+            h2_droop=report.value_droop, h2_dapi=report.value_dapi,
             kstar=kf / n**2, kirchhoff=kf))
 
     ns = np.array([r.n for r in records], dtype=float)

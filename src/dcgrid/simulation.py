@@ -2,15 +2,16 @@
 
 Every route steps the LTI system dx = Ax dt + B dW exactly, so no step
 size is too large for stability and none is refined or doubled.
-Recorded trajectories advance by the propagator expm(A h). The expected
-output energy route to the H2 norm advances random initial conditions by
-whole chunks and adds each chunk's output energy exactly, as a quadratic
-form in the chunk's observability Gramian. The steady-state output
-variance route runs independent white-noise chains side by side from
-x = 0, adds the exact discrete noise at a step of half the slowest time
-constant, and averages each chain's output after a warm-up. The Gramian
-and the noise covariance both come from Van Loan's block exponential
-(``van_loan``).
+``simulate(model, x0, T, rows)`` lays out its own trajectory grid from
+``default_dt`` and the row target, and advances each recorded row by the
+propagator expm(A h). The expected output energy route to the H2 norm
+advances random initial conditions by whole chunks and adds each chunk's
+output energy exactly, as a quadratic form in the chunk's observability
+Gramian. The steady-state output variance route runs independent
+white-noise chains side by side from x = 0, adds the exact discrete
+noise at a step of half the slowest time constant, and averages each
+chain's output after a warm-up. The Gramian and the noise covariance
+both come from Van Loan's block exponential (``van_loan``).
 Each estimate draws its randomness from one counter-based Philox stream
 per seed, sample after sample, so sample i depends only on (seed, i).
 """
@@ -167,33 +168,30 @@ class McEstimate:
     converged: bool
 
 
-def _check_step(dt: float, T: float) -> int:
-    """Number of steps of length dt in [0, T], which must hold at least one."""
-    if not (np.isfinite(dt) and dt > 0):
-        raise StepTooLarge(f"dt must be positive and finite, got {dt}")
-    if not (np.isfinite(T) and T >= dt):
-        raise StepTooLarge(f"horizon T={T} must be finite and at least one "
-                           f"step dt={dt}")
-    return int(round(T / dt))
+def simulate(model: StateSpaceModel, x0, T: float, rows: int) -> Trajectory:
+    """Solve dx/dt = Ax from x0 over [0, T], recording about ``rows`` rows.
 
-
-def simulate(model: StateSpaceModel, x0, T: float, dt: float | None = None,
-             record_every: int = 1) -> Trajectory:
-    """Solve dx/dt = Ax from x0 over [0, T] on a grid of step dt.
-
-    Every ``record_every``-th step is recorded; each recorded row is one
-    application of the exact propagator expm(A dt record_every) (see
-    ``propagator``). The Trajectory's dt is the recording interval.
-    Deterministic: identical arguments give identical output.
+    The grid: round(T / dt) steps of dt = ``default_dt``, one row every
+    stride = max(1, steps // rows) of them, steps // stride + 1 rows in
+    all. Each row is one step of the exact propagator expm(A dt stride)
+    (see ``propagator``); the Trajectory's dt is that recording interval.
+    StepTooLarge when T is not finite and at least one step, T / dt is not
+    a finite count, or rows < 1. Deterministic: identical arguments give
+    identical output.
     """
-    if dt is None:
-        dt = default_dt(model)
-    steps = _check_step(dt, T)
-    rec_dt = dt * record_every
+    dt = default_dt(model)
+    if not (np.isfinite(T / dt) and T >= dt):
+        raise StepTooLarge(f"horizon T={T} must hold a finite count of at "
+                           f"least one step dt={dt}")
+    if not rows >= 1:
+        raise StepTooLarge(f"rows must be at least 1, got {rows}")
+    steps = int(round(T / dt))
+    stride = max(1, steps // rows)
+    rec_dt = dt * stride
     prop = propagator(model.a, rec_dt)
     x = np.asarray(x0, dtype=float)
     recorded = [x]
-    for _ in range(steps // record_every):
+    for _ in range(steps // stride):
         x = prop @ x
         recorded.append(x)
     states = np.array(recorded)

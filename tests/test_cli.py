@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from dcgrid import cli
+from dcgrid import cli, network, simulation, systems
 from dcgrid.cli import run
 
 from .conftest import count_eig_sym, mirror_shapes
@@ -22,6 +22,20 @@ def run_json(argv, capsys):
     code = run(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def trajectory_rows(kind, n, c, T):
+    """Rows of a trajectory CSV, as the benchmark counts them: round(T /
+    dt) default steps, one row every max(1, steps // rows) of them, and
+    the initial state."""
+    params = systems.ControllerParams(c=c, k_p=0.1, k=100.0, gamma=1000.0)
+    model = cli._assemble(kind, network.generate_lattice(1, n), params, 0)
+    steps = round(T / simulation.default_dt(model))
+    return steps // max(1, steps // cli.DEFAULT_ROWS) + 1
+
+
+def csv_rows(path):
+    return len(path.read_text().strip().split("\n")) - 1
 
 
 def _reject_constant(name):
@@ -223,6 +237,15 @@ class TestSim:
         header = (tmp_path / "sl_traj.csv").read_text().split("\n")[0]
         assert header == "t,V_1,V_2,V_3"
 
+    def test_row_contract(self, capsys, tmp_path):
+        # a change to the grid must fail here before it fails the benchmark
+        code, doc = run_json(["sim", "--gen", "path:100", "--kind", "dapi",
+                              "--T", "0.3", "--out", "r"], capsys)
+        assert code == 0
+        expected = trajectory_rows("dapi", 100, 1e-3, 0.3)
+        assert expected == 1531
+        assert doc["rows"] == csv_rows(tmp_path / "r_traj.csv") == expected
+
     def test_huge_horizon_decays_to_zero(self, capsys, tmp_path):
         # expm(A h) alone returns NaN once ||A h|| passes about 1e38
         code, doc = run_json(["sim", "--gen", "path:4", "--T", "1e40",
@@ -246,6 +269,15 @@ class TestFig2:
             header = (tmp_path / name).read_text().split("\n")[0]
             assert header.startswith("t,V_")
 
+    def test_row_contract(self, capsys, tmp_path):
+        code, doc = run_json(["fig2", "--n", "10", "--T", "0.05", "--out",
+                              "r"], capsys)
+        assert code == 0
+        for tag, c, T in (("c1mF", 1e-3, 0.05), ("c1F", 1.0, 50.0)):
+            for kind in ("slack", "droop", "dapi"):
+                assert (csv_rows(tmp_path / f"r_{kind}_{tag}.csv")
+                        == trajectory_rows(kind, 10, c, T))
+
 
 class TestOptions:
     """Each subcommand accepts exactly the options it reads, so no option
@@ -257,8 +289,7 @@ class TestOptions:
         "compare": "gen resistance c kp k gamma ground out",
         "sweep": "resistance c kp k gamma ground out family sizes",
         "resist": "gen resistance out pair",
-        "sim": "gen resistance c kp k gamma ground seed out kind T dt mode "
-               "buses",
+        "sim": "gen resistance c kp k gamma ground seed out kind T mode buses",
         "fig2": "resistance kp k gamma ground seed out n T rows",
     }
 
@@ -276,6 +307,9 @@ class TestOptions:
         ["h2", "--gen", "path:4", "--seed", "1"],
         ["sweep", "--family", "path", "--sizes", "3,4", "--seed", "1"],
         ["fig2", "--n", "3", "--c", "1"],
+        # simulate lays out its own grid, so sim takes no step
+        ["sim", "--gen", "path:3", "--dt", "nan"],
+        ["sim", "--gen", "path:3", "--dt", "0"],
     ])
     def test_unread_option_is_usage_error(self, argv, tmp_path):
         assert run(argv) == 2
@@ -348,6 +382,10 @@ class TestBoundaries:
         # a conductance sum below the largest float whose double is not,
         # past the bound 2 d_max on the largest eigenvalue
         ["h2", "--gen", "grid3:3x3x3", "--resistance", "4e-308"],
+        # T / dt = 1e10 / 2.5e-302 and 1e306 / 3.3e-5 are no finite step
+        # counts
+        ["sim", "--gen", "path:4", "--c", "1e-300", "--T", "1e10"],
+        ["fig2", "--n", "3", "--T", "1e306"],
     ])
     def test_computation_error(self, argv, capsys, tmp_path):
         assert run(argv + ["--out", "x"]) == 1
@@ -374,17 +412,15 @@ class TestBoundaries:
         ["sim", "--gen", "path:3", "--buses", "a"],
         ["sim", "--gen", "path:3", "--T", "nan"],
         ["fig2", "--n", "3", "--T", "nan"],
-        ["sim", "--gen", "path:3", "--dt", "nan"],
         ["sim", "--gen", "path:3", "--T", "inf"],
-        ["sim", "--gen", "path:3", "--dt", "0"],
         ["fig2", "--n", "3", "--rows", "0"],
         ["sim", "--gen", "path:4", "--seed", "-1"],
         ["fig2", "--n", "3", "--seed", str(2**64)],
         ["fig2", "--n", "3", "--rows", "100001"],
         ["fig2", "--n", "3", "--rows", str(10**400)],
-    ], ids=["sim-buses-a", "sim-T-nan", "fig2-T-nan", "sim-dt-nan",
-            "sim-T-inf", "sim-dt-0", "fig2-rows-0", "sim-seed-negative",
-            "fig2-seed-2to64", "fig2-rows-100001", "fig2-rows-10to400"])
+    ], ids=["sim-buses-a", "sim-T-nan", "fig2-T-nan", "sim-T-inf",
+            "fig2-rows-0", "sim-seed-negative", "fig2-seed-2to64",
+            "fig2-rows-100001", "fig2-rows-10to400"])
     def test_simulation_usage_error(self, argv, capsys, tmp_path):
         assert run(argv + ["--out", "x"]) == 2
         captured = capsys.readouterr()

@@ -69,21 +69,26 @@ class TestStepControl:
             default_dt(scalar_model(rate))
 
     def test_step_too_large(self):
+        # the scalar model's default step is 0.1
         with pytest.raises(errors.StepTooLarge):
-            simulate(scalar_model(), [1.0], T=1.0, dt=10.0)
+            simulate(scalar_model(), [1.0], T=0.05, rows=10)
 
-    def test_negative_dt(self):
+    def test_step_count_overflows(self):
+        # T / dt = 1e10 / 2.5e-302 is past the largest float
+        m = assemble_slack(generate_lattice(1, 4), ControllerParams(c=1e-300),
+                           ground=0)
         with pytest.raises(errors.StepTooLarge):
-            simulate(scalar_model(), [1.0], T=1.0, dt=-0.1)
+            simulate(m, np.ones(3), T=1e10, rows=10)
 
-    @pytest.mark.parametrize("dt, T", [
-        (0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan),
-        (0.1, np.inf), (0.1, -1.0),
-    ])
-    def test_non_finite_or_non_positive_rejected(self, dt, T):
+    @pytest.mark.parametrize("rows", [0, -1])
+    def test_rows_below_one(self, rows):
         with pytest.raises(errors.StepTooLarge):
-            simulate(scalar_model(), [1.0], T=T, dt=dt)
-        # white noise takes no dt; T = 1 is too short for its chains
+            simulate(scalar_model(), [1.0], T=1.0, rows=rows)
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf, -1.0, 0.0])
+    def test_non_finite_or_non_positive_rejected(self, T):
+        with pytest.raises(errors.StepTooLarge):
+            simulate(scalar_model(), [1.0], T=T, rows=10)
         with pytest.raises(errors.StepTooLarge):
             white_noise_variance(scalar_model(), T=T)
 
@@ -91,50 +96,57 @@ class TestStepControl:
 class TestSimulate:
     def test_zero_initial_state_stays_zero(self, k2, paper_params):
         m = assemble_droop(k2, paper_params)
-        traj = simulate(m, np.zeros(2), T=1.0)
+        traj = simulate(m, np.zeros(2), T=1.0, rows=100)
         assert np.array_equal(traj.states, np.zeros_like(traj.states))
 
     def test_k2_slack_exponential(self, k2):
         # grounded K2 with c = 1 is dV/dt = -V: V(1) = e^{-1}
         m = assemble_slack(k2, ControllerParams(c=1.0), ground=0)
-        traj = simulate(m, [1.0], T=1.0, dt=1e-3)
-        assert np.isclose(traj.states[-1, 0], np.exp(-1.0), atol=1e-6)
+        traj = simulate(m, [1.0], T=1.0, rows=10)
+        assert np.isclose(traj.times[-1], 1.0)
+        assert np.isclose(traj.states[-1, 0], np.exp(-traj.times[-1]),
+                          atol=1e-6)
 
     def test_droop_zero_mode_decay(self, p3):
         # a uniform voltage profile sees only the droop gain: rate k_p / c
         c, k_p = 2.0, 0.4
         m = assemble_droop(p3, ControllerParams(c=c, k_p=k_p))
-        traj = simulate(m, np.ones(3), T=2.0, dt=1e-3)
-        assert np.allclose(traj.states[-1], np.exp(-k_p / c * 2.0), atol=1e-6)
+        traj = simulate(m, np.ones(3), T=2.0, rows=100)
+        assert np.allclose(traj.states[-1],
+                           np.exp(-k_p / c * traj.times[-1]), atol=1e-6)
 
     def test_record_every(self):
-        traj = simulate(scalar_model(), [1.0], T=1.0, dt=0.01, record_every=10)
+        # 100 default steps of 0.01 over 10 rows: every 10th step recorded
+        traj = simulate(scalar_model(10.0), [1.0], T=1.0, rows=10)
         assert len(traj.times) == 11
         assert np.isclose(traj.dt, 0.1)
+        # a row target past the step count records every step
+        assert len(simulate(scalar_model(10.0), [1.0], T=1.0,
+                            rows=1000).times) == 101
 
     def test_deterministic(self, p3, paper_params):
         m = assemble_dapi(p3, paper_params)
         x0 = np.arange(6, dtype=float)
-        a = simulate(m, x0, T=0.01, dt=1e-5)
-        b = simulate(m, x0, T=0.01, dt=1e-5)
+        a = simulate(m, x0, T=1.0, rows=100)
+        b = simulate(m, x0, T=1.0, rows=100)
         assert np.array_equal(a.states, b.states)
 
-    @pytest.mark.parametrize("record_every", [1, 7])
-    def test_matches_propagator_at_large_dt(self, p3, paper_params,
-                                            record_every):
-        # 40 times default_dt is 8 times the 0.5 / rho(A) that bounded RK4
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_matches_propagator_at_large_dt(self, p3, paper_params, every):
+        # a recording step of 40 default steps (every = 1) is 8 times the
+        # 0.5 / rho(A) that bounded RK4
         m = assemble_dapi(p3, paper_params)
         x0 = np.arange(1.0, 7.0)
-        dt = 40 * default_dt(m)
-        traj = simulate(m, x0, T=300 * dt, dt=dt, record_every=record_every)
-        assert len(traj.times) == 300 // record_every + 1
+        traj = simulate(m, x0, T=300 * 40 * default_dt(m), rows=300 // every)
+        assert len(traj.times) == 300 // every + 1
+        assert traj.dt >= 40 * default_dt(m)
         for t, state in zip(traj.times, traj.states):
             assert np.allclose(state, expm(m.a * t) @ x0, rtol=1e-9,
                                atol=1e-12)
 
     def test_labels_carried(self, p3, paper_params):
         m = assemble_dapi(p3, paper_params)
-        traj = simulate(m, np.zeros(6), T=0.001, dt=1e-5)
+        traj = simulate(m, np.zeros(6), T=0.1, rows=10)
         assert traj.state_labels == m.state_labels
 
 
@@ -507,7 +519,7 @@ class TestEnergyDecay:
         # x^T C x is a Lyapunov function for the droop dynamics
         c = 2.0
         m = assemble_droop(p3, ControllerParams(c=c, k_p=0.3))
-        traj = simulate(m, [1.0, -2.0, 0.5], T=5.0, dt=1e-3, record_every=100)
+        traj = simulate(m, [1.0, -2.0, 0.5], T=5.0, rows=50)
         energy = c * np.sum(traj.states**2, axis=1)
         assert np.all(np.diff(energy) <= 1e-12)
 
@@ -515,7 +527,7 @@ class TestEnergyDecay:
 class TestExportTrajectory:
     def test_header_and_roundtrip(self, p3, paper_params):
         m = assemble_droop(p3, paper_params)
-        traj = simulate(m, [0.3, -0.1, 0.7], T=0.001, dt=1e-4)
+        traj = simulate(m, [0.3, -0.1, 0.7], T=0.5, rows=10)
         text = export_trajectory(traj, [0, 2])
         lines = text.strip().split("\n")
         assert lines[0] == "t,V_0,V_2"
@@ -527,8 +539,7 @@ class TestExportTrajectory:
 
     def test_same_text_as_per_value_repr(self, p3, paper_params):
         m = assemble_dapi(p3, paper_params)
-        traj = simulate(m, np.arange(1.0, 7.0), T=1.0, dt=1e-3,
-                        record_every=7)
+        traj = simulate(m, np.arange(1.0, 7.0), T=1.0, rows=150)
         lines = ["t,V_2,V_0"]
         for row, t in enumerate(traj.times):
             lines.append(",".join([repr(float(t))] + [
@@ -537,17 +548,17 @@ class TestExportTrajectory:
 
     def test_empty_subset(self, k2, paper_params):
         m = assemble_droop(k2, paper_params)
-        traj = simulate(m, [1.0, 0.0], T=0.001, dt=1e-4)
+        traj = simulate(m, [1.0, 0.0], T=0.5, rows=10)
         assert export_trajectory(traj, []).split("\n")[0] == "t"
 
     def test_grounded_bus_rejected(self, p3, paper_params):
         m = assemble_slack(p3, paper_params, ground=0)
-        traj = simulate(m, [1.0, 0.0], T=0.001, dt=1e-5)
+        traj = simulate(m, [1.0, 0.0], T=0.5, rows=10)
         with pytest.raises(errors.IndexOutOfRange):
             export_trajectory(traj, [0])
 
     def test_integrator_states_not_exported(self, k2, paper_params):
         m = assemble_dapi(k2, paper_params)
-        traj = simulate(m, np.zeros(4), T=0.0001, dt=1e-6)
+        traj = simulate(m, np.zeros(4), T=0.1, rows=10)
         text = export_trajectory(traj, [0, 1])
         assert text.split("\n")[0] == "t,V_0,V_1"

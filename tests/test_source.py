@@ -72,3 +72,14 @@ def test_connectivity_search_only_in_build_network():
              for scope, name in _calls_by_function(ast.parse(path.read_text()))
              if name == "_bfs"}
     assert found == {("network", "build_network")}
+
+
+def test_trajectory_grid_only_in_simulate():
+    # simulate lays out the trajectory grid; a second caller of its step
+    # or propagator would be a second owner of that grid
+    found = {(path.stem, scope, name)
+             for path in SOURCES
+             for scope, name in _calls_by_function(ast.parse(path.read_text()))
+             if name in ("default_dt", "propagator")}
+    assert found == {("simulation", "simulate", "default_dt"),
+                     ("simulation", "simulate", "propagator")}
