@@ -21,7 +21,6 @@ import math
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__, network, resistance, simulation, systems
 from .errors import DCGridError
@@ -149,6 +148,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _metadata(args) -> dict:
+    import scipy  # its version alone: the top-level package is cheap
+
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     return {"config": cfg,
             "versions": {"dcgrid": __version__, "numpy": np.__version__,

@@ -76,4 +76,6 @@ class StepTooLarge(DCGridError):
 
 
 class NonFiniteState(DCGridError):
-    """A system matrix or a trajectory holds non-finite values."""
+    """A system matrix, a trajectory or a computed result (an H2 norm, a
+    resistance index, a sweep's fit) holds non-finite values: it
+    overflowed, or it is undefined."""

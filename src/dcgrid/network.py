@@ -18,7 +18,9 @@ runs on them; (i, j, R) tuples are made only on request (``edges``). The
 h-fuzz gathers its node pairs by h rounds of numpy frontier expansion.
 
 Whether the edges form a box lattice is decided once per network, at
-build, and kept (``Network.box``). A box is connected by construction,
+build, and kept (``Network.box``); :func:`generate_lattice` builds its
+box's edges already valid and sorted, and knows the box without that
+test. A box is connected by construction,
 and so is an h-fuzz of a connected base, so the one Python loop, the
 breadth-first search behind the connectivity check, runs only when
 :func:`build_network` is given any other graph.
@@ -228,7 +230,9 @@ def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
 
     ``sides`` is a single side length or one per dimension; every
     nearest-neighbor pair gets an edge of the given resistance. Node order
-    is row-major over the box.
+    is row-major over the box. The edges are made valid, sorted and
+    connected, so of :func:`build_network`'s checks only those on the
+    resistance remain, and the box is known without :func:`lattice_box`.
     """
     if d not in (1, 2, 3):
         raise InvalidDimension(f"lattice dimension must be 1, 2 or 3, got {d}")
@@ -241,19 +245,46 @@ def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
         raise InvalidSize(f"side lengths must be >= 2, got {sides}")
     if not resistance > 0:
         raise InvalidEdge(f"resistance must be positive, got {resistance}")
-    return build_network(math.prod(sides), _lattice_edges(sides, resistance))
+    if resistance == math.inf:  # named by node 0's edge on the first axis
+        raise InvalidEdge(f"edge (0, {math.prod(sides[1:]):g}, inf) has a "
+                          "resistance that is not positive and finite")
+    n = math.prod(sides)
+    ends = _lattice_ends(sides)
+    # build_network's conductance check: doubled[k - 1] is twice k
+    # conductances 1/R added one at a time, as it adds a node's k edges;
+    # the largest degree decides, and the first node past it is named
+    with np.errstate(over="ignore", divide="ignore"):
+        doubled = 2.0 * np.cumsum(np.full(2 * d, 1.0 / np.float64(resistance)))
+    if not np.isfinite(doubled[sum(min(m - 1, 2) for m in sides) - 1]):
+        degree = np.bincount(ends.ravel(), minlength=n)
+        raise InvalidEdge(
+            f"node {np.argmin(np.isfinite(doubled[degree - 1]))}'s "
+            "conductances 1/R sum past half the largest float")
+    net = Network(n, ends, np.full(len(ends), float(resistance)))
+    # fill the cached Network.box: the box is known, so lattice_box need
+    # not run over the edges
+    net.__dict__["box"] = (sides, 1.0 / float(resistance))
+    return net
 
 
-def _lattice_edges(sides: tuple[int, ...], resistance: float) -> np.ndarray:
-    """The m x 3 (i, j, R) array of the row-major box's nearest-neighbour
-    pairs; its index arrays are freed before the edges are validated."""
-    # one slice per axis pairs each node with its successor along that axis
-    index = np.arange(math.prod(sides)).reshape(sides)
-    i = np.concatenate([index.take(range(m - 1), axis=axis).ravel()
-                        for axis, m in enumerate(sides)])
-    j = np.concatenate([index.take(range(1, m), axis=axis).ravel()
-                        for axis, m in enumerate(sides)])
-    return np.column_stack((i, j, np.full(i.size, resistance, dtype=float)))
+def _lattice_ends(sides: tuple[int, ...]) -> np.ndarray:
+    """The m x 2 endpoints (i, j) of the row-major box's nearest-neighbour
+    pairs, sorted as :func:`build_network` sorts them: node i's successors
+    are i + stride along each axis on which i is not at the far face, in
+    increasing stride order."""
+    n = math.prod(sides)
+    node = np.arange(n)
+    pairs = np.empty((n, len(sides), 2), dtype=np.intp)
+    pairs[:, :, 0] = node[:, None]
+    inside = np.empty((n, len(sides)), dtype=bool)
+    stride = 1
+    for axis, m in enumerate(reversed(sides)):  # fastest axis first
+        pairs[:, axis, 1] = node + stride
+        inside[:, axis] = node // stride % m != m - 1
+        stride *= m
+    # one 2 * intp-byte element per pair, so the mask moves whole pairs
+    whole = pairs.view(np.dtype((np.void, 2 * pairs.itemsize)))[..., 0]
+    return whole[inside].view(np.intp).reshape(-1, 2)
 
 
 def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Network:

@@ -13,20 +13,26 @@ and, for L^+, a banded Cholesky factor of L grounded at node 0, built
 from the graph's edge arrays, on any other graph. When the edges show
 that the node reversal i -> n - 1 - i maps the graph onto itself (every
 h-fuzz of a row-major box does), the dense solve splits into two
-half-size ones. All routines are pure functions.
+half-size ones. All routines are pure functions. ``scipy.linalg`` is
+imported on first use, inside the two kernels that call it (the Schur
+form and the banded factor), so a box lattice never loads it.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, schur
-from scipy.linalg.lapack import dtrsyl
 
-from .errors import DisconnectedGraph, NotHurwitz, SingularSystem
+from .errors import (
+    DisconnectedGraph,
+    NonFiniteState,
+    NotHurwitz,
+    SingularSystem,
+)
 
 @dataclass(frozen=True)
 class LaplacianSpectrum:
@@ -52,6 +58,17 @@ class LyapunovSolution:
 
     P: np.ndarray
     residual: float
+
+
+def require_finite(value, what: str) -> float:
+    """``value`` as a float; NonFiniteState naming ``what`` when it is not
+    finite. The closed forms and resistance indices pass their results
+    through it: extreme resistances and gains overflow them to inf or
+    leave them undefined (nan)."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise NonFiniteState(f"{what} is not finite: {value}")
+    return value
 
 
 def eig_sym(mat: np.ndarray) -> np.ndarray:
@@ -122,6 +139,9 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> LyapunovSolution:
     sums to about zero, trsyl would perturb the equation and return a
     wrong P; that raises SingularSystem instead.
     """
+    from scipy.linalg import schur
+    from scipy.linalg.lapack import dtrsyl
+
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
     t, u = schur(a.T, output="real")
@@ -150,6 +170,8 @@ def _grounded_solver(diagonal: np.ndarray, ends: np.ndarray,
     off node 0) serves every solve; a LinAlgError from it raises
     DisconnectedGraph. Each solve is refined once against ``product``,
     which brings it to full precision."""
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
     n = diagonal.size
     off_ground = ends[:, 0] > 0
     cols, rows = (ends[off_ground] - 1).T  # grounded indices, rows > cols

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network as net_mod
-from . import systems
+from . import numerics, systems
 from .errors import (
     DisconnectedGraph,
     IndexOutOfRange,
@@ -37,6 +37,11 @@ def reff_matrix(net: Network) -> np.ndarray:
     return d[:, None] + d[None, :] - 2.0 * pinv
 
 
+# Resistances near the largest float overflow the indices below; each
+# raises NonFiniteState for a value that is not finite, so numpy's
+# overflow warnings on the way are not shown.
+
+@np.errstate(over="ignore", invalid="ignore")
 def effective_resistance(net: Network, i: int, j: int) -> float:
     """Two-terminal equivalent resistance between buses i and j:
     (e_i - e_j)^T L^+ (e_i - e_j), from the spectrum's ``reff``."""
@@ -45,14 +50,18 @@ def effective_resistance(net: Network, i: int, j: int) -> float:
         raise IndexOutOfRange(f"node pair ({i},{j}) outside [0,{n})")
     if i == j:
         raise SameNode(f"effective resistance needs two distinct nodes, got {i}")
-    return net.spectrum.reff(i, j)
+    return numerics.require_finite(net.spectrum.reff(i, j),
+                                   "effective resistance")
 
 
+@np.errstate(over="ignore")
 def kirchhoff_index(net: Network) -> float:
     """Sum of effective resistances over all unordered node pairs,
     n times the sum of reciprocal nonzero Laplacian eigenvalues (Gutman and
     Mohar 1996)."""
-    return net.node_count * float(np.sum(1.0 / net.spectrum.values[1:]))
+    return numerics.require_finite(
+        net.node_count * float(np.sum(1.0 / net.spectrum.values[1:])),
+        "Kirchhoff index")
 
 
 def kstar(net: Network) -> float:
@@ -162,15 +171,19 @@ def _family_network(family: str, size: int, resistance: float) -> Network:
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """(slope, intercept, r^2) of the least-squares line; NonFiniteState
+    when one is not finite (y all zero, all equal, or near overflow)."""
     # r^2 is scale-free, so fit y / max|y| to keep the squares finite
     scale = float(np.max(np.abs(y)))
     y = y / scale
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     total = y - y.mean()
-    r2 = 1.0 - float(resid @ resid) / float(total @ total)
-    return float(slope * scale), float(intercept * scale), r2
+    r2 = 1.0 - float(resid @ resid / (total @ total))
+    return tuple(numerics.require_finite(v, "sweep fit")
+                 for v in (slope * scale, intercept * scale, r2))
 
 
 def scaling_sweep(family: str, sizes, params: systems.ControllerParams,

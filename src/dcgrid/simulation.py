@@ -14,6 +14,8 @@ chain's output after a warm-up. The Gramian and the noise covariance
 both come from Van Loan's block exponential (``van_loan``).
 Each estimate draws its randomness from one counter-based Philox stream
 per seed, sample after sample, so sample i depends only on (seed, i).
+``scipy.linalg`` is imported on first use, inside ``propagator``, the
+one caller of its ``expm``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     IndexOutOfRange,
@@ -99,6 +100,8 @@ def propagator(a: np.ndarray, h: float) -> np.ndarray:
     ``_halvings`` of the row-sum bound). expm itself returns NaN once
     ||a h|| passes about 1e38; the squarings of a Hurwitz a's propagator
     underflow to 0."""
+    from scipy.linalg import expm
+
     k = _halvings(spectral_radius_bound(a), h)
     phi = expm(a * (h / 2.0**k))
     for _ in range(k):

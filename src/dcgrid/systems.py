@@ -164,7 +164,11 @@ def assemble_dapi(net: Network, params: ControllerParams) -> StateSpaceModel:
 
 
 # --- closed-form squared H2 norms ---
+# Extreme resistances and gains can overflow a closed form, or leave it
+# undefined; each raises NonFiniteState for such a value, so numpy's
+# overflow warnings on the way are not shown.
 
+@np.errstate(over="ignore", invalid="ignore")
 def h2_closed_form_slack(net: Network, params: ControllerParams,
                          ground: int = 0) -> float:
     """c/(2n) tr(L_red^-1), with tr(L_red^-1) = tr(L^+) + n L^+_gg and
@@ -175,14 +179,19 @@ def h2_closed_form_slack(net: Network, params: ControllerParams,
         raise IndexOutOfRange(f"ground index {ground} outside [0,{n})")
     spec = net.spectrum
     trace = float(np.sum(1.0 / spec.values[1:]))
-    return c / (2 * n) * (trace + n * float(spec.pinv([ground])[0, 0]))
+    return numerics.require_finite(
+        c / (2 * n) * (trace + n * float(spec.pinv([ground])[0, 0])),
+        "slack H2 norm")
 
 
+@np.errstate(over="ignore")
 def h2_closed_form_droop(net: Network, params: ControllerParams) -> float:
     c = params.uniform("c")
     k_p = params.uniform("k_p")
     values = net.spectrum.values
-    return c / (2 * net.node_count) * float(np.sum(1.0 / (values + k_p)))
+    return numerics.require_finite(
+        c / (2 * net.node_count) * float(np.sum(1.0 / (values + k_p))),
+        "droop H2 norm")
 
 
 def dapi_modal_gain(lam: np.ndarray, params: ControllerParams) -> np.ndarray:
@@ -201,10 +210,13 @@ def dapi_modal_gain(lam: np.ndarray, params: ControllerParams) -> np.ndarray:
     return lam + k_p + inner
 
 
+@np.errstate(over="ignore")
 def h2_closed_form_dapi(net: Network, params: ControllerParams) -> float:
     c = params.uniform("c")
     denom = dapi_modal_gain(net.spectrum.values, params)
-    return c / (2 * net.node_count) * float(np.sum(1.0 / denom))
+    return numerics.require_finite(
+        c / (2 * net.node_count) * float(np.sum(1.0 / denom)),
+        "DAPI H2 norm")
 
 
 def h2_lyapunov(model: StateSpaceModel) -> float:

@@ -386,12 +386,25 @@ class TestBoundaries:
         # counts
         ["sim", "--gen", "path:4", "--c", "1e-300", "--T", "1e10"],
         ["fig2", "--n", "3", "--T", "1e306"],
+        # results that overflow: once printed as Infinity or NaN, exit 0,
+        # with numpy's overflow warnings on stderr and the sweep's CSV
+        # written first
+        ["resist", "--gen", "grid2:3x3", "--pair", "0,8", "--resistance",
+         "1e308"],
+        ["resist", "--gen", "path:4", "--pair", "0,3", "--resistance",
+         "1e308"],
+        ["compare", "--gen", "path:3", "--c", "1e308"],
+        ["sweep", "--family", "path", "--sizes", "3,4", "--resistance",
+         "1e308"],
     ])
+    @pytest.mark.filterwarnings("error")
     def test_computation_error(self, argv, capsys, tmp_path):
         assert run(argv + ["--out", "x"]) == 1
-        out = capsys.readouterr().out
-        assert "error" in strict_json(out)
-        assert not (tmp_path / "x_meta.json").exists()
+        captured = capsys.readouterr()
+        assert "error" in strict_json(captured.out)
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--family", "path", "--sizes", "10"],

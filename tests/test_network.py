@@ -142,6 +142,31 @@ class TestLattice:
         with pytest.raises(errors.InvalidSize):
             generate_lattice(2, (1, 3))
 
+    @pytest.mark.parametrize("sides", [(2,), (7,), (2, 2), (3, 5), (5, 3),
+                                       (2, 3, 4), (4, 2, 3), (3, 3, 3)])
+    @pytest.mark.parametrize("r", [1.0, 0.25])
+    def test_equals_build_network_of_its_triples(self, sides, r):
+        # the lattice skips build_network's validation and sort; given the
+        # same triples in reverse, build_network must sort them back
+        net = generate_lattice(len(sides), sides, r)
+        twin = build_network(net.node_count, net.edges[::-1])
+        assert net == twin
+        assert net.ends.dtype == twin.ends.dtype
+        assert not (net.ends.flags.writeable or net.resistance.flags.writeable)
+        assert net.box == lattice_box(twin) == (sides, 1.0 / r)
+
+    @pytest.mark.parametrize("sides, r", [
+        ((3, 4), 4e-308), ((3, 3, 3), 6e-308), ((2, 3), 1e-320)])
+    def test_conductance_overflow_as_build_network(self, sides, r):
+        # the same node is named: the first whose degree overflows
+        triples = [(i, j, r) for i, j, _ in generate_lattice(
+            len(sides), sides).edges]
+        with pytest.raises(errors.InvalidEdge) as direct:
+            generate_lattice(len(sides), sides, r)
+        with pytest.raises(errors.InvalidEdge) as built:
+            build_network(math.prod(sides), triples)
+        assert str(direct.value) == str(built.value)
+
 
 def bfs_distances(net, source):
     adj = [[] for _ in range(net.node_count)]
@@ -474,11 +499,13 @@ class TestConnectivityByConstruction:
         lattice = generate_lattice(2, 4)
         other = build_network(3, [(0, 1, 1.0), (1, 2, 2.0)])
         fuzz = generate_hfuzz(lattice, 2)
-        assert decided == [lattice, other]
+        # a generated lattice is built with its box, so it is never tested
+        assert decided == [other]
         for net in (lattice, other, fuzz, lattice, other, fuzz):
             net.spectrum
             assert net.box is net.box
-        assert decided == [lattice, other, fuzz]
+        assert decided == [other, fuzz]
+        assert lattice.box == ((4, 4), 1.0)
 
     def test_fuzz_resistance_still_checked(self):
         # positive, so only the edge validation can refuse it

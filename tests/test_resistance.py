@@ -98,6 +98,40 @@ class TestKirchhoffIndex:
         assert np.isclose(kirchhoff_index(triangle), 2.0)
 
 
+@pytest.mark.filterwarnings("error")
+class TestOverflow:
+    """Resistances near the largest float overflow the indices; each
+    raises NonFiniteState, on both spectrum routes, without a warning."""
+
+    @pytest.mark.parametrize("spec", ["path", "fuzz"])
+    def test_kirchhoff_index(self, spec):
+        net = generate_lattice(1, 4, 1e308)
+        if spec == "fuzz":
+            net = generate_hfuzz(net, 2)
+        with pytest.raises(errors.NonFiniteState, match="Kirchhoff"):
+            kirchhoff_index(net)
+        with pytest.raises(errors.NonFiniteState):
+            kstar(net)
+
+    def test_effective_resistance(self):
+        net = generate_lattice(1, 4, 1e308)
+        with pytest.raises(errors.NonFiniteState, match="effective"):
+            effective_resistance(net, 0, 3)
+        # one step's resistance is still a float
+        assert effective_resistance(net, 0, 1) == pytest.approx(1e308)
+
+    def test_sweep_raises_before_its_records(self):
+        with pytest.raises(errors.NonFiniteState, match="Kirchhoff"):
+            scaling_sweep("path", [3, 4], ControllerParams(c=1.0),
+                          resistance=1e308)
+
+    def test_sweep_fit_of_underflowed_norms(self):
+        # every slack norm rounds to 0 or one subnormal step: the fit's
+        # r^2 is 0 / 0, which once ended in NaN or ZeroDivisionError
+        with pytest.raises(errors.NonFiniteState, match="fit"):
+            scaling_sweep("path", [3, 4], ControllerParams(c=5e-324))
+
+
 class TestKStar:
     def test_k2(self, k2):
         assert np.isclose(kstar(k2), 0.25)

@@ -1,7 +1,10 @@
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dcgrid
 
@@ -18,15 +21,68 @@ def test_no_bare_assert():
     assert found == []
 
 
-def test_import_leaves_out_scipy_sparse():
-    # importing scipy.sparse costs every process memory and start-up time;
-    # a change that pulls it in should quote that cost from the benchmark
+def _python(code, *args, cwd=None):
+    """stdout of a fresh interpreter that runs ``code`` with ``args`` and
+    this dcgrid first on its path."""
+    src = str(Path(dcgrid.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code, *args],
+                         capture_output=True, text=True, check=True, cwd=cwd,
+                         env={**os.environ, "PYTHONPATH": src})
+    return out.stdout.strip()
+
+
+def test_import_leaves_out_scipy():
+    # scipy.linalg was more than half of every CLI call's start-up; only
+    # the kernels that call it import it, on first use
     code = ("import sys, dcgrid, dcgrid.cli; "
-            "print('scipy.sparse' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         cwd=Path(dcgrid.__file__).parents[1])
-    assert out.stdout.strip() == "False"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert _python(code) == "[]"
+
+
+def _module_level(tree):
+    """Every node that runs when the module is imported: all but the
+    bodies of functions and lambdas."""
+    for node in ast.iter_child_nodes(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            yield node
+            yield from _module_level(node)
+
+
+def test_no_module_level_scipy_import():
+    found = []
+    for path in SOURCES:
+        for node in _module_level(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+# runs each argv through the CLI, its summaries kept off stdout
+ROUTE_CODE = """
+import contextlib, io, sys
+from dcgrid.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [run(argv.split()) for argv in sys.argv[1:]]
+print(codes, 'scipy.linalg' in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argvs, loaded", [
+    (["h2 --gen grid2:8x8", "sweep --family grid3d --sizes 3,4"], False),
+    (["h2 --gen fuzz:2:grid2:4x4"], True),
+], ids=["box-lattices", "h-fuzz"])
+def test_scipy_linalg_loads_only_off_the_box_route(argvs, loaded, tmp_path):
+    # a box lattice's spectrum is analytic; an h-fuzz needs the banded
+    # Cholesky factor, whose import comes with its first use
+    out = _python(ROUTE_CODE, *argvs, cwd=tmp_path)
+    assert out == f"{[0] * len(argvs)} {loaded}"
 
 
 EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "eig_banded",

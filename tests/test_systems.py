@@ -157,6 +157,21 @@ class TestClosedForms:
         with pytest.raises(errors.NonUniformParams):
             h2_closed_form_dapi(k2, p)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("resistance, params, what", [
+        (1.0, ControllerParams(c=1e308), "droop"),
+        (1.0, ControllerParams(k_p=5e-324), "droop"),
+        (1e308, ControllerParams(), "slack"),
+    ], ids=["c-1e308", "kp-5e-324", "resistance-1e308"])
+    def test_overflow_is_nonfinite_state(self, resistance, params, what):
+        # each once returned inf or nan, some with a numpy warning
+        net = generate_lattice(1, 3, resistance)
+        with pytest.raises(errors.NonFiniteState, match=what):
+            compare_controllers(net, params)
+        if what == "droop":
+            with pytest.raises(errors.NonFiniteState, match="DAPI"):
+                h2_closed_form_dapi(net, params)
+
 
 class TestLyapunovOracle:
     def test_scalar(self):
