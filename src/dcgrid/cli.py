@@ -130,8 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("slack", "droop", "dapi"),
                    default="slack")
     p.add_argument("--T", type=float, default=30.0)
-    p.add_argument("--mode", choices=("bb_star", "paper_fig2"),
-                   default="paper_fig2")
     p.add_argument("--buses", default=None,
                    help="comma-separated bus subset to export (default: "
                         "first 10)")
@@ -232,26 +230,18 @@ def _assemble(kind: str, net: Network, params, ground: int):
     return systems.assemble_dapi(net, params)
 
 
-def _bus_subset(args, model) -> list[int]:
-    if args.buses:
-        try:
-            return [int(s) for s in args.buses.split(",")]
-        except ValueError as exc:
-            raise UsageError(f"bad buses {args.buses!r}") from exc
-    buses = sorted(int(lbl[1:]) for lbl in model.state_labels
-                   if lbl.startswith("V"))
-    return buses[:10]
+def _first_buses(model) -> list[int]:
+    """The first ten voltage buses in ascending order: what ``sim``
+    exports without --buses, and ``fig2`` always."""
+    return sorted(int(lbl[1:]) for lbl in model.state_labels
+                  if lbl.startswith("V"))[:10]
 
 
-def _check_grid(T: float, rows: int) -> None:
-    """Reject a --T or --rows that no trajectory grid can take; the grid
-    itself is laid out by ``simulation.simulate``."""
-    for name, value in (("T", T), ("rows", rows)):
-        if not 0 < value < math.inf:
-            raise UsageError(f"--{name} must be positive and finite, "
-                             f"got {value}")
-    if rows > MAX_ROWS:
-        raise UsageError(f"--rows must be at most {MAX_ROWS}, got {rows}")
+def _check_T(T: float) -> None:
+    """Reject a --T that no trajectory grid can take; the grid itself is
+    laid out by ``simulation.simulate``."""
+    if not 0 < T < math.inf:
+        raise UsageError(f"--T must be positive and finite, got {T}")
 
 
 def _check_seed(seed: int) -> None:
@@ -261,15 +251,19 @@ def _check_seed(seed: int) -> None:
 
 def _cmd_sim(args):
     _check_seed(args.seed)
+    _check_T(args.T)
+    try:
+        buses = ([int(s) for s in args.buses.split(",")] if args.buses
+                 else None)
+    except ValueError as exc:
+        raise UsageError(f"bad buses {args.buses!r}") from exc
     net = parse_generator_spec(args.gen, args.resistance)
-    params = _params(args)
-    model = _assemble(args.kind, net, params, args.ground)
-    buses = _bus_subset(args, model)
-    _check_grid(args.T, DEFAULT_ROWS)
-    x0 = simulation.sample_initial(model, args.seed, 1, args.mode)[:, 0]
+    model = _assemble(args.kind, net, _params(args), args.ground)
+    x0 = simulation.sample_initial(model, args.seed, 1)[:, 0]
     traj = simulation.simulate(model, x0, args.T, DEFAULT_ROWS)
     path = f"{args.out}_traj.csv"
-    _write(path, simulation.export_trajectory(traj, buses))
+    _write(path, simulation.export_trajectory(
+        traj, buses or _first_buses(model)))
     return {"file": path, "kind": args.kind, "rows": len(traj.times),
             "dt": traj.dt, "seed": args.seed}
 
@@ -283,26 +277,25 @@ def _cmd_fig2(args):
     time constants explicit.
     """
     _check_seed(args.seed)
+    _check_T(args.T)
+    if not 1 <= args.rows <= MAX_ROWS:
+        raise UsageError(f"--rows must lie in [1, {MAX_ROWS}], "
+                         f"got {args.rows}")
     net = network.generate_lattice(1, args.n, args.resistance)
-    files = []
     variants = [("c1mF", 1e-3, args.T), ("c1F", 1.0, args.T * 1000.0)]
     outputs = []
     for tag, c, horizon in variants:
         params = _params(args, c)
-        _check_grid(horizon, args.rows)
         for kind in ("slack", "droop", "dapi"):
             model = _assemble(kind, net, params, args.ground)
-            x0 = simulation.sample_initial(model, args.seed, 1,
-                                           "paper_fig2")[:, 0]
+            x0 = simulation.sample_initial(model, args.seed, 1)[:, 0]
             traj = simulation.simulate(model, x0, horizon, args.rows)
-            csv = simulation.export_trajectory(
-                traj, [b for b in range(args.n) if f"V{b}" in
-                       model.state_labels][:10])
+            csv = simulation.export_trajectory(traj, _first_buses(model))
             outputs.append((f"{args.out}_{kind}_{tag}.csv", csv))
     for path, csv in outputs:
         _write(path, csv)
-        files.append(path)
-    return {"files": files, "n": args.n, "seed": args.seed,
+    return {"files": [path for path, _ in outputs], "n": args.n,
+            "seed": args.seed,
             "bus_subset": "first 10 non-grounded buses by index"}
 
 

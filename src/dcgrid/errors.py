@@ -15,7 +15,8 @@ class InvalidEdge(DCGridError):
 
 
 class IndexOutOfRange(DCGridError):
-    pass
+    """A node, ground or bus index that is not an integer in range, or a
+    random seed that is not an integer in [0, 2^64)."""
 
 
 class DisconnectedGraph(DCGridError):
@@ -29,8 +30,10 @@ class InvalidDimension(DCGridError):
 
 
 class InvalidSize(DCGridError):
-    """Lattice side length below 2, or a network too large for a dense
-    n x n matrix (see ``network.DENSE_MAX_NODES``)."""
+    """Lattice side length below 2, a network too large for a dense
+    n x n matrix (see ``network.DENSE_MAX_NODES``), fewer than two Monte
+    Carlo samples, or an initial state whose length is not the model's
+    state dimension."""
 
 
 class InvalidFuzzRadius(DCGridError):

@@ -370,11 +370,19 @@ def laplacian(net: Network) -> np.ndarray:
     return lap
 
 
+def check_index(index, n: int, what: str = "node index") -> int:
+    """``index`` as an int when it is an int or numpy integer in [0, n);
+    IndexOutOfRange otherwise, so a float such as 1.5 is not truncated."""
+    if (isinstance(index, bool) or not isinstance(index, (int, np.integer))
+            or not 0 <= int(index) < n):
+        raise IndexOutOfRange(f"{what} {index} outside [0,{n})")
+    return int(index)
+
+
 def reduced_laplacian(lap: np.ndarray, ground: int = 0) -> np.ndarray:
     """Principal submatrix with the grounded node's row and column removed."""
     n = lap.shape[0]
-    if not (0 <= ground < n):
-        raise IndexOutOfRange(f"ground index {ground} outside [0,{n})")
+    ground = check_index(ground, n, "ground index")
     keep = [k for k in range(n) if k != ground]
     return lap[np.ix_(keep, keep)]
 

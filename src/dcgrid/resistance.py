@@ -20,7 +20,6 @@ from . import network as net_mod
 from . import numerics, systems
 from .errors import (
     DisconnectedGraph,
-    IndexOutOfRange,
     InvalidEdge,
     RayleighViolation,
     SameNode,
@@ -45,9 +44,7 @@ def reff_matrix(net: Network) -> np.ndarray:
 def effective_resistance(net: Network, i: int, j: int) -> float:
     """Two-terminal equivalent resistance between buses i and j:
     (e_i - e_j)^T L^+ (e_i - e_j), from the spectrum's ``reff``."""
-    n = net.node_count
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexOutOfRange(f"node pair ({i},{j}) outside [0,{n})")
+    i, j = (net_mod.check_index(k, net.node_count) for k in (i, j))
     if i == j:
         raise SameNode(f"effective resistance needs two distinct nodes, got {i}")
     return numerics.require_finite(net.spectrum.reff(i, j),

@@ -5,15 +5,19 @@ size is too large for stability and none is refined or doubled.
 ``simulate(model, x0, T, rows)`` lays out its own trajectory grid from
 ``default_dt`` and the row target, and advances each recorded row by the
 propagator expm(A h). The expected output energy route to the H2 norm
-advances random initial conditions by whole chunks and adds each chunk's
-output energy exactly, as a quadratic form in the chunk's observability
-Gramian. The steady-state output variance route runs independent
-white-noise chains side by side from x = 0, adds the exact discrete
-noise at a step of half the slowest time constant, and averages each
-chain's output after a warm-up. The Gramian and the noise covariance
+draws random initial conditions x0 = B xi, xi standard normal, so that
+cov(x0) = B B^T: unit normal bus voltages with any integrator at zero,
+since B's columns are the voltage states. It advances them by whole
+chunks of 10 slowest time constants, at most 5 chunks (50 tau), and adds
+each chunk's output energy exactly, as a quadratic form in the chunk's
+observability Gramian. The steady-state output variance route runs
+independent white-noise chains side by side from x = 0, adds the exact
+discrete noise at a step of half the slowest time constant, and
+averages each chain's output after a warm-up. The Gramian and the noise covariance
 both come from Van Loan's block exponential (``van_loan``).
 Each estimate draws its randomness from one counter-based Philox stream
-per seed, sample after sample, so sample i depends only on (seed, i).
+per seed, sample after sample, so sample i depends only on (seed, i);
+a seed is an integer in [0, 2^64).
 ``scipy.linalg`` is imported on first use, inside ``propagator``, the
 one caller of its ``expm``.
 """
@@ -26,16 +30,18 @@ import numpy as np
 
 from .errors import (
     IndexOutOfRange,
+    InvalidSize,
     NonFiniteState,
     NotHurwitz,
     SingularSystem,
     StepTooLarge,
 )
+from .network import check_index
 from .systems import StateSpaceModel
 
 TAIL_THRESHOLD = 1e-8  # terminal ||x||^2 relative to initial, per sample mean
-T_MAX_CONSTANTS = 50.0  # default horizon cap in slowest time constants
 CHUNK_CONSTANTS = 10.0  # Monte Carlo chunk length in slowest time constants
+MAX_CHUNKS = 5  # Monte Carlo horizon cap: 5 chunks, 50 time constants
 VAN_LOAN_TERMS = 20  # Taylor terms of van_loan's series at norm <= 1
 # White noise, in slowest time constants tau. Averaging a mode of time
 # constant tau at samples h apart has (h/tau) coth(h/tau) times the variance
@@ -85,8 +91,11 @@ def slowest_time_constant(model: StateSpaceModel) -> float:
 
 
 def stream(seed: int) -> np.random.Generator:
-    """Counter-based Philox RNG stream of one seed (key seed * 2^64)."""
-    return np.random.Generator(np.random.Philox(key=int(seed) << 64))
+    """Counter-based Philox RNG stream of one seed (key seed * 2^64); the
+    one check of every seed: IndexOutOfRange unless it is an integer in
+    [0, 2^64)."""
+    seed = check_index(seed, 2**64, "seed")
+    return np.random.Generator(np.random.Philox(key=seed << 64))
 
 
 def _halvings(bound: float, h: float) -> int:
@@ -179,9 +188,13 @@ def simulate(model: StateSpaceModel, x0, T: float, rows: int) -> Trajectory:
     all. Each row is one step of the exact propagator expm(A dt stride)
     (see ``propagator``); the Trajectory's dt is that recording interval.
     StepTooLarge when T is not finite and at least one step, T / dt is not
-    a finite count, or rows < 1. Deterministic: identical arguments give
-    identical output.
+    a finite count, or rows < 1; InvalidSize when x0 is not one value per
+    state. Deterministic: identical arguments give identical output.
     """
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (model.dim,):
+        raise InvalidSize(f"initial state of shape {x.shape} for a model of "
+                          f"{model.dim} states")
     dt = default_dt(model)
     if not (np.isfinite(T / dt) and T >= dt):
         raise StepTooLarge(f"horizon T={T} must hold a finite count of at "
@@ -192,7 +205,6 @@ def simulate(model: StateSpaceModel, x0, T: float, rows: int) -> Trajectory:
     stride = max(1, steps // rows)
     rec_dt = dt * stride
     prop = propagator(model.a, rec_dt)
-    x = np.asarray(x0, dtype=float)
     recorded = [x]
     for _ in range(steps // stride):
         x = prop @ x
@@ -204,63 +216,48 @@ def simulate(model: StateSpaceModel, x0, T: float, rows: int) -> Trajectory:
     return Trajectory(times, states, rec_dt, model.state_labels)
 
 
-def sample_initial(model: StateSpaceModel, seed: int, samples: int,
-                   mode: str = "bb_star") -> np.ndarray:
-    """Random initial states, one column per Monte Carlo sample.
+def sample_initial(model: StateSpaceModel, seed: int, samples: int
+                   ) -> np.ndarray:
+    """Random initial states x0 = B xi, xi standard normal, one column per
+    Monte Carlo sample, so cov(x0) = B B^T.
 
-    All columns come from the one stream of ``seed``, sample after
-    sample, so column i depends only on (seed, i).
-    bb_star: x0 = B xi with xi standard normal, so cov(x0) = B B^T.
-    paper_fig2: unit normal voltages, integrators started at zero.
+    B's columns are the voltage states in label order, so these are unit
+    normal bus voltages with any integrator at zero. All columns come from
+    the one stream of ``seed``, sample after sample, so column i depends
+    only on (seed, i).
     """
-    if mode == "bb_star":
-        xi = stream(seed).standard_normal((samples, model.b.shape[1]))
-        return model.b @ xi.T
-    if mode == "paper_fig2":
-        x0 = np.zeros((model.dim, samples))
-        volt = model.voltage_indices()
-        x0[volt] = stream(seed).standard_normal((samples, len(volt))).T
-        return x0
-    raise ValueError(f"unknown initial-condition mode {mode!r}")
+    xi = stream(seed).standard_normal((samples, model.b.shape[1]))
+    return model.b @ xi.T
 
 
-def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0,
-                   mode: str = "bb_star", t_max: float | None = None
+def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0
                    ) -> McEstimate:
     """Estimate the expected output energy integral over random initial
-    conditions.
+    conditions x0 = B xi (``sample_initial``).
 
     Advances all samples together by whole chunks of length
-    h = min(``CHUNK_CONSTANTS`` slowest time constants, t_max). Each
-    chunk adds its output energy exactly, as the quadratic form x^T G x
-    with the Gramian G = int_0^h e^{A^T s} H^T H e^{A s} ds, and then
-    steps x <- expm(A h) x; G and expm(A^T h) come from one ``van_loan``
-    call. Chunks run until the mean squared state has decayed below a
-    small fraction of its initial value or the horizon reaches ``t_max``
-    (default 50 slowest time constants), rounded up to whole chunks;
-    stopping at the cap flags the estimate as unconverged. The estimate's
-    T is the horizon run and its dt the chunk length.
+    h = ``CHUNK_CONSTANTS`` slowest time constants. Each chunk adds its
+    output energy exactly, as the quadratic form x^T G x with the Gramian
+    G = int_0^h e^{A^T s} H^T H e^{A s} ds, and then steps
+    x <- expm(A h) x; G and expm(A^T h) come from one ``van_loan`` call.
+    Chunks run until the mean squared state has decayed below a small
+    fraction of its initial value, at most ``MAX_CHUNKS`` = 5 chunks
+    (50 tau); stopping at the cap flags the estimate as unconverged. The
+    estimate's T is the horizon run and its dt the chunk length.
+    InvalidSize for fewer than 2 samples.
     """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    tau = slowest_time_constant(model)
-    if t_max is None:
-        t_max = T_MAX_CONSTANTS * tau
-    if not (np.isfinite(t_max) and t_max > 0):
-        raise StepTooLarge(f"horizon t_max={t_max} must be positive and "
-                           "finite")
-    h = min(CHUNK_CONSTANTS * tau, t_max)
-    # a t_max within rounding of whole chunks adds no extra chunk
-    max_chunks = int(np.ceil(t_max / h * (1.0 - 4.0 * np.finfo(float).eps)))
+    if not samples >= 2:
+        raise InvalidSize(f"need at least 2 samples, got {samples}")
+    h = CHUNK_CONSTANTS * slowest_time_constant(model)
     phi_t, gram = van_loan(model.a.T, model.h.T @ model.h, h)
     prop = phi_t.T
 
-    x = sample_initial(model, seed, samples, mode)
+    x = sample_initial(model, seed, samples)
     initial_ms = float(np.mean(np.sum(x * x, axis=0)))
     energy = np.zeros(samples)
     chunks = 0
     converged = initial_ms == 0.0
-    while not converged and chunks < max_chunks:
+    while not converged and chunks < MAX_CHUNKS:
         energy += np.sum(x * (gram @ x), axis=0)
         x = prop @ x
         chunks += 1

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import network as net_mod
 from . import numerics
-from .errors import IndexOutOfRange, NonFiniteState, NonUniformParams
+from .errors import NonFiniteState, NonUniformParams
 from .network import Network
 
 
@@ -175,8 +175,7 @@ def h2_closed_form_slack(net: Network, params: ControllerParams,
     tr(L^+) the sum of reciprocal nonzero Laplacian eigenvalues."""
     c = params.uniform("c")
     n = net.node_count
-    if not 0 <= ground < n:
-        raise IndexOutOfRange(f"ground index {ground} outside [0,{n})")
+    ground = net_mod.check_index(ground, n, "ground index")
     spec = net.spectrum
     trace = float(np.sum(1.0 / spec.values[1:]))
     return numerics.require_finite(

@@ -189,8 +189,7 @@ def test_criterion_8_size_ratio_study():
         for kind, model in (("slack", assemble_slack(net, PAPER, 0)),
                             ("droop", assemble_droop(net, PAPER)),
                             ("dapi", assemble_dapi(net, PAPER))):
-            est = monte_carlo_h2(model, samples=100, seed=seed,
-                                 mode="paper_fig2")
+            est = monte_carlo_h2(model, samples=100, seed=seed)
             means[(kind, n)] = est.mean
     ratios = {kind: means[(kind, 100)] / means[(kind, 10)]
               for kind in ("slack", "droop", "dapi")}

@@ -289,7 +289,7 @@ class TestOptions:
         "compare": "gen resistance c kp k gamma ground out",
         "sweep": "resistance c kp k gamma ground out family sizes",
         "resist": "gen resistance out pair",
-        "sim": "gen resistance c kp k gamma ground seed out kind T mode buses",
+        "sim": "gen resistance c kp k gamma ground seed out kind T buses",
         "fig2": "resistance kp k gamma ground seed out n T rows",
     }
 
@@ -310,6 +310,8 @@ class TestOptions:
         # simulate lays out its own grid, so sim takes no step
         ["sim", "--gen", "path:3", "--dt", "nan"],
         ["sim", "--gen", "path:3", "--dt", "0"],
+        # every initial state is x0 = B xi, so sim takes no law to draw it by
+        ["sim", "--gen", "path:3", "--mode", "bb_star"],
     ])
     def test_unread_option_is_usage_error(self, argv, tmp_path):
         assert run(argv) == 2

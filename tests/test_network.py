@@ -289,6 +289,38 @@ class TestReducedLaplacian:
             reduced_laplacian(laplacian(p3), 3)
 
 
+# every caller of the one index check, with the index as its last argument
+INDEX_CALLS = {
+    "reduced_laplacian": lambda net, i: reduced_laplacian(laplacian(net), i),
+    "h2_closed_form_slack": lambda net, i: systems.h2_closed_form_slack(
+        net, ControllerParams(c=1.0), i),
+    "assemble_slack": lambda net, i: systems.assemble_slack(
+        net, ControllerParams(c=1.0), i).a,
+    "effective_resistance": lambda net, i: resistance.effective_resistance(
+        net, 0, i),
+}
+
+
+class TestIndexCheck:
+    """A node index is an int or numpy integer in [0, n). A float was once
+    truncated: ground 1.5 gave ground 1's slack norm, a pair (0, 1.5)
+    R(0, 1), and assemble_slack a 5 x 5 A with a 4 x 4 B."""
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, np.float64(1.0), True,
+                                       "1", None, -1, 5, np.int64(5)])
+    @pytest.mark.parametrize("call", sorted(INDEX_CALLS))
+    def test_refused(self, call, index):
+        with pytest.raises(errors.IndexOutOfRange):
+            INDEX_CALLS[call](generate_lattice(1, 5), index)
+
+    @pytest.mark.parametrize("index", [np.int64(1), np.uint8(1)])
+    @pytest.mark.parametrize("call", sorted(INDEX_CALLS))
+    def test_numpy_integer_as_int(self, call, index):
+        net = generate_lattice(1, 5)
+        assert np.array_equal(INDEX_CALLS[call](net, index),
+                              INDEX_CALLS[call](net, 1))
+
+
 class TestSpectrum:
     def test_computed_once_and_shared(self, p3):
         assert p3.spectrum is p3.spectrum

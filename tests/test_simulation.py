@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from dcgrid import errors, simulation
-from dcgrid.network import generate_lattice
+from dcgrid.network import generate_hfuzz, generate_lattice
 from dcgrid.numerics import solve_lyapunov
 from dcgrid.simulation import (
     default_dt,
@@ -29,6 +29,8 @@ from dcgrid.systems import (
     h2_closed_form_droop,
     h2_closed_form_slack,
 )
+
+from .conftest import random_connected_network
 
 PAPER = ControllerParams(c=1e-3, k_p=0.1, k=100.0, gamma=1000.0)
 
@@ -149,6 +151,13 @@ class TestSimulate:
         traj = simulate(m, np.zeros(6), T=0.1, rows=10)
         assert traj.state_labels == m.state_labels
 
+    @pytest.mark.parametrize("x0", [np.zeros(5), np.zeros(7),
+                                    np.zeros((6, 1)), 1.0])
+    def test_initial_state_of_wrong_size(self, p3, paper_params, x0):
+        # one value per state, or InvalidSize (once a matmul ValueError)
+        with pytest.raises(errors.InvalidSize):
+            simulate(assemble_dapi(p3, paper_params), x0, T=0.1, rows=10)
+
 
 class TestStreams:
     def test_same_key_same_draws(self):
@@ -161,6 +170,22 @@ class TestStreams:
         c = stream(8).standard_normal(5)
         assert not np.array_equal(a, c)
 
+    def test_numpy_integer_seed(self):
+        top = 2**64 - 1
+        assert np.array_equal(stream(np.uint64(top)).standard_normal(3),
+                              stream(top).standard_normal(3))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 1.0, True, "1"])
+    def test_bad_seed(self, k2, unit_params, seed):
+        # numpy's Philox refused -1 and 2^64 with a ValueError; 1.5 ran as 1
+        m = assemble_droop(k2, unit_params)
+        for call in (lambda: stream(seed),
+                     lambda: sample_initial(m, seed, 3),
+                     lambda: monte_carlo_h2(m, samples=10, seed=seed),
+                     lambda: white_noise_variance(m, T=100.0, seed=seed)):
+            with pytest.raises(errors.IndexOutOfRange, match="seed"):
+                call()
+
 
 class TestSampleInitial:
     def test_deterministic(self, p3, paper_params):
@@ -168,35 +193,59 @@ class TestSampleInitial:
         assert np.array_equal(sample_initial(m, 1, 4),
                               sample_initial(m, 1, 4))
 
-    @pytest.mark.parametrize("mode", ["bb_star", "paper_fig2"])
-    def test_prefix_stable(self, p3, paper_params, mode):
+    def test_prefix_stable(self, p3, paper_params):
         m = assemble_dapi(p3, paper_params)
-        assert np.array_equal(sample_initial(m, 5, 4, mode),
-                              sample_initial(m, 5, 9, mode)[:, :4])
+        assert np.array_equal(sample_initial(m, 5, 4),
+                              sample_initial(m, 5, 9)[:, :4])
 
     def test_first_sample_keeps_seed_key(self, p3, paper_params):
         # sample 0 reads the stream keyed (seed << 64) | 0 from its start
         m = assemble_dapi(p3, paper_params)
         rng = np.random.Generator(np.random.Philox(key=(5 << 64) | 0))
-        x0 = sample_initial(m, 5, 3, mode="paper_fig2")[:, 0]
+        x0 = sample_initial(m, 5, 3)[:, 0]
         assert np.array_equal(x0[3:], rng.standard_normal(3))
 
     def test_paper_fig2_integrators_zero(self, p3, paper_params):
         m = assemble_dapi(p3, paper_params)
-        x0 = sample_initial(m, 0, 1, mode="paper_fig2")[:, 0]
+        x0 = sample_initial(m, 0, 1)[:, 0]
         assert np.array_equal(x0[:3], np.zeros(3))
         assert np.all(x0[3:] != 0)
+
+    @staticmethod
+    def _network(name):
+        if name == "path:7":
+            return generate_lattice(1, 7)
+        if name == "fuzz:2:grid2:4x4":
+            return generate_hfuzz(generate_lattice(2, 4), 2)
+        return random_connected_network(np.random.default_rng(3), n_min=8)
+
+    @pytest.mark.parametrize("net_name", ["path:7", "fuzz:2:grid2:4x4",
+                                          "random"])
+    @pytest.mark.parametrize("kind", ["slack-0", "slack-interior", "droop",
+                                      "dapi"])
+    def test_b_xi_is_unit_voltages(self, net_name, kind):
+        # the radial study's law, built here as it once was in the library:
+        # unit normals on the voltage states in label order, zeros on
+        # every integrator, drawn sample after sample from one stream
+        net = self._network(net_name)
+        if kind.startswith("slack"):
+            ground = 0 if kind == "slack-0" else net.node_count // 2
+            m = assemble_slack(net, PAPER, ground)
+        else:
+            m = (assemble_droop if kind == "droop" else assemble_dapi)(
+                net, PAPER)
+        seed, samples = 9, 4
+        volt = m.voltage_indices()
+        reference = np.zeros((m.dim, samples))
+        reference[volt] = stream(seed).standard_normal(
+            (samples, len(volt))).T
+        assert np.array_equal(sample_initial(m, seed, samples), reference)
 
     def test_bb_star_covariance(self, p3, paper_params):
         m = assemble_dapi(p3, paper_params)
         draws = sample_initial(m, 0, 4000)
         cov = draws @ draws.T / draws.shape[1]
         assert np.allclose(cov, m.b @ m.b.T, atol=0.12)
-
-    def test_unknown_mode(self, k2, paper_params):
-        m = assemble_droop(k2, paper_params)
-        with pytest.raises(ValueError):
-            sample_initial(m, 0, 1, mode="uniform")
 
 
 class TestMonteCarloH2:
@@ -214,8 +263,10 @@ class TestMonteCarloH2:
         assert abs(est.mean - h2_closed_form_slack(p3, p, 0)) <= 3 * est.stderr
 
     def test_needs_two_samples(self, k2, unit_params):
-        with pytest.raises(ValueError):
-            monte_carlo_h2(assemble_droop(k2, unit_params), samples=1)
+        m = assemble_droop(k2, unit_params)
+        for samples in (1, 0, -5):
+            with pytest.raises(errors.InvalidSize):
+                monte_carlo_h2(m, samples=samples)
 
     def test_deterministic(self, p3, paper_params):
         m = assemble_droop(p3, paper_params)
@@ -223,27 +274,20 @@ class TestMonteCarloH2:
         b = monte_carlo_h2(m, samples=20, seed=3)
         assert a.mean == b.mean and a.stderr == b.stderr
 
-    def test_truncation_flag(self, k2, unit_params):
-        m = assemble_droop(k2, unit_params)
-        est = monte_carlo_h2(m, samples=10, t_max=0.05)
-        assert not est.converged
-
     def test_stiff_dapi_runs_fast(self, paper_params):
         # 1 mF capacitances make the DAPI system stiff; the chunked
         # propagator must still finish a realistic run in seconds
         net = generate_lattice(1, 10)
         m = assemble_dapi(net, paper_params)
-        est = monte_carlo_h2(m, samples=50, seed=2, mode="paper_fig2")
+        est = monte_carlo_h2(m, samples=50, seed=2)
         assert est.converged
         assert est.mean > 0
 
-    @pytest.mark.parametrize("case, mode, samples", [
-        ("droop K2", "bb_star", 2000), ("slack P3", "bb_star", 2000),
-        ("dapi path:10", "bb_star", 200), ("dapi path:10", "paper_fig2", 200),
-        ("dapi path:100", "bb_star", 200),
-        ("dapi path:100", "paper_fig2", 200)])
+    @pytest.mark.parametrize("case, samples", [
+        ("droop K2", 2000), ("slack P3", 2000), ("dapi path:10", 200),
+        ("dapi path:100", 200)])
     def test_mean_is_exact_quadratic_form(self, k2, p3, unit_params, case,
-                                          mode, samples):
+                                          samples):
         # each sample's output energy is x0^T P x0 with A^T P + P A = -H^T H;
         # the chunk energies add up to it with no step bias
         if case == "droop K2":
@@ -253,8 +297,8 @@ class TestMonteCarloH2:
         else:
             n = int(case.split(":")[1])
             m = assemble_dapi(generate_lattice(1, n), PAPER)
-        est = monte_carlo_h2(m, samples=samples, seed=4, mode=mode)
-        x0 = sample_initial(m, 4, samples, mode)
+        est = monte_carlo_h2(m, samples=samples, seed=4)
+        x0 = sample_initial(m, 4, samples)
         p = solve_lyapunov(m.a, m.h.T @ m.h).P
         exact = np.mean(np.sum(x0 * (p @ x0), axis=0))
         assert est.converged
@@ -275,17 +319,6 @@ class TestMonteCarloH2:
         assert not est.converged
         assert est.dt == 10.0 * tau
         assert est.T == 5 * est.dt
-
-    def test_horizon_rounds_up_to_whole_chunks(self):
-        m = self._transient_model()
-        est = monte_carlo_h2(m, samples=10, t_max=25.0)
-        assert (est.dt, est.T) == (10.0, 30.0)
-
-    @pytest.mark.parametrize("t_max", [0.0, -1.0, np.nan, np.inf])
-    def test_bad_horizon_rejected(self, k2, unit_params, t_max):
-        with pytest.raises(errors.StepTooLarge):
-            monte_carlo_h2(assemble_droop(k2, unit_params), samples=10,
-                           t_max=t_max)
 
 
 class TestWhiteNoise:

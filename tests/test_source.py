@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import dcgrid
+from dcgrid import errors
 
 SOURCES = sorted(Path(dcgrid.__file__).parent.glob("*.py"))
 
@@ -139,3 +140,20 @@ def test_trajectory_grid_only_in_simulate():
              if name in ("default_dt", "propagator")}
     assert found == {("simulation", "simulate", "default_dt"),
                      ("simulation", "simulate", "propagator")}
+
+
+def test_simulation_raises_only_dcgrid_errors():
+    # every bad input to the stochastic layer ends in a DCGridError; a
+    # numpy ValueError once reached the caller for a seed of -1, one Monte
+    # Carlo sample and an initial state of the wrong length
+    path = Path(dcgrid.__file__).parent / "simulation.py"
+    raised = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(getattr(exc, "id", ast.unparse(exc)))
+    dcgrid_errors = {name for name, cls in vars(errors).items()
+                     if isinstance(cls, type)
+                     and issubclass(cls, errors.DCGridError)}
+    assert len(raised) >= 5
+    assert raised - dcgrid_errors == set()
