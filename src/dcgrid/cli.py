@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, network, resistance, simulation, systems
-from .errors import DCGridError
+from .errors import DCGridError, InvalidParams
 from .network import Network
 
 PAPER_DEFAULTS = {"c": 1e-3, "kp": 0.1, "k": 100.0, "gamma": 1000.0,
@@ -70,7 +70,7 @@ def _params(args, c=None) -> systems.ControllerParams:
         return systems.ControllerParams(c=args.c if c is None else c,
                                         k_p=args.kp, k=args.k,
                                         gamma=args.gamma)
-    except ValueError as exc:
+    except InvalidParams as exc:
         raise UsageError(str(exc)) from exc
 
 

@@ -55,8 +55,9 @@ class SingularSystem(DCGridError):
 
 # --- systems ---
 
-class NonUniformParams(DCGridError):
-    """Closed-form evaluators require uniform per-node parameters."""
+class InvalidParams(DCGridError):
+    """A capacitance or controller gain that is not one positive finite
+    number."""
 
 
 # --- resistance ---

@@ -21,6 +21,7 @@ form and the banded factor), so a box lattice never loads it.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache
@@ -69,6 +70,16 @@ def require_finite(value, what: str) -> float:
     if not math.isfinite(value):
         raise NonFiniteState(f"{what} is not finite: {value}")
     return value
+
+
+def positive_real(value) -> bool:
+    """Whether ``value`` is one real number (an int, a float or a numpy
+    integer or floating scalar, not a bool) that is positive and finite
+    as a float: the check of every gain, capacitance and simulation
+    horizon."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)
+            and value <= sys.float_info.max and float(value) > 0)
 
 
 def eig_sym(mat: np.ndarray) -> np.ndarray:

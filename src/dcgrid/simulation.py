@@ -37,6 +37,7 @@ from .errors import (
     StepTooLarge,
 )
 from .network import check_index
+from .numerics import positive_real
 from .systems import StateSpaceModel
 
 TAIL_THRESHOLD = 1e-8  # terminal ||x||^2 relative to initial, per sample mean
@@ -96,6 +97,17 @@ def stream(seed: int) -> np.random.Generator:
     [0, 2^64)."""
     seed = check_index(seed, 2**64, "seed")
     return np.random.Generator(np.random.Philox(key=seed << 64))
+
+
+def _sample_count(samples, least: int) -> int:
+    """``samples`` as an int when it is an int or numpy integer (not a
+    bool) of at least ``least``; InvalidSize otherwise."""
+    if (isinstance(samples, bool)
+            or not isinstance(samples, (int, np.integer))
+            or samples < least):
+        raise InvalidSize(f"need an integer count of at least {least} "
+                          f"samples, got {samples!r}")
+    return int(samples)
 
 
 def _halvings(bound: float, h: float) -> int:
@@ -187,20 +199,24 @@ def simulate(model: StateSpaceModel, x0, T: float, rows: int) -> Trajectory:
     stride = max(1, steps // rows) of them, steps // stride + 1 rows in
     all. Each row is one step of the exact propagator expm(A dt stride)
     (see ``propagator``); the Trajectory's dt is that recording interval.
-    StepTooLarge when T is not finite and at least one step, T / dt is not
-    a finite count, or rows < 1; InvalidSize when x0 is not one value per
-    state. Deterministic: identical arguments give identical output.
+    StepTooLarge when T is not one positive finite number
+    (``positive_real``) of at least one step, T / dt is not a finite
+    count, or rows is not an integer of at least 1; InvalidSize when x0
+    is not one value per state. Deterministic: identical arguments give
+    identical output.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (model.dim,):
         raise InvalidSize(f"initial state of shape {x.shape} for a model of "
                           f"{model.dim} states")
     dt = default_dt(model)
-    if not (np.isfinite(T / dt) and T >= dt):
+    if not (positive_real(T) and np.isfinite(T / dt) and T >= dt):
         raise StepTooLarge(f"horizon T={T} must hold a finite count of at "
                            f"least one step dt={dt}")
-    if not rows >= 1:
-        raise StepTooLarge(f"rows must be at least 1, got {rows}")
+    if (isinstance(rows, bool) or not isinstance(rows, (int, np.integer))
+            or rows < 1):
+        raise StepTooLarge(f"rows must be an integer of at least 1, got "
+                           f"{rows!r}")
     steps = int(round(T / dt))
     stride = max(1, steps // rows)
     rec_dt = dt * stride
@@ -224,8 +240,10 @@ def sample_initial(model: StateSpaceModel, seed: int, samples: int
     B's columns are the voltage states in label order, so these are unit
     normal bus voltages with any integrator at zero. All columns come from
     the one stream of ``seed``, sample after sample, so column i depends
-    only on (seed, i).
+    only on (seed, i). InvalidSize unless ``samples`` is an integer of at
+    least 1.
     """
+    samples = _sample_count(samples, 1)
     xi = stream(seed).standard_normal((samples, model.b.shape[1]))
     return model.b @ xi.T
 
@@ -244,10 +262,9 @@ def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0
     fraction of its initial value, at most ``MAX_CHUNKS`` = 5 chunks
     (50 tau); stopping at the cap flags the estimate as unconverged. The
     estimate's T is the horizon run and its dt the chunk length.
-    InvalidSize for fewer than 2 samples.
+    InvalidSize unless ``samples`` is an integer of at least 2.
     """
-    if not samples >= 2:
-        raise InvalidSize(f"need at least 2 samples, got {samples}")
+    samples = _sample_count(samples, 2)
     h = CHUNK_CONSTANTS * slowest_time_constant(model)
     phi_t, gram = van_loan(model.a.T, model.h.T @ model.h, h)
     prop = phi_t.T
@@ -290,15 +307,17 @@ def white_noise_variance(model: StateSpaceModel, T: float, seed: int = 0
     The estimate's samples is the chain count, dt the step h and T the
     horizon averaged, summed over the chains (T rounded to whole steps
     per chain). Only a Hurwitz A has a steady state (else NotHurwitz);
-    T must be finite and hold at least one step per chain, and at most
-    ``WHITE_NOISE_MAX_STEPS`` (else StepTooLarge, before any stepping);
-    Q_d must have a Cholesky factor (else SingularSystem).
+    T must be one positive finite number (``positive_real``) and hold at
+    least one step per chain, and at most ``WHITE_NOISE_MAX_STEPS``
+    (else StepTooLarge, before any stepping); Q_d must have a Cholesky
+    factor (else SingularSystem).
     """
     tau = slowest_time_constant(model)
     chains = WHITE_NOISE_CHAINS
     h = WHITE_NOISE_STEP * tau
-    if not (np.isfinite(T) and T > 0):
-        raise StepTooLarge(f"horizon T={T} must be positive and finite")
+    if not positive_real(T):
+        raise StepTooLarge(f"horizon T={T!r} must be one positive finite "
+                           "number")
     per_chain = T / (chains * h)
     if not per_chain <= WHITE_NOISE_MAX_STEPS:
         raise StepTooLarge(f"horizon T={T} needs {per_chain:.3g} steps h={h} "

@@ -2,80 +2,47 @@
 
 Assembles the slack-bus, droop, and DAPI state-space models for a given
 resistor network, and evaluates the squared H2 norm of each either by the
-closed-form spectral expressions (uniform parameters) or by solving a
-Lyapunov equation on the full system matrix (the independent oracle,
-which also handles heterogeneous per-node parameters).
+closed-form spectral expressions or by solving a Lyapunov equation on
+the full system matrix (the independent oracle). The capacitance and
+the gains are the same at every bus (``ControllerParams``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import network as net_mod
 from . import numerics
-from .errors import NonFiniteState, NonUniformParams
+from .errors import InvalidParams, NonFiniteState
 from .network import Network
 
 
 @dataclass(frozen=True)
 class ControllerParams:
-    """Capacitances and controller gains.
+    """Capacitance and controller gains, the same at every bus.
 
-    ``c`` (farads), ``k_p`` (droop gain), and ``k`` (integrator gain) may
-    each be a scalar or a per-node sequence; ``gamma`` scales the line
-    Laplacian into the communication Laplacian and is always scalar.
+    ``c`` (farads), ``k_p`` (droop gain), ``k`` (integrator gain) and
+    ``gamma`` (which scales the line Laplacian into the communication
+    Laplacian) are each one positive finite number (see
+    ``numerics.positive_real``), stored as a float; InvalidParams
+    otherwise.
     """
 
-    c: float | tuple = 1.0
-    k_p: float | tuple = 0.1
-    k: float | tuple = 100.0
+    c: float = 1.0
+    k_p: float = 0.1
+    k: float = 100.0
     gamma: float = 1000.0
 
     def __post_init__(self):
-        for name in ("c", "k_p", "k"):
-            value = getattr(self, name)
-            if np.isscalar(value):
-                if not 0 < value < np.inf:
-                    raise ValueError(
-                        f"{name} must be positive and finite, got {value}")
-            else:
-                arr = np.asarray(value, dtype=float)
-                if not np.all((arr > 0) & (arr < np.inf)):
-                    raise ValueError(
-                        f"all entries of {name} must be positive and finite")
-                object.__setattr__(self, name, tuple(arr))
-        if not 0 < self.gamma < np.inf:
-            raise ValueError(
-                f"gamma must be positive and finite, got {self.gamma}")
-
-    def per_node(self, name: str, n: int) -> np.ndarray:
-        value = getattr(self, name)
-        if np.isscalar(value):
-            return np.full(n, float(value))
-        arr = np.asarray(value, dtype=float)
-        if arr.shape != (n,):
-            raise ValueError(f"{name} has length {arr.size}, expected {n}")
-        return arr
-
-    def uniform(self, name: str) -> float:
-        """Scalar value of a parameter; rejects heterogeneous settings."""
-        value = getattr(self, name)
-        if np.isscalar(value):
-            return float(value)
-        arr = np.asarray(value, dtype=float)
-        if np.ptp(arr) != 0.0:
-            raise NonUniformParams(
-                f"closed-form evaluation requires uniform {name}")
-        return float(arr[0])
-
-    def to_dict(self) -> dict:
-        def plain(v):
-            return float(v) if np.isscalar(v) else list(v)
-        return {"c": plain(self.c), "k_p": plain(self.k_p),
-                "k": plain(self.k), "gamma": float(self.gamma)}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not numerics.positive_real(value):
+                raise InvalidParams(f"{f.name} must be one positive finite "
+                                    f"number, got {value!r}")
+            object.__setattr__(self, f.name, float(value))
 
 
 @dataclass(frozen=True)
@@ -117,12 +84,11 @@ def assemble_slack(net: Network, params: ControllerParams,
     """Grounded-slack-bus dynamics on the n-1 remaining buses."""
     n = net.node_count
     lap_red = net_mod.reduced_laplacian(net_mod.laplacian(net), ground)
-    keep = [i for i in range(n) if i != ground]
-    c_inv = 1.0 / params.per_node("c", n)[keep]
-    a = -c_inv[:, None] * lap_red
+    a = -(1.0 / params.c) * lap_red
     b = np.eye(n - 1)
     h = np.eye(n - 1) / np.sqrt(n)
-    return StateSpaceModel(a, b, h, tuple(f"V{i}" for i in keep), "slack")
+    labels = tuple(f"V{i}" for i in range(n) if i != ground)
+    return StateSpaceModel(a, b, h, labels, "slack")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -130,9 +96,7 @@ def assemble_droop(net: Network, params: ControllerParams) -> StateSpaceModel:
     """Decentralized proportional (droop) control on every bus."""
     n = net.node_count
     lap = net_mod.laplacian(net)
-    c_inv = 1.0 / params.per_node("c", n)
-    kp = params.per_node("k_p", n)
-    a = -c_inv[:, None] * (lap + np.diag(kp))
+    a = -(1.0 / params.c) * (lap + params.k_p * np.eye(n))
     b = np.eye(n)
     h = np.eye(n) / np.sqrt(n)
     return StateSpaceModel(a, b, h, tuple(f"V{i}" for i in range(n)), "droop")
@@ -149,13 +113,12 @@ def assemble_dapi(net: Network, params: ControllerParams) -> StateSpaceModel:
     n = net.node_count
     lap = net_mod.laplacian(net)
     lap_q = params.gamma * lap
-    c_inv = 1.0 / params.per_node("c", n)
-    k_inv = 1.0 / params.per_node("k", n)
-    kp = params.per_node("k_p", n)
+    c_inv = 1.0 / params.c
+    k_inv = 1.0 / params.k
     eye = np.eye(n)
     a = np.block([
-        [-k_inv[:, None] * lap_q, np.diag(k_inv)],
-        [-np.diag(c_inv), -c_inv[:, None] * (lap + np.diag(kp))],
+        [-k_inv * lap_q, k_inv * eye],
+        [-(c_inv * eye), -c_inv * (lap + params.k_p * eye)],
     ])
     b = np.vstack([np.zeros((n, n)), np.eye(n)])
     h = np.hstack([np.zeros((n, n)), eye / np.sqrt(n)])
@@ -173,7 +136,7 @@ def h2_closed_form_slack(net: Network, params: ControllerParams,
                          ground: int = 0) -> float:
     """c/(2n) tr(L_red^-1), with tr(L_red^-1) = tr(L^+) + n L^+_gg and
     tr(L^+) the sum of reciprocal nonzero Laplacian eigenvalues."""
-    c = params.uniform("c")
+    c = params.c
     n = net.node_count
     ground = net_mod.check_index(ground, n, "ground index")
     spec = net.spectrum
@@ -185,8 +148,7 @@ def h2_closed_form_slack(net: Network, params: ControllerParams,
 
 @np.errstate(over="ignore")
 def h2_closed_form_droop(net: Network, params: ControllerParams) -> float:
-    c = params.uniform("c")
-    k_p = params.uniform("k_p")
+    c, k_p = params.c, params.k_p
     values = net.spectrum.values
     return numerics.require_finite(
         c / (2 * net.node_count) * float(np.sum(1.0 / (values + k_p))),
@@ -200,10 +162,7 @@ def dapi_modal_gain(lam: np.ndarray, params: ControllerParams) -> np.ndarray:
     overflow through gamma^2, and the zero mode's term (like any overflowed
     denominator) is c / inf = 0.
     """
-    c = params.uniform("c")
-    k_p = params.uniform("k_p")
-    k = params.uniform("k")
-    g = params.gamma
+    c, k_p, k, g = params.c, params.k_p, params.k, params.gamma
     with np.errstate(divide="ignore", over="ignore"):
         inner = c / (c * (g * lam) + k * lam + k * k_p + k / (g * lam))
     return lam + k_p + inner
@@ -211,7 +170,7 @@ def dapi_modal_gain(lam: np.ndarray, params: ControllerParams) -> np.ndarray:
 
 @np.errstate(over="ignore")
 def h2_closed_form_dapi(net: Network, params: ControllerParams) -> float:
-    c = params.uniform("c")
+    c = params.c
     denom = dapi_modal_gain(net.spectrum.values, params)
     return numerics.require_finite(
         c / (2 * net.node_count) * float(np.sum(1.0 / denom)),
@@ -250,7 +209,7 @@ class H2Report:
             "droop": self.value_droop,
             "dapi": self.value_dapi,
             "method": self.method,
-            "params": self.params.to_dict(),
+            "params": asdict(self.params),
             "ground": self.ground,
             "ordering_flags": {
                 "dapi_le_droop": self.dapi_le_droop,

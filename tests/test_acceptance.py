@@ -82,7 +82,7 @@ def test_criterion_2_ordering_and_lower_bound():
         droop = h2_closed_form_droop(net, params)
         dapi = h2_closed_form_dapi(net, params)
         slack = h2_closed_form_slack(net, params, 0)
-        c = params.uniform("c")
+        c = params.c
         ok &= dapi < droop
         ok &= slack >= 0.5 * c * kstar(net) * (1 - 1e-12)
     _report(2, "dapi < droop and slack >= c K*/2", ok,

@@ -87,6 +87,15 @@ class TestStepControl:
         with pytest.raises(errors.StepTooLarge):
             simulate(scalar_model(), [1.0], T=1.0, rows=rows)
 
+    @pytest.mark.parametrize("T, rows", [
+        ("1", 10), (10**400, 10), (True, 10), (1.0, 2.5), (1.0, "3"),
+        (1.0, True)], ids=["T-str", "T-huge-int", "T-bool", "rows-float",
+                           "rows-str", "rows-bool"])
+    def test_wrong_type_horizon_or_rows(self, T, rows):
+        # a bool ran as 1; the others ended in a TypeError or OverflowError
+        with pytest.raises(errors.StepTooLarge):
+            simulate(scalar_model(), [1.0], T=T, rows=rows)
+
     @pytest.mark.parametrize("T", [np.nan, np.inf, -1.0, 0.0])
     def test_non_finite_or_non_positive_rejected(self, T):
         with pytest.raises(errors.StepTooLarge):
@@ -197,6 +206,18 @@ class TestSampleInitial:
         m = assemble_dapi(p3, paper_params)
         assert np.array_equal(sample_initial(m, 5, 4),
                               sample_initial(m, 5, 9)[:, :4])
+
+    def test_wrong_type_count_or_horizon(self, k2, unit_params):
+        # each once ended in numpy's ValueError or TypeError
+        m = assemble_droop(k2, unit_params)
+        for call in (lambda: sample_initial(m, 0, -1),
+                     lambda: sample_initial(m, 0, 2.5),
+                     lambda: monte_carlo_h2(m, 2.5),
+                     lambda: monte_carlo_h2(m, "3")):
+            with pytest.raises(errors.InvalidSize):
+                call()
+        with pytest.raises(errors.StepTooLarge):
+            white_noise_variance(m, T="1")
 
     def test_first_sample_keeps_seed_key(self, p3, paper_params):
         # sample 0 reads the stream keyed (seed << 64) | 0 from its start

@@ -143,17 +143,24 @@ def test_trajectory_grid_only_in_simulate():
 
 
 def test_simulation_raises_only_dcgrid_errors():
-    # every bad input to the stochastic layer ends in a DCGridError; a
-    # numpy ValueError once reached the caller for a seed of -1, one Monte
-    # Carlo sample and an initial state of the wrong length
-    path = Path(dcgrid.__file__).parent / "simulation.py"
-    raised = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Raise):
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            raised.add(getattr(exc, "id", ast.unparse(exc)))
+    # every bad input to the stochastic layer and to the system assembly
+    # ends in a DCGridError; a numpy ValueError once reached the caller
+    # for a seed of -1, one Monte Carlo sample and an initial state of the
+    # wrong length, and ControllerParams raised ValueError for a negative
+    # gain
     dcgrid_errors = {name for name, cls in vars(errors).items()
                      if isinstance(cls, type)
                      and issubclass(cls, errors.DCGridError)}
-    assert len(raised) >= 5
-    assert raised - dcgrid_errors == set()
+    raised = {}
+    for stem in ("simulation", "systems"):
+        path = Path(dcgrid.__file__).parent / f"{stem}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                exc = (node.exc.func if isinstance(node.exc, ast.Call)
+                       else node.exc)
+                raised.setdefault(stem, set()).add(
+                    getattr(exc, "id", ast.unparse(exc)))
+    assert len(raised["simulation"]) >= 5
+    assert raised["systems"] >= {"InvalidParams", "NonFiniteState"}
+    for names in raised.values():
+        assert names - dcgrid_errors == set()
