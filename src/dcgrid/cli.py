@@ -17,14 +17,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__, network, resistance, simulation, systems
-from .errors import DCGridError, InvalidParams
+from .errors import DCGridError, InvalidParams, InvalidSize
 from .network import Network
+from .numerics import integer_in, positive_real
 
 PAPER_DEFAULTS = {"c": 1e-3, "kp": 0.1, "k": 100.0, "gamma": 1000.0,
                   "resistance": 1.0}
@@ -191,14 +191,12 @@ def _cmd_compare(args):
 
 def _cmd_sweep(args):
     try:
-        sizes = [int(s) for s in args.sizes.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad sizes {args.sizes!r}") from exc
-    try:
-        result = resistance.scaling_sweep(args.family, sizes, _params(args),
-                                          args.ground, args.resistance)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        sizes = resistance.sweep_sizes(
+            [int(s) for s in args.sizes.split(",")])
+    except (ValueError, InvalidSize) as exc:
+        raise UsageError(f"bad sizes {args.sizes!r}: {exc}") from exc
+    result = resistance.scaling_sweep(args.family, sizes, _params(args),
+                                      args.ground, args.resistance)
     path = f"{args.out}_sweep.csv"
     _write(path, result.to_csv())
     fit = result.fit
@@ -240,12 +238,12 @@ def _first_buses(model) -> list[int]:
 def _check_T(T: float) -> None:
     """Reject a --T that no trajectory grid can take; the grid itself is
     laid out by ``simulation.simulate``."""
-    if not 0 < T < math.inf:
+    if not positive_real(T):
         raise UsageError(f"--T must be positive and finite, got {T}")
 
 
 def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
+    if not integer_in(seed, 0, 2**64 - 1):
         raise UsageError(f"--seed must lie in [0, 2**64), got {seed}")
 
 
@@ -278,7 +276,7 @@ def _cmd_fig2(args):
     """
     _check_seed(args.seed)
     _check_T(args.T)
-    if not 1 <= args.rows <= MAX_ROWS:
+    if not integer_in(args.rows, 1, MAX_ROWS):
         raise UsageError(f"--rows must lie in [1, {MAX_ROWS}], "
                          f"got {args.rows}")
     net = network.generate_lattice(1, args.n, args.resistance)

@@ -25,19 +25,11 @@ class DisconnectedGraph(DCGridError):
     eigenvalue."""
 
 
-class InvalidDimension(DCGridError):
-    """Lattice dimension outside {1, 2, 3}."""
-
-
 class InvalidSize(DCGridError):
-    """Lattice side length below 2, a network too large for a dense
-    n x n matrix (see ``network.DENSE_MAX_NODES``), fewer than two Monte
-    Carlo samples, or an initial state whose length is not the model's
-    state dimension."""
-
-
-class InvalidFuzzRadius(DCGridError):
-    """Fuzz radius h must be >= 1."""
+    """A size, count or dimension that is not an integer in its range
+    (``numerics.integer_in``), an unknown sweep family, a network too
+    large for a dense n x n matrix (see ``network.DENSE_MAX_NODES``), or
+    an initial state whose length is not the model's state dimension."""
 
 
 # --- numerics ---
@@ -76,7 +68,7 @@ class RayleighViolation(DCGridError):
 class StepTooLarge(DCGridError):
     """The time grid cannot be laid out: A sets no finite step, the
     horizon is not positive and finite, too short for the steps it must
-    hold or too long to count them, or fewer than one row is asked for."""
+    hold or too long to count them."""
 
 
 class NonFiniteState(DCGridError):

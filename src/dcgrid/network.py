@@ -39,9 +39,7 @@ from . import numerics
 from .errors import (
     DisconnectedGraph,
     IndexOutOfRange,
-    InvalidDimension,
     InvalidEdge,
-    InvalidFuzzRadius,
     InvalidSize,
 )
 
@@ -188,7 +186,7 @@ def build_network(node_count, edge_list) -> Network:
 def _validated(node_count, edge_list) -> Network:
     """:func:`build_network` without the connectivity search: every check
     but that one, then the edges sorted by endpoints."""
-    if not isinstance(node_count, (int, np.integer)) or node_count < 2:
+    if not numerics.integer_in(node_count, 2):
         raise InvalidEdge(
             f"need an integer node count of at least 2, got {node_count!r}")
     node_count = int(node_count)
@@ -234,20 +232,16 @@ def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
     connected, so of :func:`build_network`'s checks only those on the
     resistance remain, and the box is known without :func:`lattice_box`.
     """
-    if d not in (1, 2, 3):
-        raise InvalidDimension(f"lattice dimension must be 1, 2 or 3, got {d}")
-    if isinstance(sides, int):
-        sides = (sides,) * d
-    sides = tuple(int(m) for m in sides)
-    if len(sides) != d:
-        raise InvalidSize(f"expected {d} side lengths, got {len(sides)}")
-    if any(m < 2 for m in sides):
-        raise InvalidSize(f"side lengths must be >= 2, got {sides}")
-    if not resistance > 0:
-        raise InvalidEdge(f"resistance must be positive, got {resistance}")
-    if resistance == math.inf:  # named by node 0's edge on the first axis
-        raise InvalidEdge(f"edge (0, {math.prod(sides[1:]):g}, inf) has a "
-                          "resistance that is not positive and finite")
+    if not numerics.integer_in(d, 1, 3):
+        raise InvalidSize(f"lattice dimension must be 1, 2 or 3, got {d!r}")
+    axes = tuple(sides) if np.iterable(sides) else (sides,) * d
+    if len(axes) != d or not all(numerics.integer_in(m, 2) for m in axes):
+        raise InvalidSize(f"side lengths must be integers >= 2, one per "
+                          f"dimension (d={d}), got {sides!r}")
+    if not numerics.positive_real(resistance):
+        raise InvalidEdge(f"resistance must be positive and finite, got "
+                          f"{resistance!r}")
+    sides = tuple(map(int, axes))
     n = math.prod(sides)
     ends = _lattice_ends(sides)
     # build_network's conductance check: doubled[k - 1] is twice k
@@ -294,12 +288,14 @@ def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Networ
     newly created edges get ``r_fuzz`` (default: the base's maximum edge
     resistance). h = 1 returns a network with the identical edge set.
     """
-    if h < 1:
-        raise InvalidFuzzRadius(f"fuzz radius must be >= 1, got {h}")
+    if not numerics.integer_in(h, 1):
+        raise InvalidSize(f"fuzz radius must be an integer of at least 1, "
+                          f"got {h!r}")
     if r_fuzz is None:
         r_fuzz = float(base.resistance.max())
-    if not r_fuzz > 0:
-        raise InvalidEdge(f"fuzz resistance must be positive, got {r_fuzz}")
+    if not numerics.positive_real(r_fuzz):
+        raise InvalidEdge(f"fuzz resistance must be positive and finite, "
+                          f"got {r_fuzz!r}")
 
     n = base.node_count
     code = _pairs_within(_adjacency(n, *base.ends.T), h)
@@ -371,10 +367,10 @@ def laplacian(net: Network) -> np.ndarray:
 
 
 def check_index(index, n: int, what: str = "node index") -> int:
-    """``index`` as an int when it is an int or numpy integer in [0, n);
-    IndexOutOfRange otherwise, so a float such as 1.5 is not truncated."""
-    if (isinstance(index, bool) or not isinstance(index, (int, np.integer))
-            or not 0 <= int(index) < n):
+    """``index`` as an int when it passes ``integer_in(index, 0, n - 1)``;
+    IndexOutOfRange otherwise, so a float such as 1.5 is not truncated.
+    Node, ground and bus indices and seeds all pass through it."""
+    if not numerics.integer_in(index, 0, n - 1):
         raise IndexOutOfRange(f"{what} {index} outside [0,{n})")
     return int(index)
 

@@ -82,6 +82,14 @@ def positive_real(value) -> bool:
             and value <= sys.float_info.max and float(value) > 0)
 
 
+def integer_in(value, low, high=math.inf) -> bool:
+    """Whether ``value`` is an int or numpy integer, not a bool, in
+    [low, high]: the check of every index, seed, count, size and
+    dimension, so a float such as 2.5 or 4.0 is refused, not truncated."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and low <= int(value) <= high)
+
+
 def eig_sym(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending (no eigenvectors). Only
     the lower triangle is read; its callers pass ``laplacian`` output,

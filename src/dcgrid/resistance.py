@@ -21,6 +21,7 @@ from . import numerics, systems
 from .errors import (
     DisconnectedGraph,
     InvalidEdge,
+    InvalidSize,
     RayleighViolation,
     SameNode,
 )
@@ -165,7 +166,20 @@ def _family_network(family: str, size: int, resistance: float) -> Network:
     if family == "hfuzz":
         base = net_mod.generate_lattice(2, size, resistance)
         return net_mod.generate_hfuzz(base, HFUZZ_RADIUS, resistance)
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    raise InvalidSize(f"unknown family {family!r}; expected one of "
+                      f"{FAMILIES}")
+
+
+def sweep_sizes(sizes) -> list[int]:
+    """``sizes`` (any sequence, numpy arrays included) as a list of ints;
+    InvalidSize unless it holds two or more strictly ascending integers
+    of at least 1 (``integer_in``)."""
+    listed = list(sizes) if np.iterable(sizes) else []
+    if (len(listed) < 2 or not all(numerics.integer_in(s, 1) for s in listed)
+            or any(a >= b for a, b in zip(listed, listed[1:]))):
+        raise InvalidSize(f"need at least two strictly ascending integer "
+                          f"sizes of at least 1, got {sizes!r}")
+    return [int(s) for s in listed]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -187,14 +201,12 @@ def scaling_sweep(family: str, sizes, params: systems.ControllerParams,
                   ground: int = 0, resistance: float = 1.0) -> SweepResult:
     """Closed-form H2 norms and resistance indices across network sizes.
 
-    ``sizes`` are at least two strictly ascending side lengths: node
-    counts for paths, grid sides for the 2-D/3-D/fuzz families. Ground
+    ``sizes`` are at least two strictly ascending side lengths
+    (:func:`sweep_sizes`): node counts for paths, grid sides for the
+    2-D/3-D/fuzz families. An unknown family is InvalidSize too. Ground
     defaults to node 0, the path end or grid corner.
     """
-    sizes = list(sizes)
-    if len(sizes) < 2 or any(a >= b for a, b in zip(sizes, sizes[1:])):
-        raise ValueError(
-            f"need at least two strictly ascending sizes, got {sizes}")
+    sizes = sweep_sizes(sizes)
     records = []
     for size in sizes:
         net = _family_network(family, size, resistance)

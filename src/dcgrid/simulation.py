@@ -37,7 +37,7 @@ from .errors import (
     StepTooLarge,
 )
 from .network import check_index
-from .numerics import positive_real
+from .numerics import integer_in, positive_real
 from .systems import StateSpaceModel
 
 TAIL_THRESHOLD = 1e-8  # terminal ||x||^2 relative to initial, per sample mean
@@ -97,17 +97,6 @@ def stream(seed: int) -> np.random.Generator:
     [0, 2^64)."""
     seed = check_index(seed, 2**64, "seed")
     return np.random.Generator(np.random.Philox(key=seed << 64))
-
-
-def _sample_count(samples, least: int) -> int:
-    """``samples`` as an int when it is an int or numpy integer (not a
-    bool) of at least ``least``; InvalidSize otherwise."""
-    if (isinstance(samples, bool)
-            or not isinstance(samples, (int, np.integer))
-            or samples < least):
-        raise InvalidSize(f"need an integer count of at least {least} "
-                          f"samples, got {samples!r}")
-    return int(samples)
 
 
 def _halvings(bound: float, h: float) -> int:
@@ -199,24 +188,23 @@ def simulate(model: StateSpaceModel, x0, T: float, rows: int) -> Trajectory:
     stride = max(1, steps // rows) of them, steps // stride + 1 rows in
     all. Each row is one step of the exact propagator expm(A dt stride)
     (see ``propagator``); the Trajectory's dt is that recording interval.
-    StepTooLarge when T is not one positive finite number
-    (``positive_real``) of at least one step, T / dt is not a finite
-    count, or rows is not an integer of at least 1; InvalidSize when x0
-    is not one value per state. Deterministic: identical arguments give
-    identical output.
+    InvalidSize when x0 is not one value per state or rows is not an
+    integer of at least 1 (``integer_in``); StepTooLarge when T is not
+    one positive finite number (``positive_real``) of at least one step
+    or T / dt is not a finite count. Deterministic: identical arguments
+    give identical output.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (model.dim,):
         raise InvalidSize(f"initial state of shape {x.shape} for a model of "
                           f"{model.dim} states")
+    if not integer_in(rows, 1):
+        raise InvalidSize(f"rows must be an integer of at least 1, got "
+                          f"{rows!r}")
     dt = default_dt(model)
     if not (positive_real(T) and np.isfinite(T / dt) and T >= dt):
         raise StepTooLarge(f"horizon T={T} must hold a finite count of at "
                            f"least one step dt={dt}")
-    if (isinstance(rows, bool) or not isinstance(rows, (int, np.integer))
-            or rows < 1):
-        raise StepTooLarge(f"rows must be an integer of at least 1, got "
-                           f"{rows!r}")
     steps = int(round(T / dt))
     stride = max(1, steps // rows)
     rec_dt = dt * stride
@@ -243,7 +231,8 @@ def sample_initial(model: StateSpaceModel, seed: int, samples: int
     only on (seed, i). InvalidSize unless ``samples`` is an integer of at
     least 1.
     """
-    samples = _sample_count(samples, 1)
+    if not integer_in(samples, 1):
+        raise InvalidSize(f"samples must be an integer >= 1, got {samples!r}")
     xi = stream(seed).standard_normal((samples, model.b.shape[1]))
     return model.b @ xi.T
 
@@ -264,7 +253,8 @@ def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0
     estimate's T is the horizon run and its dt the chunk length.
     InvalidSize unless ``samples`` is an integer of at least 2.
     """
-    samples = _sample_count(samples, 2)
+    if not integer_in(samples, 2):
+        raise InvalidSize(f"samples must be an integer >= 2, got {samples!r}")
     h = CHUNK_CONSTANTS * slowest_time_constant(model)
     phi_t, gram = van_loan(model.a.T, model.h.T @ model.h, h)
     prop = phi_t.T
@@ -284,7 +274,7 @@ def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0
                      < TAIL_THRESHOLD * initial_ms)
     mean = float(np.mean(energy))
     stderr = float(np.std(energy, ddof=1) / np.sqrt(samples))
-    return McEstimate(mean, stderr, samples, "initial_condition",
+    return McEstimate(mean, stderr, int(samples), "initial_condition",
                       seed, chunks * h, h, converged)
 
 

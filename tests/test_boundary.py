@@ -1,0 +1,211 @@
+"""The library and CLI boundaries: every bad input ends in a DCGridError
+(exit 1 on the command line) or a usage error (exit 2), never another
+exception, and no integer argument is truncated."""
+
+import contextlib
+import io
+import math
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dcgrid import errors
+from dcgrid.cli import run
+from dcgrid.network import build_network, generate_hfuzz, generate_lattice
+from dcgrid.resistance import FAMILIES, scaling_sweep
+from dcgrid.simulation import monte_carlo_h2, sample_initial, simulate
+from dcgrid.systems import ControllerParams, assemble_droop
+
+# every integer or resistance argument below is drawn from these; no
+# network built from them has more than 5 buses per side
+VALUES = (0, -1, 1, 2, 3, 1.5, 2.5, 4.0, math.nan, math.inf, "3", None,
+          True, np.int64(3), np.float64(3.0), (3.7, 4), [4, 4.0],
+          np.array([3, 5]))
+values = st.sampled_from(VALUES)
+PARAMS = ControllerParams(c=1.0, k_p=1.0, k=1.0, gamma=1.0)
+K2_DROOP = assemble_droop(build_network(2, [(0, 1, 1.0)]), PARAMS)
+
+
+def outcome(call, *args):
+    """``call(*args)``, or None when it raises a DCGridError; any other
+    exception fails the test."""
+    try:
+        return call(*args)
+    except errors.DCGridError:
+        return None
+
+
+def is_integer(value) -> bool:
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
+@given(values, values, values)
+@example(1, 2.5, 1.0).via("a float side")
+@example(2, (3.7, 4), 1.0).via("a fractional side in a tuple")
+@example(2, np.int64(4), 1.0).via("a numpy integer side")
+@settings(max_examples=150, deadline=None)
+def test_generate_lattice(d, sides, resistance):
+    net = outcome(generate_lattice, d, sides, resistance)
+    if net is not None:
+        axes = tuple(sides) if np.iterable(sides) else (sides,) * d
+        assert all(is_integer(m) for m in axes)
+        assert net.box == (axes, 1.0 / resistance)
+
+
+@given(values, values)
+@example(1.5, None).via("a float radius")
+@example(True, None).via("a bool radius")
+@settings(max_examples=60, deadline=None)
+def test_generate_hfuzz(h, r_fuzz):
+    net = outcome(generate_hfuzz, generate_lattice(2, 3), h, r_fuzz)
+    if net is not None:
+        assert is_integer(h) and h >= 1
+        assert net.node_count == 9
+
+
+@given(values, values)
+@settings(max_examples=100, deadline=None)
+def test_build_network(node_count, resistance):
+    net = outcome(build_network, node_count,
+                  [(0, 1, resistance), (1, 2, 1.0)])
+    if net is not None:
+        assert is_integer(node_count) and net.node_count == node_count == 3
+
+
+@given(st.sampled_from(FAMILIES + ("torus",)),
+       st.one_of(values, st.lists(values, max_size=3)))
+@example("path", [2.5, 3]).via("a float size")
+@example("path", [20, 10]).via("descending sizes")
+@example("path", np.array([3, 5])).via("a numpy array of sizes")
+@settings(max_examples=100, deadline=None)
+def test_scaling_sweep(family, sizes):
+    result = outcome(scaling_sweep, family, sizes, PARAMS)
+    if result is not None:
+        dim = {"path": 1, "grid2d": 2, "grid3d": 3, "hfuzz": 2}[family]
+        assert all(is_integer(s) for s in sizes)
+        assert [r.n for r in result.records] == [s**dim for s in sizes]
+
+
+@given(values, values)
+@settings(max_examples=80, deadline=None)
+def test_monte_carlo_samples(samples, seed):
+    x0 = outcome(sample_initial, K2_DROOP, seed, samples)
+    if x0 is not None:
+        assert is_integer(samples) and x0.shape == (2, samples)
+    estimate = outcome(monte_carlo_h2, K2_DROOP, samples, seed)
+    if estimate is not None:
+        assert is_integer(samples) and estimate.samples == samples >= 2
+
+
+@given(values, values)
+@settings(max_examples=80, deadline=None)
+def test_simulate_rows(T, rows):
+    traj = outcome(simulate, K2_DROOP, np.ones(2), T, rows)
+    if traj is not None:
+        assert is_integer(rows) and rows >= 1
+        assert len(traj.times) >= 2
+
+
+# --- the CLI ---
+
+
+def either(good, bad):
+    """A value drawn from ``good`` or from ``bad``, each branch half the
+    time, so that valid runs are not swamped by the usage errors."""
+    return st.one_of(st.sampled_from(good), st.sampled_from(bad))
+
+
+NUMBERS = st.sampled_from(("0", "-1", "1e-320", "1e308", "inf", "nan",
+                           "2.5", "x"))
+SIDES = either(("2", "3", "8"), ("-1", "0", "1", "2.5", "x"))
+MALFORMED = ("", "path", "path:", "grid2:3", "grid2:3x3x3", "grid3:2x2",
+             "torus:3", "fuzz:2", "fuzz:x:path:3", "path:3:4",
+             "file:missing.edges")
+GROUNDS = either(("0", "3"), ("-1", "99", "x"))
+SEEDS = either(("0", "5", str(2**64 - 1)), ("-1", str(2**64), "x"))
+# fig2 is drawn with few rows: six trajectories of its default 1500 rows
+# take about 0.1 s
+ROWS = either(("1", "3", "40"), ("-1", "0", "100001", "1" + "0" * 400, "x"))
+PAIRS = either(("0,1", "0,7", "2,1"), ("1,1", "0,99", "-1,0", "0", "a,b"))
+SIZES = either(("2,3", "3,4", "2,3,4"),
+               ("4", "4,3", "3,3", "0,2", "1,2", "2,2.5", "-1,3", "a", ""))
+CONTROLLER = ("resistance", "c", "kp", "k", "gamma")
+
+
+@st.composite
+def gen_specs(draw, depth=1):
+    """A generator spec of at most 64 buses, or a malformed one."""
+    kind = draw(st.sampled_from(("path", "grid2", "grid3", "fuzz", "bad")))
+    if kind == "path":
+        return "path:" + draw(st.one_of(SIDES, st.just("64")))
+    if kind == "grid2":
+        return f"grid2:{draw(SIDES)}x{draw(SIDES)}"
+    if kind == "grid3":
+        sides = either(("2", "3", "4"), ("1", "x"))
+        return "grid3:" + "x".join(draw(sides) for _ in range(3))
+    if kind == "fuzz" and depth:
+        radius = draw(either(("1", "2", "3"), ("-1", "0", "x")))
+        return f"fuzz:{radius}:{draw(gen_specs(depth=0))}"
+    return draw(st.sampled_from(MALFORMED))
+
+
+def options(draw, names, values):
+    """--name=value for at most two of ``names``, values from ``values``."""
+    picked = draw(st.dictionaries(st.sampled_from(names), values,
+                                  max_size=2))
+    return [f"--{name}={value}" for name, value in picked.items()]
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(("h2", "compare", "resist", "sweep",
+                                    "sim", "fig2")))
+    argv = [command]
+    if command in ("h2", "sim"):
+        # the analytic route, and the dense guard that stops sim before
+        # any n x n allocation
+        argv.append("--gen=" + draw(st.one_of(gen_specs(),
+                                              st.just("path:1000000"))))
+    elif command in ("compare", "resist"):
+        argv.append("--gen=" + draw(gen_specs()))
+    if command == "resist":
+        argv += options(draw, ("resistance",), NUMBERS)
+        argv += options(draw, ("pair",), PAIRS)
+        return argv
+    if command == "sweep":
+        family = draw(either(FAMILIES, ("torus",)))
+        argv += [f"--family={family}", f"--sizes={draw(SIZES)}"]
+    names = CONTROLLER
+    if command == "sim":
+        kind = draw(st.sampled_from(("slack", "droop", "dapi")))
+        argv.append(f"--kind={kind}")
+    if command == "fig2":  # which has no --c
+        n = draw(either(("2", "3", "8"), ("0", "1", "x")))
+        argv += [f"--n={n}", f"--rows={draw(ROWS)}"]
+        names = ("resistance", "kp", "k", "gamma")
+    if command in ("sim", "fig2"):
+        names += ("T",)
+        argv += options(draw, ("seed",), SEEDS)
+    argv += options(draw, names, NUMBERS)
+    argv += options(draw, ("ground",), GROUNDS)
+    return argv
+
+
+@given(argvs())
+@example(["sweep", "--family=hfuzz", "--sizes=2,53"]).via("the dense guard")
+@example(["h2", "--gen=path:1000000", "--c=inf"]).via("a huge box")
+@settings(max_examples=100, deadline=None)
+def test_cli_argv(argv):
+    with tempfile.TemporaryDirectory() as workdir:
+        err = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            code = run(argv + [f"--out={os.path.join(workdir, 'x')}"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert os.listdir(workdir) == []

@@ -181,6 +181,16 @@ class TestSweep:
         assert doc["fit"]["x_kind"] == "n"
         assert np.isclose(doc["fit"]["slope"], 0.25, atol=1e-9)
 
+    def test_dense_limit_is_a_computation_error(self, capsys, tmp_path):
+        # the sizes are valid; the 2-fuzz of the 53 x 53 grid, 2809 buses,
+        # is past the dense route's limit
+        code = run(["sweep", "--family", "hfuzz", "--sizes", "2,53",
+                    "--out", "big"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert strict_json(captured.out)["error"] == "InvalidSize"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_sizes_is_usage_error(self, capsys, tmp_path):
         code = run(["sweep", "--family", "path", "--sizes", "ten",
                     "--out", "bad"])

@@ -135,7 +135,7 @@ class TestLattice:
         assert {(i, j) for i, j, _ in net.edges} == expected
 
     def test_invalid_dimension(self):
-        with pytest.raises(errors.InvalidDimension):
+        with pytest.raises(errors.InvalidSize):
             generate_lattice(4, 2)
 
     def test_invalid_size(self):
@@ -231,7 +231,7 @@ class TestHFuzz:
         assert rs[(0, 2)] == 7.0
 
     def test_invalid_radius(self):
-        with pytest.raises(errors.InvalidFuzzRadius):
+        with pytest.raises(errors.InvalidSize):
             generate_hfuzz(generate_lattice(1, 4), 0)
 
 

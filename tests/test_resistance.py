@@ -245,12 +245,12 @@ class TestScalingSweep:
         assert res.fit.r_squared > 0.999999
 
     def test_sizes_must_ascend(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.InvalidSize):
             scaling_sweep("path", [20, 10], ControllerParams(c=1.0))
 
     @pytest.mark.parametrize("sizes", [[], [10], [10, 10], [5, 10, 10]])
     def test_needs_two_strictly_ascending_sizes(self, sizes):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.InvalidSize):
             scaling_sweep("path", sizes, ControllerParams(c=1.0))
 
     def test_records_match_closed_forms(self):
@@ -263,8 +263,13 @@ class TestScalingSweep:
             assert rec.h2_dapi == h2_closed_form_dapi(net, p)
             assert rec.kstar == kstar(net)
 
+    def test_numpy_sizes(self):
+        p = ControllerParams(c=1.0)
+        assert (scaling_sweep("path", np.array([3, 5]), p)
+                == scaling_sweep("path", [3, 5], p))
+
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.InvalidSize):
             scaling_sweep("torus", [4], ControllerParams(c=1.0))
 
     def test_csv_format(self):

@@ -84,16 +84,19 @@ class TestStepControl:
 
     @pytest.mark.parametrize("rows", [0, -1])
     def test_rows_below_one(self, rows):
-        with pytest.raises(errors.StepTooLarge):
+        with pytest.raises(errors.InvalidSize):
             simulate(scalar_model(), [1.0], T=1.0, rows=rows)
 
-    @pytest.mark.parametrize("T, rows", [
-        ("1", 10), (10**400, 10), (True, 10), (1.0, 2.5), (1.0, "3"),
-        (1.0, True)], ids=["T-str", "T-huge-int", "T-bool", "rows-float",
-                           "rows-str", "rows-bool"])
-    def test_wrong_type_horizon_or_rows(self, T, rows):
-        # a bool ran as 1; the others ended in a TypeError or OverflowError
-        with pytest.raises(errors.StepTooLarge):
+    @pytest.mark.parametrize("T, rows, error", [
+        ("1", 10, errors.StepTooLarge), (10**400, 10, errors.StepTooLarge),
+        (True, 10, errors.StepTooLarge), (1.0, 2.5, errors.InvalidSize),
+        (1.0, "3", errors.InvalidSize), (1.0, True, errors.InvalidSize)],
+        ids=["T-str", "T-huge-int", "T-bool", "rows-float", "rows-str",
+             "rows-bool"])
+    def test_wrong_type_horizon_or_rows(self, T, rows, error):
+        # a bool ran as 1; the others ended in a TypeError or OverflowError;
+        # a bad horizon is a StepTooLarge, a bad row count an InvalidSize
+        with pytest.raises(error):
             simulate(scalar_model(), [1.0], T=T, rows=rows)
 
     @pytest.mark.parametrize("T", [np.nan, np.inf, -1.0, 0.0])

@@ -142,25 +142,46 @@ def test_trajectory_grid_only_in_simulate():
                      ("simulation", "simulate", "propagator")}
 
 
+def _loop_bindings(tree):
+    """name -> the names that a for loop over a literal tuple of tuples
+    binds it to, as ``error`` in ``for bad, error, what in ((b, InvalidEdge,
+    "..."), ...)``."""
+    bound = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.For) and isinstance(node.target, ast.Tuple)
+                and isinstance(node.iter, ast.Tuple)):
+            for row in node.iter.elts:
+                for var, value in zip(node.target.elts, row.elts):
+                    if isinstance(value, ast.Name):
+                        bound.setdefault(var.id, set()).add(value.id)
+    return bound
+
+
 def test_simulation_raises_only_dcgrid_errors():
-    # every bad input to the stochastic layer and to the system assembly
-    # ends in a DCGridError; a numpy ValueError once reached the caller
-    # for a seed of -1, one Monte Carlo sample and an initial state of the
-    # wrong length, and ControllerParams raised ValueError for a negative
-    # gain
+    # every bad input to the library ends in a DCGridError; a numpy
+    # ValueError once reached the caller for a seed of -1, one Monte Carlo
+    # sample and an initial state of the wrong length, ControllerParams
+    # raised ValueError for a negative gain, and scaling_sweep for
+    # descending sizes
     dcgrid_errors = {name for name, cls in vars(errors).items()
                      if isinstance(cls, type)
                      and issubclass(cls, errors.DCGridError)}
     raised = {}
-    for stem in ("simulation", "systems"):
+    for stem in ("simulation", "systems", "network", "numerics",
+                 "resistance"):
         path = Path(dcgrid.__file__).parent / f"{stem}.py"
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        bound = _loop_bindings(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Raise):
                 exc = (node.exc.func if isinstance(node.exc, ast.Call)
                        else node.exc)
-                raised.setdefault(stem, set()).add(
-                    getattr(exc, "id", ast.unparse(exc)))
+                name = getattr(exc, "id", ast.unparse(exc))
+                raised.setdefault(stem, set()).update(
+                    bound.get(name, {name}))
     assert len(raised["simulation"]) >= 5
     assert raised["systems"] >= {"InvalidParams", "NonFiniteState"}
     for names in raised.values():
         assert names - dcgrid_errors == set()
+    assert raised["network"] >= {"InvalidEdge", "IndexOutOfRange"}
+    assert raised["resistance"] >= {"InvalidSize", "SameNode"}
