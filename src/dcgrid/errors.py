@@ -28,8 +28,9 @@ class DisconnectedGraph(DCGridError):
 class InvalidSize(DCGridError):
     """A size, count or dimension that is not an integer in its range
     (``numerics.integer_in``), an unknown sweep family, a network too
-    large for a dense n x n matrix (see ``network.DENSE_MAX_NODES``), or
-    an initial state whose length is not the model's state dimension."""
+    large for a dense n x n matrix (see ``network.DENSE_MAX_NODES``), a
+    Monte Carlo sample count past the same memory budget, or an initial
+    state whose length is not the model's state dimension."""
 
 
 # --- numerics ---

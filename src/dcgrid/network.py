@@ -7,9 +7,11 @@ finite d-dimensional lattices and their h-fuzzes, and produces their
 its eigenvalues and blocks of L^+ on demand. That spectrum is the
 closed-form Kronecker-sum spectrum when the edges are those of a uniform
 box lattice in row-major node order (:func:`lattice_box`), however the
-network was made, and the dense Laplacian's eigenvalues (split into two
-half-size solves when the edges are their own mirror image) plus a
-banded Cholesky factor of the Laplacian grounded at node 0 otherwise.
+network was made, and otherwise the dense Laplacian's eigenvalues plus a
+banded Cholesky factor of the Laplacian grounded at node 0. The dense
+eigensolve splits into 2^a blocks of about n / 2^a when the edges are
+their own image under the reversal of a axes of ``Network.sides``, a
+hint that an h-fuzz takes from its base box (:func:`generate_hfuzz`).
 
 A network keeps its validated edges as two read-only arrays, the
 endpoints and the resistances, and every per-edge step (validation,
@@ -86,18 +88,28 @@ class Network:
         return lattice_box(self)
 
     @cached_property
+    def sides(self) -> tuple[int, ...]:
+        """The row-major box whose axis reversals the dense eigensolve tries
+        as symmetries: the box's own sides for a box lattice, its base's
+        for an h-fuzz (:func:`generate_hfuzz` fills it), else ``(n,)``, the
+        whole-graph reversal i -> n - 1 - i. A hint only: the edges decide
+        which reversals hold."""
+        return (self.node_count,) if self.box is None else self.box[0]
+
+    @cached_property
     def spectrum(self) -> numerics.LaplacianSpectrum:
         """Laplacian eigenvalues (zero mode exactly 0.0 first) and blocks of
         L^+ on demand, computed on first use and shared thereafter.
 
         A uniform box lattice (see :attr:`box`) gets the analytic
         Kronecker-sum spectrum, any other graph the dense route, whose
-        eigensolve splits into two half-size ones when the edges are their
-        own mirror image under i -> n - 1 - i (every h-fuzz of a box).
+        eigensolve splits into 2^a blocks of about n / 2^a when the edges
+        are their own image under the reversal of a axes of :attr:`sides`
+        (all d axes of an h-fuzz of a d-dimensional box).
         """
         if self.box is None:
             return numerics.laplacian_spectrum(laplacian(self), self.ends,
-                                               self.resistance)
+                                               self.resistance, self.sides)
         return numerics.lattice_spectrum(*self.box)
 
 
@@ -305,7 +317,11 @@ def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Networ
     at = np.searchsorted(base_code, code).clip(max=base.edge_count - 1)
     r = np.where(base_code[at] == code, base.resistance[at], r_fuzz)
     # the edges include the connected base's, so the fuzz is connected
-    return _validated(n, np.column_stack((*np.divmod(code, n), r)))
+    net = _validated(n, np.column_stack((*np.divmod(code, n), r)))
+    # fill the cached Network.sides: an axis reversal of the base keeps hop
+    # distance, so it maps the fuzz onto itself wherever it maps the base
+    net.__dict__["sides"] = base.sides
+    return net
 
 
 def lattice_box(net: Network) -> tuple[tuple[int, ...], float] | None:
@@ -341,10 +357,12 @@ def lattice_box(net: Network) -> tuple[tuple[int, ...], float] | None:
     return tuple(reversed(sides)), 1.0 / r0
 
 
-# The dense route's largest user, ``sim --kind dapi``, holds about 36 n x n
-# doubles at its peak (expm of the 2n x 2n state matrix; 300 MB measured at
-# n = 1024). A 2 GiB budget for it admits n <= sqrt(2^31 / (36 * 8)) = 2730.
-DENSE_MAX_NODES = 2730
+# The memory one call may ask for. The dense route's largest user,
+# ``sim --kind dapi``, holds about 36 n x n doubles at its peak (expm of the
+# 2n x 2n state matrix; 300 MB measured at n = 1024), so the budget admits
+# n <= sqrt(2^31 / (36 * 8)) = 2730.
+MEMORY_BUDGET_BYTES = 2**31
+DENSE_MAX_NODES = math.isqrt(MEMORY_BUDGET_BYTES // (36 * 8))
 
 
 def require_dense(n: int) -> None:

@@ -36,7 +36,7 @@ from .errors import (
     SingularSystem,
     StepTooLarge,
 )
-from .network import check_index
+from .network import MEMORY_BUDGET_BYTES, check_index
 from .numerics import integer_in, positive_real
 from .systems import StateSpaceModel
 
@@ -220,6 +220,17 @@ def simulate(model: StateSpaceModel, x0, T: float, rows: int) -> Trajectory:
     return Trajectory(times, states, rec_dt, model.state_labels)
 
 
+def _check_samples(model: StateSpaceModel, samples, low: int) -> None:
+    """InvalidSize unless ``samples`` is an integer from ``low`` to the most
+    samples within the memory budget (``network.MEMORY_BUDGET_BYTES``):
+    :func:`monte_carlo_h2` holds three samples x dim arrays of doubles at
+    once (x, G x and their product)."""
+    high = MEMORY_BUDGET_BYTES // (3 * 8 * model.dim)
+    if not integer_in(samples, low, high):
+        raise InvalidSize(f"samples must be an integer in [{low}, {high}] "
+                          f"for {model.dim} states, got {samples!r}")
+
+
 def sample_initial(model: StateSpaceModel, seed: int, samples: int
                    ) -> np.ndarray:
     """Random initial states x0 = B xi, xi standard normal, one column per
@@ -228,11 +239,10 @@ def sample_initial(model: StateSpaceModel, seed: int, samples: int
     B's columns are the voltage states in label order, so these are unit
     normal bus voltages with any integrator at zero. All columns come from
     the one stream of ``seed``, sample after sample, so column i depends
-    only on (seed, i). InvalidSize unless ``samples`` is an integer of at
-    least 1.
+    only on (seed, i). InvalidSize unless ``samples`` is an integer from 1
+    to the memory budget's bound (``_check_samples``).
     """
-    if not integer_in(samples, 1):
-        raise InvalidSize(f"samples must be an integer >= 1, got {samples!r}")
+    _check_samples(model, samples, 1)
     xi = stream(seed).standard_normal((samples, model.b.shape[1]))
     return model.b @ xi.T
 
@@ -251,10 +261,10 @@ def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0
     fraction of its initial value, at most ``MAX_CHUNKS`` = 5 chunks
     (50 tau); stopping at the cap flags the estimate as unconverged. The
     estimate's T is the horizon run and its dt the chunk length.
-    InvalidSize unless ``samples`` is an integer of at least 2.
+    InvalidSize unless ``samples`` is an integer from 2 to the memory
+    budget's bound (``_check_samples``).
     """
-    if not integer_in(samples, 2):
-        raise InvalidSize(f"samples must be an integer >= 2, got {samples!r}")
+    _check_samples(model, samples, 2)
     h = CHUNK_CONSTANTS * slowest_time_constant(model)
     phi_t, gram = van_loan(model.a.T, model.h.T @ model.h, h)
     prop = phi_t.T

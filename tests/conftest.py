@@ -61,24 +61,33 @@ def count_eig_sym(patch):
 def dense_twin(net, monkeypatch):
     """An equal copy of ``net`` whose cached spectrum comes from the dense
     eigh/Cholesky route even when ``net`` is a box lattice, and the shapes
-    of the matrices that the dense eigensolver saw on the way: one n x n
-    on most graphs, the two halves of :func:`mirror_shapes` on a graph
-    that its node reversal maps onto itself (every box lattice). The twin
-    is built while the box test is patched out, since a network decides
-    its box at build and keeps it."""
+    of the matrices that the dense eigensolver saw on the way: the blocks
+    of :func:`block_shapes` over ``net``'s sides, since every axis reversal
+    of a box maps it onto itself. The twin is built while the box test is
+    patched out, since a network decides its box at build and keeps it,
+    and it is handed ``net``'s sides as :func:`generate_hfuzz` hands on its
+    base's."""
     with monkeypatch.context() as patch:
         patch.setattr(network, "lattice_box", lambda _: None)
         twin = build_network(net.node_count, net.edges)
+        twin.__dict__["sides"] = net.sides
         calls = count_eig_sym(patch)
         twin.spectrum
     return twin, calls
 
 
-def mirror_shapes(n):
-    """The eigensolves of the dense route's mirror split of an n-node
-    Laplacian, in call order: the symmetric block, then the antisymmetric
-    one."""
-    return [((n + 1) // 2,) * 2, (n // 2,) * 2]
+def block_shapes(sides, axes=None):
+    """The eigensolves of the dense route's split of a Laplacian over the
+    reversals of ``axes`` (default: every axis) of the row-major box
+    ``sides``, in call order, the character order: the first axis
+    slowest, its symmetric half (ceil(m/2) slices) before its
+    antisymmetric one (floor(m/2)); an axis left out keeps its m slices.
+    ``(n,)`` gives the whole-graph mirror's two halves."""
+    sizes = [1]
+    for k, m in enumerate(sides):
+        halves = ((m + 1) // 2, m // 2) if axes is None or k in axes else (m,)
+        sizes = [size * half for size in sizes for half in halves]
+    return [(size, size) for size in sizes]
 
 
 def path_laplacian_eigenvalues(n):

@@ -91,6 +91,8 @@ def test_scaling_sweep(family, sizes):
 
 
 @given(values, values)
+@example(10**400, 0).via("a count past numpy's largest dimension")
+@example(2**62, 0).via("a count past the memory budget")
 @settings(max_examples=80, deadline=None)
 def test_monte_carlo_samples(samples, seed):
     x0 = outcome(sample_initial, K2_DROOP, seed, samples)

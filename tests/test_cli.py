@@ -9,7 +9,7 @@ import pytest
 from dcgrid import cli, network, simulation, systems
 from dcgrid.cli import run
 
-from .conftest import count_eig_sym, mirror_shapes
+from .conftest import block_shapes, count_eig_sym
 
 
 @pytest.fixture(autouse=True)
@@ -511,13 +511,13 @@ class TestBoundaries:
         assert code == 0
 
 
+# each case: argv, then the sides of every network on the dense route
 SPECTRUM_CASES = [
-    (["h2", "--gen", "fuzz:2:grid2:4x4"], mirror_shapes(16)),
-    (["compare", "--gen", "fuzz:2:grid2:4x4"], mirror_shapes(16)),
-    (["resist", "--gen", "fuzz:2:grid2:4x4", "--pair", "0,15"],
-     mirror_shapes(16)),
+    (["h2", "--gen", "fuzz:2:grid2:4x4"], [(4, 4)]),
+    (["compare", "--gen", "fuzz:2:grid2:4x4"], [(4, 4)]),
+    (["resist", "--gen", "fuzz:2:grid2:4x4", "--pair", "0,15"], [(4, 4)]),
     (["sweep", "--family", "hfuzz", "--sizes", "3,4,5"],
-     mirror_shapes(9) + mirror_shapes(16) + mirror_shapes(25)),
+     [(3, 3), (4, 4), (5, 5)]),
     (["h2", "--gen", "grid2:4x4"], []),
     (["compare", "--gen", "path:9"], []),
     (["resist", "--gen", "grid3:2x3x4", "--pair", "0,23"], []),
@@ -528,18 +528,39 @@ SPECTRUM_CASES = [
 
 class TestSpectrumShared:
     """One dense eigensolve per network, shared by every quantity (split
-    in two halves on an h-fuzz, which its node reversal maps onto
-    itself), and none on a box lattice, whose spectrum is analytic."""
+    into 2^d blocks on an h-fuzz of a d-dimensional box, which each axis
+    reversal maps onto itself), and none on a box lattice, whose spectrum
+    is analytic."""
 
     # each id: the case's index, then the networks on the dense route
     @pytest.mark.parametrize(
-        "argv, expected", SPECTRUM_CASES,
-        ids=[f"argv{k}-{len(shapes) // 2}"
-             for k, (_, shapes) in enumerate(SPECTRUM_CASES)])
-    def test_eig_sym_calls(self, argv, expected, capsys, monkeypatch):
+        "argv, boxes", SPECTRUM_CASES,
+        ids=[f"argv{k}-{len(boxes)}"
+             for k, (_, boxes) in enumerate(SPECTRUM_CASES)])
+    def test_eig_sym_calls(self, argv, boxes, capsys, monkeypatch):
         # the edge list that the file: spec above reads
         assert run(["gen", "--gen", "grid3:2x3x4", "--format", "edges",
                     "--out", "grid3"]) == 0
         calls = count_eig_sym(monkeypatch)
         assert run(argv) == 0
-        assert calls == expected
+        assert calls == [shape for sides in boxes
+                         for shape in block_shapes(sides)]
+
+    def test_sides_hint_changes_speed_only(self, capsys, monkeypatch):
+        # the file holds the fuzz's edges without its base box, so its
+        # eigensolve splits by the whole-graph mirror alone: 2 blocks, not
+        # the generator's 4, and the same values
+        assert run(["gen", "--gen", "fuzz:2:grid2:9x9", "--format", "edges",
+                    "--out", "fuzz"]) == 0
+        capsys.readouterr()
+        docs = []
+        for spec, sides in (("file:fuzz_network.edges", (81,)),
+                            ("fuzz:2:grid2:9x9", (9, 9))):
+            with monkeypatch.context() as patch:
+                calls = count_eig_sym(patch)
+                assert run(["h2", "--gen", spec]) == 0
+            assert calls == block_shapes(sides)
+            docs.append(json.loads(capsys.readouterr().out))
+        for key in ("h2_slack", "h2_droop", "h2_dapi"):
+            assert np.isclose(docs[0][key], docs[1][key], rtol=1e-13,
+                              atol=0.0)

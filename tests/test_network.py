@@ -16,7 +16,7 @@ from dcgrid.network import (
     reduced_laplacian,
 )
 
-from .conftest import dense_twin, mirror_shapes, random_connected_network
+from .conftest import block_shapes, dense_twin, random_connected_network
 
 
 class TestBuildNetwork:
@@ -578,8 +578,8 @@ class TestAnalyticSpectrumConsumers:
     def test_matches_eigh_twin(self, d, sides, r, monkeypatch):
         net = generate_lattice(d, sides, r)
         twin, calls = dense_twin(net, monkeypatch)
-        n = net.node_count
-        assert lattice_box(net) is not None and calls == mirror_shapes(n)
+        assert lattice_box(net) is not None
+        assert calls == block_shapes(net.box[0])
         params = ControllerParams(c=0.7, k_p=0.3, k=50.0, gamma=200.0)
         for ground in range(net.node_count):
             assert np.isclose(
@@ -624,8 +624,8 @@ class TestSpectrumPinv:
     def test_lattice_and_twin(self, d, sides, r, monkeypatch):
         net = generate_lattice(d, sides, r)
         twin, calls = dense_twin(net, monkeypatch)
-        n = net.node_count
-        assert lattice_box(net) is not None and calls == mirror_shapes(n)
+        assert lattice_box(net) is not None
+        assert calls == block_shapes(net.box[0])
         self._check_blocks(net)
         self._check_blocks(twin)
 
@@ -643,7 +643,7 @@ class TestSpectrumPinv:
         # lambda_1 = 4 sin^2(pi / 2000) / 1e4 = 2.5e-10: a zero-mode rule
         # scaled by max(1, lambda_max) calls this path disconnected
         net, calls = dense_twin(generate_lattice(1, 1000, 1e4), monkeypatch)
-        assert calls == mirror_shapes(1000)
+        assert calls == block_shapes((1000,))
         params = ControllerParams(c=1.0)
         slack = systems.h2_closed_form_slack(net, params)
         assert np.isclose(slack, 1e4 * 999 / 4, rtol=1e-9, atol=0.0)

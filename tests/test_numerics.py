@@ -17,7 +17,7 @@ from dcgrid.numerics import (
     solve_lyapunov,
 )
 
-from .conftest import count_eig_sym, mirror_shapes, random_connected_network
+from .conftest import block_shapes, count_eig_sym, random_connected_network
 
 
 class TestEigSym:
@@ -138,11 +138,13 @@ class TestSolveLyapunov:
 
 def _spectrum(net):
     """The dense route's spectrum, even on a box lattice."""
-    return laplacian_spectrum(laplacian(net), net.ends, net.resistance)
+    return laplacian_spectrum(laplacian(net), net.ends, net.resistance,
+                              net.sides)
 
 
 def _pinv(lap, ends, resistance):
-    return laplacian_spectrum(lap, ends, resistance).pinv(np.arange(len(lap)))
+    return laplacian_spectrum(lap, ends, resistance,
+                              (len(lap),)).pinv(np.arange(len(lap)))
 
 
 class TestPinvLaplacian:
@@ -182,7 +184,7 @@ class TestLaplacianSpectrum:
     def test_no_zero_mode_rejected(self):
         with pytest.raises(errors.DisconnectedGraph):
             laplacian_spectrum(np.diag([1.0, 2.0]), np.empty((0, 2), np.intp),
-                               np.empty(0))
+                               np.empty(0), (2,))
 
 
 def _counted_spectrum(net, monkeypatch):
@@ -205,8 +207,9 @@ def _mirrored_path(n, resistance):
 
 
 class TestMirrorSplit:
-    """A graph that the reversal i -> n - 1 - i maps onto itself, resistances
-    included, gets its eigenvalues from two half-size blocks."""
+    """A graph that the reversal of each axis of its sides maps onto itself,
+    resistances included, gets its eigenvalues from 2^d blocks; the
+    whole-graph reversal i -> n - 1 - i is the case ``sides = (n,)``."""
 
     FUZZES = [
         # odd n; on the 17 x 9 grid lap != lap[::-1, ::-1] in the diagonal's
@@ -221,9 +224,8 @@ class TestMirrorSplit:
     @pytest.mark.parametrize("base, h, r_fuzz", FUZZES, ids=FUZZ_IDS)
     def test_values_match_full_solve(self, base, h, r_fuzz, monkeypatch):
         net = generate_hfuzz(base, h, r_fuzz)
-        n = net.node_count
         spec, calls = _counted_spectrum(net, monkeypatch)
-        assert calls == mirror_shapes(n)
+        assert calls == block_shapes(base.box[0])
         full = np.linalg.eigvalsh(laplacian(net))
         assert spec.values[0] == 0.0
         assert np.abs(spec.values - full).max() <= 1e-12 * full[-1]
@@ -232,7 +234,7 @@ class TestMirrorSplit:
         net = generate_hfuzz(generate_lattice(2, (17, 9), 0.37), 2)
         lap = laplacian(net)
         assert not np.array_equal(lap, lap[::-1, ::-1])
-        assert _counted_spectrum(net, monkeypatch)[1] == mirror_shapes(153)
+        assert _counted_spectrum(net, monkeypatch)[1] == block_shapes((17, 9))
 
     @pytest.mark.parametrize("base, h, r_fuzz", FUZZES, ids=FUZZ_IDS)
     def test_closed_forms_match_full_solve(self, base, h, r_fuzz,
@@ -246,7 +248,7 @@ class TestMirrorSplit:
         split = generate_hfuzz(base, h, r_fuzz)
         full = generate_hfuzz(base, h, r_fuzz)
         with monkeypatch.context() as patch:
-            patch.setattr(numerics, "_mirror_symmetric", lambda *_: False)
+            patch.setattr(numerics, "_reversed_axes", lambda *_: [])
             full.spectrum
         for quantity in quantities:
             assert np.isclose(quantity(split), quantity(full), rtol=1e-10,
@@ -264,7 +266,7 @@ class TestMirrorSplit:
     def test_one_mirrored_resistance_off_keeps_full_solve(self, monkeypatch):
         n = 200
         net = _mirrored_path(n, [2.0])
-        assert _counted_spectrum(net, monkeypatch)[1] == mirror_shapes(n)
+        assert _counted_spectrum(net, monkeypatch)[1] == block_shapes((n,))
         edges = {(i, j): r for i, j, r in net.edges}
         edges[0, 1] = np.nextafter(2.0, 3.0)  # its mirror keeps 2.0
         net = build_network(n, [(i, j, r) for (i, j), r in edges.items()])
@@ -274,7 +276,7 @@ class TestMirrorSplit:
         n = 101
         net = _mirrored_path(n, np.linspace(0.5, 2.0, 20))
         spec, calls = _counted_spectrum(net, monkeypatch)
-        assert calls == mirror_shapes(n)
+        assert calls == block_shapes((n,))
         full = np.linalg.eigvalsh(laplacian(net))
         assert np.abs(spec.values - full).max() <= 1e-12 * full[-1]
 

@@ -1,5 +1,7 @@
 """Property-based invariants over randomly generated connected networks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +29,7 @@ from dcgrid.systems import (
     h2_lyapunov,
 )
 
-from .conftest import count_eig_sym, mirror_shapes
+from .conftest import block_shapes, count_eig_sym
 
 
 @st.composite
@@ -197,15 +199,82 @@ def test_lattice_spectrum_matches_eigh(sides, r):
                        atol=1e-9 * np.abs(pinv).max())
 
 
-@given(mirrored_networks())
-@settings(max_examples=50, deadline=None)
-def test_mirror_split_matches_eigh(net):
+def _split_spectrum(net, sides):
+    """The dense route's spectrum of ``net`` under the hint ``sides`` and
+    the shapes of the matrices that :func:`eig_sym` saw on the way."""
     with pytest.MonkeyPatch.context() as patch:
         shapes = count_eig_sym(patch)
         spec = numerics.laplacian_spectrum(laplacian(net), net.ends,
-                                           net.resistance)
+                                           net.resistance, sides)
+    return spec, shapes
+
+
+@given(mirrored_networks())
+@settings(max_examples=50, deadline=None)
+def test_mirror_split_matches_eigh(net):
     n = net.node_count
-    assert shapes == mirror_shapes(n)
+    spec, shapes = _split_spectrum(net, (n,))
+    assert shapes == block_shapes((n,))
     ref = np.linalg.eigvalsh(laplacian(net))
     assert spec.values[0] == 0.0
     assert np.abs(spec.values - ref).max() <= 1e-12 * ref[-1]
+
+
+def _reflect(node, sides, axis):
+    """``node`` of the row-major box ``sides`` with ``axis`` reversed."""
+    coords = list(np.unravel_index(node, sides))
+    coords[axis] = sides[axis] - 1 - coords[axis]
+    return int(np.ravel_multi_index(coords, sides))
+
+
+def _symmetric_axes(edges, sides):
+    """The axes of ``sides`` whose reversal maps the {(i, j): R} edges, i < j,
+    onto themselves with equal resistances, by brute force."""
+    def image(axis, i, j):
+        a, b = _reflect(i, sides, axis), _reflect(j, sides, axis)
+        return min(a, b), max(a, b)
+    return [axis for axis in range(len(sides))
+            if {image(axis, i, j): r for (i, j), r in edges.items()} == edges]
+
+
+@st.composite
+def reversal_symmetric_networks(draw):
+    """A random box of 1 to 3 sides of 2 to 6 nodes, and a random connected
+    network on its nodes joined by its images under the reversals of a
+    random subset of the box's axes, one resistance on each orbit."""
+    sides = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=3)))
+    axes = draw(st.sets(st.integers(0, len(sides) - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = math.prod(sides)
+    pairs = [(int(rng.integers(v)), v) for v in range(1, n)]  # a tree
+    pairs += [tuple(sorted(map(int, rng.choice(n, 2, replace=False))))
+              for _ in range(int(rng.integers(0, n + 1)))]
+    edges = {}
+    for pair in pairs:
+        orbit = {pair}
+        for axis in axes:
+            orbit |= {tuple(sorted(_reflect(v, sides, axis) for v in edge))
+                      for edge in orbit}
+        if pair not in edges:
+            edges.update(dict.fromkeys(orbit, float(rng.uniform(0.25, 4.0))))
+    net = build_network(n, [(i, j, r) for (i, j), r in edges.items()])
+    return net, sides, _symmetric_axes(edges, sides)
+
+
+@given(reversal_symmetric_networks())
+@settings(max_examples=60, deadline=None)
+def test_reversal_split_matches_eigh(case):
+    net, sides, axes = case
+    n = net.node_count
+    ref = np.linalg.eigvalsh(laplacian(net))
+    spec, shapes = _split_spectrum(net, sides)
+    assert shapes == block_shapes(sides, axes)
+    assert spec.values[0] == 0.0
+    assert np.abs(spec.values - ref).max() <= 1e-12 * ref[-1]
+    # the whole-graph hint (n,) sees at most the reversal of every axis at
+    # once: the same values from no more blocks
+    edges = {(i, j): r for i, j, r in net.edges}
+    wrong, wrong_shapes = _split_spectrum(net, (n,))
+    assert wrong_shapes == block_shapes((n,), _symmetric_axes(edges, (n,)))
+    assert len(wrong_shapes) <= len(shapes)
+    assert np.abs(wrong.values - ref).max() <= 1e-12 * ref[-1]

@@ -23,7 +23,7 @@ from dcgrid.systems import (
     h2_closed_form_droop,
     h2_closed_form_slack,
 )
-from .conftest import dense_twin, mirror_shapes, random_connected_network
+from .conftest import block_shapes, dense_twin, random_connected_network
 
 
 class TestEffectiveResistance:
@@ -64,7 +64,7 @@ class TestEffectiveResistance:
         net = generate_lattice(1, n)
         if dense:  # the dense Cholesky route
             net, calls = dense_twin(net, monkeypatch)
-            assert calls == mirror_shapes(n)
+            assert calls == block_shapes((n,))
         near = [(0, 1), (n // 2 - 1, n // 2), (n - 1, n - 2)]
         far = [(0, n - 1), (n // 4, 3 * n // 4)]
         # the dense route's far pairs are limited by cond(L) ~ n^2
