@@ -11,7 +11,10 @@ network was made, and otherwise the dense Laplacian's eigenvalues plus a
 banded Cholesky factor of the Laplacian grounded at node 0. The dense
 eigensolve splits into 2^a blocks of about n / 2^a when the edges are
 their own image under the reversal of a axes of ``Network.sides``, a
-hint that an h-fuzz takes from its base box (:func:`generate_hfuzz`).
+hint that an h-fuzz takes from its base box (:func:`generate_hfuzz`),
+and further, into blocks of about n / 8 and one of n / 4 in place of the
+four blocks of axes 0 and 1, when they are also their own image under
+the swap of those two axes of a square hint.
 
 A network keeps its validated edges as two read-only arrays, the
 endpoints and the resistances, and every per-edge step (validation,
@@ -89,11 +92,12 @@ class Network:
 
     @cached_property
     def sides(self) -> tuple[int, ...]:
-        """The row-major box whose axis reversals the dense eigensolve tries
-        as symmetries: the box's own sides for a box lattice, its base's
-        for an h-fuzz (:func:`generate_hfuzz` fills it), else ``(n,)``, the
+        """The row-major box whose axis reversals, and whose swap of axes 0
+        and 1 when those sides are equal, the dense eigensolve tries as
+        symmetries: the box's own sides for a box lattice, its base's for
+        an h-fuzz (:func:`generate_hfuzz` fills it), else ``(n,)``, the
         whole-graph reversal i -> n - 1 - i. A hint only: the edges decide
-        which reversals hold."""
+        which symmetries hold."""
         return (self.node_count,) if self.box is None else self.box[0]
 
     @cached_property
@@ -105,7 +109,9 @@ class Network:
         Kronecker-sum spectrum, any other graph the dense route, whose
         eigensolve splits into 2^a blocks of about n / 2^a when the edges
         are their own image under the reversal of a axes of :attr:`sides`
-        (all d axes of an h-fuzz of a d-dimensional box).
+        (all d axes of an h-fuzz of a d-dimensional box), and on a square
+        :attr:`sides` also by the swap of axes 0 and 1: the 2-fuzz of an
+        m x m grid takes four solves of about n / 8 and one of n / 4.
         """
         if self.box is None:
             return numerics.laplacian_spectrum(laplacian(self), self.ends,
@@ -318,8 +324,9 @@ def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Networ
     r = np.where(base_code[at] == code, base.resistance[at], r_fuzz)
     # the edges include the connected base's, so the fuzz is connected
     net = _validated(n, np.column_stack((*np.divmod(code, n), r)))
-    # fill the cached Network.sides: an axis reversal of the base keeps hop
-    # distance, so it maps the fuzz onto itself wherever it maps the base
+    # fill the cached Network.sides: an axis reversal or swap of the base
+    # keeps hop distance, so it maps the fuzz onto itself wherever it maps
+    # the base
     net.__dict__["sides"] = base.sides
     return net
 

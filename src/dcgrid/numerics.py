@@ -11,12 +11,13 @@ lattice (no eigensolve; O(n) work per node of L^+), or
 :func:`laplacian_spectrum`, a dense eigenvalue solve (:func:`eig_sym`)
 and, for L^+, a banded Cholesky factor of L grounded at node 0, built
 from the graph's edge arrays, on any other graph. The dense solve splits
-by the axis reversals of a row-major box that the caller names as a hint:
+by the symmetries of a row-major box that the caller names as a hint:
 each axis whose reversal the edges show to map the graph onto itself
-halves the blocks, so the 2-fuzz of an m x m grid takes four solves of
-about n / 4 where the whole-graph reversal i -> n - 1 - i alone gave two
-of n / 2 (18 ms against 41 ms at n = 1024, one BLAS thread). All
-routines are pure functions. ``scipy.linalg`` is
+halves the blocks, and on a square box the swap of axes 0 and 1 splits
+them again (the dihedral group D_4), so the 2-fuzz of an m x m grid
+takes four solves of about n / 8 and one of n / 4, where the reversals
+alone gave four of n / 4 (7.1 ms against 12.5 ms at n = 1024, one BLAS
+thread). All routines are pure functions. ``scipy.linalg`` is
 imported on first use, inside the two kernels that call it (the Schur
 form and the banded factor), so a box lattice never loads it.
 """
@@ -96,7 +97,7 @@ def integer_in(value, low, high=math.inf) -> bool:
 def eig_sym(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending (no eigenvectors). Only
     the lower triangle is read; its callers pass ``laplacian`` output or
-    the blocks that :func:`_reversal_blocks` folds from it, both symmetric
+    the blocks that :func:`_symmetry_blocks` folds from it, both symmetric
     by construction."""
     return np.linalg.eigvalsh(mat)
 
@@ -236,68 +237,158 @@ def _grounded_solver(diagonal: np.ndarray, ends: np.ndarray,
     return solve
 
 
-def _reversed_axes(sides, ends: np.ndarray,
-                   resistance: np.ndarray) -> list[int]:
+def _symmetries(sides, ends: np.ndarray, resistance: np.ndarray
+                ) -> tuple[list[int], bool]:
     """The axes, ascending, of the row-major box ``sides`` whose reversal
     (coordinate x -> m - 1 - x on a side of m) maps the edges (sorted
-    endpoint rows i < j) onto themselves with equal resistances. Decided
-    from the edges, not from L: L's diagonal holds rounded row sums, which
-    can differ in the last bit between a node and its image.
-    ``sides = (n,)`` tests the whole-graph reversal i -> n - 1 - i."""
+    endpoint rows i < j) onto themselves with equal resistances, and
+    whether the swap of axes 0 and 1 does, tried only when ``sides[0] ==
+    sides[1]``. ``sides = (n,)`` tests the whole-graph reversal
+    i -> n - 1 - i.
+
+    Decided from the edges, not from L: L's diagonal holds rounded row
+    sums, which can differ in the last bit between a node and its image.
+    Every candidate's image edge codes are sorted, in one call for all of
+    them, and compared with the one sorted array of edge codes."""
     n = math.prod(sides)
-    code = ends[:, 0] * n + ends[:, 1]  # ascending, as the edges are sorted
-    axes = []
-    stride = 1
-    for axis in reversed(range(len(sides))):  # fastest axis first
-        m = sides[axis]
-        a, b = (ends + (m - 1 - 2 * (ends // stride % m)) * stride).T
-        image_code = np.minimum(a, b) * n + np.maximum(a, b)
-        order = np.argsort(image_code)
-        if (np.array_equal(image_code[order], code)
-                and np.array_equal(resistance[order], resistance)):
-            axes.insert(0, axis)
-        stride *= m
-    return axes
+    grid = np.arange(n).reshape(sides)
+    maps = [grid[(slice(None),) * k + (slice(None, None, -1),)]
+            for k in range(len(sides))]
+    if len(sides) > 1 and sides[0] == sides[1]:
+        maps.append(grid.swapaxes(0, 1))
+    maps = np.array(maps).reshape(len(maps), n)
+    i, j = ends.T
+    code = i * n + j  # ascending, as the edges are sorted
+    a, b = maps.take(i, axis=1), maps.take(j, axis=1)
+    image = np.minimum(a, b) * n + np.maximum(a, b)
+    order = np.argsort(image, axis=1)
+    holds = ((image.take(order + code.size * np.arange(len(maps))[:, None])
+              == code) & (resistance.take(order) == resistance)
+             ).all(axis=1).tolist()
+    return ([k for k in range(len(sides)) if holds[k]],
+            len(holds) > len(sides) and holds[-1])
 
 
-def _reversal_blocks(lap: np.ndarray, sides, axes) -> list[np.ndarray]:
+def _pick(array: np.ndarray, axis: int, index) -> np.ndarray:
+    """``array`` at ``index`` on ``axis``: a view for a slice, a copy for
+    an index array."""
+    if isinstance(index, slice):
+        return array[(slice(None),) * axis + (index,)]
+    return array.take(index, axis=axis)
+
+
+def _fold(stack: np.ndarray, grid: int, axis: int, near, far,
+          fixed: int) -> list[np.ndarray]:
+    """Split every block of ``stack`` by one involution J of its nodes
+    into the blocks of J's symmetric and antisymmetric modes (Cantoni and
+    Butler, LAA 1976).
+
+    The last 2 ``grid`` axes of ``stack`` hold a block: a matrix over the
+    nodes of a grid, with one array axis per grid axis for its rows and
+    the same again for its columns. The axes before them index the
+    blocks. J acts on grid axis ``axis`` alone: ``near`` (a slice or an
+    index array) picks J's representatives on it, the ``fixed`` nodes
+    that J maps to themselves last, and ``far`` their images in the same
+    order. The symmetric modes (u, Ju) see near + far and the
+    antisymmetric ones (u, -Ju) near - far, in the representatives' rows,
+    which are all that is read. With no fixed node both come back in one
+    stack, with a new last leading axis, the symmetric block first. A
+    fixed node borders the symmetric block with sqrt(2) times its
+    coupling to the others and keeps its own diagonal; it has no
+    antisymmetric mode, and the two come back as two stacks, the second
+    without it."""
+    lead = stack.ndim - 2 * grid
+    rows = _pick(stack, lead + axis, near)
+    col = rows.ndim - grid + axis
+    near, far = _pick(rows, col, near), _pick(rows, col, far)
+    if not fixed:
+        out = np.empty(near.shape[:lead] + (2,) + near.shape[lead:])
+        np.add(near, far, out=out[(slice(None),) * lead + (0,)])
+        np.subtract(near, far, out=out[(slice(None),) * lead + (1,)])
+        return [out]
+    plus, minus = near + far, near - far
+    for at in (lead + axis, col):
+        edge = plus[(slice(None),) * at + (slice(-fixed, None),)]
+        np.multiply(edge, math.sqrt(0.5), out=edge)
+    keep = slice(minus.shape[lead + axis] - fixed)
+    return [plus, minus[(slice(None),) * (lead + axis) + (keep,)][
+        (slice(None),) * col + (keep,)]]
+
+
+def _symmetry_blocks(lap: np.ndarray, sides, axes, swap: bool
+                     ) -> list[tuple[np.ndarray, int]]:
     """The diagonal blocks of a Laplacian that commutes with the reversal
-    of each of ``axes`` of the row-major box ``sides``, one per character
-    of that group Z_2^a (Cantoni and Butler, LAA 1976, once per axis); with
-    no axes, ``lap`` itself.
+    of each of ``axes`` of the row-major box ``sides`` and, when ``swap``,
+    with the swap of its axes 0 and 1, each with the number of times its
+    eigenvalues occur; with no symmetry, ``lap`` once.
 
-    The block rows are the orbit representatives, the nodes in the first
-    ceil(m/2) slices of every reversed axis. Those rows of L are taken as a
-    view, and each axis then folds the columns into its near half plus and
-    minus its reversed far half, one stage of a +-1 Walsh-Hadamard
-    butterfly over the gathers L[reps, g(reps)] of the group elements g:
-    the symmetric modes (u, Ju) see L+ = A + BJ and the antisymmetric ones
-    (u, -Ju) see L- = A - BJ. On an odd side the middle slice is its own
-    image: it borders L+ with sqrt(2) times its coupling to the other
-    slices and keeps its own diagonal, and it has no antisymmetric mode,
-    so L- drops it. The blocks come in character order, the first axis
-    slowest and L+ before L-; the zero mode is in the first. Only the
-    representatives' rows of L are read, and no n x n array is made."""
-    d = len(sides)
-    rows = tuple(slice((m + 1) // 2) if k in axes else slice(None)
-                 for k, m in enumerate(sides))
-    blocks = [lap.reshape(tuple(sides) * 2)[rows]]
+    The reversals generate Z_2^a: :func:`_fold` splits the blocks once per
+    axis, on the first ceil(m/2) slices of each reversed axis. Only those
+    rows are read from ``lap``, as a view, and no n x n array is made.
+    The swap maps the reversal of axis 0 onto that of axis 1, so it maps
+    the blocks of characters (s, t) on those axes onto those of (t, s).
+    It folds the blocks with s = t once more, on the triangle x_0 <= x_1
+    of the first two axes with the diagonal x_0 = x_1 last as its fixed
+    nodes, and of each pair (+, -), (-, +) only the first is kept, counted
+    twice, after the others.
+
+    The blocks come stack by stack, each stack's blocks in the order of
+    its leading axes. A fold that fixes nodes (of an odd side, or the
+    swap) splits every stack in two, the symmetric blocks first; one that
+    fixes none adds to each stack a leading axis, the fastest. The zero
+    mode is in the first block."""
+    if not axes and not swap:
+        return [(lap, 1)]
+    grid = len(sides)
+    half = [(m + 1) // 2 if k in axes else m for k, m in enumerate(sides)]
+    # stacks of blocks, each with the sign of its blocks on every axis
+    # folded so far, None for an axis that is a leading axis of the stack
+    stacks = [(lap.reshape(tuple(sides) * 2)[tuple(map(slice, half))], ())]
     for k in axes:
-        m, mid = sides[k], sides[k] // 2
-        at_row, at_col = (slice(None),) * k, (slice(None),) * (d + k)
-        folded = []
-        for block in blocks:
-            near = block[at_col + (slice(m - mid),)]
-            far = np.flip(block, d + k)[at_col + (slice(m - mid),)]
-            plus, minus = near + far, near - far
-            if m % 2:
-                plus[at_row + (mid,)] *= math.sqrt(0.5)
-                plus[at_col + (mid,)] *= math.sqrt(0.5)
-                minus = minus[at_row + (slice(mid),)][at_col + (slice(mid),)]
-            folded += [plus, minus]
-        blocks = folded
-    return [block.reshape(2 * (math.prod(block.shape[:d]),))
-            for block in blocks]
+        m, folded = sides[k], []
+        for stack, signs in stacks:
+            parts = _fold(stack, grid, k, slice(half[k]),
+                          slice(m - 1, m - half[k] - 1, -1), m % 2)
+            folded += [(part, signs + (sign if len(parts) > 1 else None,))
+                       for sign, part in enumerate(parts)]
+        stacks = folded
+    if not swap:
+        return _matrices([(stack, grid, 1) for stack, _ in stacks])
+    same, pairs = [], []
+    for stack, signs in stacks:
+        if axes[:1] != [0]:  # axes 0 and 1 are not reversed
+            same.append(stack)
+        elif signs[0] is None:  # the stack's first two axes are theirs
+            four = stack.reshape((4,) + stack.shape[2:])
+            same.append(four[::3])
+            pairs.append((four[1], grid, 2))
+        elif signs[0] == signs[1]:
+            same.append(stack)
+        elif signs[0] == 0:
+            pairs.append((stack, grid, 2))
+    swapped = []
+    for stack in same:
+        lead = stack.ndim - 2 * grid
+        side, rest = stack.shape[lead], stack.shape[lead + 2:-grid]
+        # the triangle x_0 < x_1, then the diagonal, as flat indices of
+        # the side x side grid, and their transposes
+        node = np.arange(side * side).reshape(side, side)
+        near = np.argsort(node - node.T, axis=None, kind="stable")[
+            :side * (side + 1) // 2]
+        swapped += [(part, grid - 1, 1) for part in _fold(
+            stack.reshape(stack.shape[:lead] + 2 * ((side * side,) + rest)),
+            grid - 1, 0, near, node.T.ravel()[near], side)]
+    return _matrices(swapped + pairs)
+
+
+def _matrices(stacks) -> list[tuple[np.ndarray, int]]:
+    """Each block of each (stack, grid, copies) of :func:`_fold`'s layout
+    as a square matrix, with its copies; a block on no node (the swap's
+    antisymmetric modes of a side of 1) is left out."""
+    return [(block, copies) for stack, grid, copies in stacks
+            if stack.size
+            for block in stack.reshape((-1,) + 2 * (
+                math.prod(stack.shape[stack.ndim - grid:]),))]
 
 
 def laplacian_spectrum(lap: np.ndarray, ends: np.ndarray,
@@ -305,14 +396,17 @@ def laplacian_spectrum(lap: np.ndarray, ends: np.ndarray,
     """Laplacian spectrum of a connected graph from its dense Laplacian
     and the edges it was built from: m x 2 endpoints i < j and their
     resistances. ``sides`` is a row-major box of n nodes whose axis
-    reversals may map the graph onto itself, ``(n,)`` for none known.
+    reversals, and whose swap of axes 0 and 1 if it is square there, may
+    map the graph onto itself, ``(n,)`` for none known.
 
     The eigenvalues come from :func:`eig_sym` on the blocks of
-    :func:`_reversal_blocks`, one per character of the axis reversals that
-    map the edges onto themselves with equal resistances (decided from the
-    edges alone, :func:`_reversed_axes`): 2^a blocks of about n / 2^a for
-    a such axes, and ``lap`` itself for none. A wrong ``sides`` can only
-    leave axes out, so it costs speed, not values. The graph's
+    :func:`_symmetry_blocks`, split by the symmetries that map the edges
+    onto themselves with equal resistances (decided from the edges alone,
+    :func:`_symmetries`): 2^a blocks of about n / 2^a for a reversed axes,
+    and with the swap also four of about n / 8 and one of n / 4, solved
+    once and counted twice, in place of the four blocks of the first two
+    axes; ``lap`` itself for none. A wrong ``sides`` can only leave
+    symmetries out, so it costs speed, not values. The graph's
     connectivity is already proven, so the zero mode must pass the
     scale-invariant test |lambda_0| <= n eps lambda_max < lambda_1 (else
     DisconnectedGraph); it is set to exactly 0.0. Blocks of L^+ come from
@@ -327,10 +421,12 @@ def laplacian_spectrum(lap: np.ndarray, ends: np.ndarray,
     """
     lap = np.asarray(lap, dtype=float)
     n = lap.shape[0]
-    blocks = _reversal_blocks(lap, sides,
-                              _reversed_axes(sides, ends, resistance))
-    values = np.sort(np.concatenate([eig_sym(block) for block in blocks]))
-    bound = n * np.finfo(float).eps * values[-1]
+    parts = []
+    for block, copies in _symmetry_blocks(
+            lap, sides, *_symmetries(sides, ends, resistance)):
+        parts += [eig_sym(block)] * copies
+    values = np.sort(np.concatenate(parts))
+    bound = n * sys.float_info.epsilon * values[-1]
     if not abs(values[0]) <= bound < values[1]:
         raise DisconnectedGraph(
             f"expected exactly one zero eigenvalue, got {values[:2]} against "
@@ -357,4 +453,5 @@ def laplacian_spectrum(lap: np.ndarray, ends: np.ndarray,
         z = grounded()[0](unit)[:, 0]
         return float(z[i] - z[j])
 
-    return LaplacianSpectrum(np.concatenate(([0.0], values[1:])), pinv, reff)
+    values[0] = 0.0
+    return LaplacianSpectrum(values, pinv, reff)

@@ -529,7 +529,8 @@ SPECTRUM_CASES = [
 class TestSpectrumShared:
     """One dense eigensolve per network, shared by every quantity (split
     into 2^d blocks on an h-fuzz of a d-dimensional box, which each axis
-    reversal maps onto itself), and none on a box lattice, whose spectrum
+    reversal maps onto itself, and further by the swap of its first two
+    axes when they are equal), and none on a box lattice, whose spectrum
     is analytic."""
 
     # each id: the case's index, then the networks on the dense route
@@ -546,10 +547,23 @@ class TestSpectrumShared:
         assert calls == [shape for sides in boxes
                          for shape in block_shapes(sides)]
 
+    @pytest.mark.parametrize("spec, sides, swap", [
+        ("fuzz:2:grid2:6x7", (6, 7), False),
+        ("fuzz:2:grid3:4x4x4", (4, 4, 4), True)])
+    def test_swap_only_on_equal_first_sides(self, spec, sides, swap,
+                                            capsys, monkeypatch):
+        # 6 x 7 keeps the 2^d reversal blocks; 4 x 4 x 4 also folds its
+        # blocks of equal signs on axes 0 and 1 by their swap
+        calls = count_eig_sym(monkeypatch)
+        assert run(["h2", "--gen", spec]) == 0
+        assert calls == block_shapes(sides, swap=swap)
+        assert len(calls) == (5 if swap else 4) * 2 ** (len(sides) - 2)
+
     def test_sides_hint_changes_speed_only(self, capsys, monkeypatch):
         # the file holds the fuzz's edges without its base box, so its
         # eigensolve splits by the whole-graph mirror alone: 2 blocks, not
-        # the generator's 4, and the same values
+        # the generator's 5 (four of the reversals and the swap, one of
+        # signs (+, -)), and the same values
         assert run(["gen", "--gen", "fuzz:2:grid2:9x9", "--format", "edges",
                     "--out", "fuzz"]) == 0
         capsys.readouterr()

@@ -208,8 +208,10 @@ def _mirrored_path(n, resistance):
 
 class TestMirrorSplit:
     """A graph that the reversal of each axis of its sides maps onto itself,
-    resistances included, gets its eigenvalues from 2^d blocks; the
-    whole-graph reversal i -> n - 1 - i is the case ``sides = (n,)``."""
+    resistances included, gets its eigenvalues from 2^d blocks, and from
+    the finer blocks of the swap of axes 0 and 1 when that maps it onto
+    itself too; the whole-graph reversal i -> n - 1 - i is the case
+    ``sides = (n,)``."""
 
     FUZZES = [
         # odd n; on the 17 x 9 grid lap != lap[::-1, ::-1] in the diagonal's
@@ -248,7 +250,7 @@ class TestMirrorSplit:
         split = generate_hfuzz(base, h, r_fuzz)
         full = generate_hfuzz(base, h, r_fuzz)
         with monkeypatch.context() as patch:
-            patch.setattr(numerics, "_reversed_axes", lambda *_: [])
+            patch.setattr(numerics, "_symmetries", lambda *_: ([], False))
             full.spectrum
         for quantity in quantities:
             assert np.isclose(quantity(split), quantity(full), rtol=1e-10,
@@ -271,6 +273,20 @@ class TestMirrorSplit:
         edges[0, 1] = np.nextafter(2.0, 3.0)  # its mirror keeps 2.0
         net = build_network(n, [(i, j, r) for (i, j), r in edges.items()])
         assert _counted_spectrum(net, monkeypatch)[1] == [(n, n)]
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_anisotropic_square_keeps_reversal_blocks(self, m, monkeypatch):
+        # R = 1 along axis 0 and 2 along axis 1: each reversal maps the
+        # fuzz onto itself, the swap does not, though the hint is square
+        base = generate_lattice(2, m)
+        base = build_network(m * m, [(i, j, 1.0 if j - i == m else 2.0)
+                                     for i, j, _ in base.edges])
+        net = generate_hfuzz(base, 2)
+        net.__dict__["sides"] = (m, m)
+        spec, calls = _counted_spectrum(net, monkeypatch)
+        assert calls == block_shapes((m, m), swap=False)
+        full = np.linalg.eigvalsh(laplacian(net))
+        assert np.abs(spec.values - full).max() <= 1e-12 * full[-1]
 
     def test_mirrored_resistances_split(self, monkeypatch):
         n = 101

@@ -237,13 +237,39 @@ def _symmetric_axes(edges, sides):
             if {image(axis, i, j): r for (i, j), r in edges.items()} == edges]
 
 
+def _swap(node, sides):
+    """``node`` of the row-major box ``sides`` with axes 0 and 1 swapped,
+    ``sides[0] == sides[1]``."""
+    coords = list(np.unravel_index(node, sides))
+    coords[0], coords[1] = coords[1], coords[0]
+    return int(np.ravel_multi_index(coords, sides))
+
+
+def _swap_symmetric(edges, sides):
+    """Whether the swap of axes 0 and 1 of ``sides`` maps the {(i, j): R}
+    edges, i < j, onto themselves with equal resistances, by brute force;
+    False unless the box has two equal first sides."""
+    if len(sides) < 2 or sides[0] != sides[1]:
+        return False
+    return {tuple(sorted((_swap(i, sides), _swap(j, sides)))): r
+            for (i, j), r in edges.items()} == edges
+
+
 @st.composite
 def reversal_symmetric_networks(draw):
-    """A random box of 1 to 3 sides of 2 to 6 nodes, and a random connected
-    network on its nodes joined by its images under the reversals of a
-    random subset of the box's axes, one resistance on each orbit."""
-    sides = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=3)))
-    axes = draw(st.sets(st.integers(0, len(sides) - 1)))
+    """A random box of 1 to 3 sides of 2 to 6 nodes, its first two sides
+    made equal in about half the draws, and a random connected network on
+    its nodes joined by its images under the group that the reversals of
+    a random subset of the box's axes and, on equal first sides, perhaps
+    the swap of axes 0 and 1 generate, one resistance on each orbit."""
+    sides = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    if len(sides) > 1 and draw(st.booleans()):
+        sides[1] = sides[0]
+    sides = tuple(sides)
+    maps = [lambda v, k=k: _reflect(v, sides, k)
+            for k in draw(st.sets(st.integers(0, len(sides) - 1)))]
+    if len(sides) > 1 and sides[0] == sides[1] and draw(st.booleans()):
+        maps.append(lambda v: _swap(v, sides))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = math.prod(sides)
     pairs = [(int(rng.integers(v)), v) for v in range(1, n)]  # a tree
@@ -251,30 +277,33 @@ def reversal_symmetric_networks(draw):
               for _ in range(int(rng.integers(0, n + 1)))]
     edges = {}
     for pair in pairs:
-        orbit = {pair}
-        for axis in axes:
-            orbit |= {tuple(sorted(_reflect(v, sides, axis) for v in edge))
-                      for edge in orbit}
+        orbit, grown = set(), {pair}
+        while grown != orbit:  # close the orbit under the maps
+            orbit = grown
+            grown = orbit | {tuple(sorted(map(g, edge)))
+                             for g in maps for edge in orbit}
         if pair not in edges:
             edges.update(dict.fromkeys(orbit, float(rng.uniform(0.25, 4.0))))
     net = build_network(n, [(i, j, r) for (i, j), r in edges.items()])
-    return net, sides, _symmetric_axes(edges, sides)
+    return (net, sides, _symmetric_axes(edges, sides),
+            _swap_symmetric(edges, sides))
 
 
 @given(reversal_symmetric_networks())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_reversal_split_matches_eigh(case):
-    net, sides, axes = case
+    net, sides, axes, swap = case
     n = net.node_count
     ref = np.linalg.eigvalsh(laplacian(net))
     spec, shapes = _split_spectrum(net, sides)
-    assert shapes == block_shapes(sides, axes)
+    assert shapes == block_shapes(sides, axes, swap)
     assert spec.values[0] == 0.0
     assert np.abs(spec.values - ref).max() <= 1e-12 * ref[-1]
     # the whole-graph hint (n,) sees at most the reversal of every axis at
     # once: the same values from no more blocks
     edges = {(i, j): r for i, j, r in net.edges}
     wrong, wrong_shapes = _split_spectrum(net, (n,))
-    assert wrong_shapes == block_shapes((n,), _symmetric_axes(edges, (n,)))
+    assert wrong_shapes == block_shapes((n,), _symmetric_axes(edges, (n,)),
+                                        False)
     assert len(wrong_shapes) <= len(shapes)
     assert np.abs(wrong.values - ref).max() <= 1e-12 * ref[-1]
