@@ -194,16 +194,6 @@ def build_network(node_count, edge_list) -> Network:
     graph does not reach every node. A box lattice (:func:`lattice_box`)
     is connected by construction; only other graphs are searched.
     """
-    net = _validated(node_count, edge_list)
-    n = net.node_count
-    if net.box is None and _bfs(_adjacency(n, *net.ends.T)) != n:
-        raise DisconnectedGraph(f"graph on {n} nodes is not connected")
-    return net
-
-
-def _validated(node_count, edge_list) -> Network:
-    """:func:`build_network` without the connectivity search: every check
-    but that one, then the edges sorted by endpoints."""
     if not numerics.integer_in(node_count, 2):
         raise InvalidEdge(
             f"need an integer node count of at least 2, got {node_count!r}")
@@ -225,12 +215,7 @@ def _validated(node_count, edge_list) -> Network:
             raise error(f"edge ({', '.join(f'{x:g}' for x in arr[bad][0])}) "
                         f"{what}")
     ends = ends.astype(np.intp)  # one copy, sorted in place below
-    with np.errstate(over="ignore"):
-        degree = np.bincount(ends.ravel(), np.repeat(1.0 / r, 2), node_count)
-        finite = np.isfinite(2.0 * degree)  # lambda_max <= 2 max degree
-    if not finite.all():
-        raise InvalidEdge(f"node {np.argmin(finite)}'s conductances 1/R "
-                          "sum past half the largest float")
+    _check_conductance(node_count, ends, r)
     ends.sort(axis=1)
     order = np.lexsort(ends.T[::-1])
     ends, r = ends[order], r[order]
@@ -238,7 +223,24 @@ def _validated(node_count, edge_list) -> Network:
     if duplicate.any():
         k = np.argmax(duplicate)
         raise InvalidEdge(f"duplicate edge {tuple(ends[k].tolist())}")
-    return Network(node_count, ends, r)
+    net = Network(node_count, ends, r)
+    if net.box is None and _bfs(_adjacency(node_count, *ends.T)) != node_count:
+        raise DisconnectedGraph(f"graph on {node_count} nodes is not "
+                                "connected")
+    return net
+
+
+def _check_conductance(node_count: int, ends: np.ndarray, r: np.ndarray
+                       ) -> None:
+    """InvalidEdge naming the first node whose conductances 1/R sum past
+    half the largest float: the Laplacian's eigenvalues, at most twice the
+    largest such sum, would not be finite."""
+    with np.errstate(over="ignore"):
+        degree = np.bincount(ends.ravel(), np.repeat(1.0 / r, 2), node_count)
+        finite = np.isfinite(2.0 * degree)
+    if not finite.all():
+        raise InvalidEdge(f"node {np.argmin(finite)}'s conductances 1/R "
+                          "sum past half the largest float")
 
 
 def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
@@ -305,6 +307,9 @@ def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Networ
     Pairs already adjacent in the base keep their original resistance;
     newly created edges get ``r_fuzz`` (default: the base's maximum edge
     resistance). h = 1 returns a network with the identical edge set.
+    The edges come out distinct, sorted and connected, with resistances
+    already checked, so of :func:`build_network`'s checks only the
+    conductance sum (``_check_conductance``) runs.
     """
     if not numerics.integer_in(h, 1):
         raise InvalidSize(f"fuzz radius must be an integer of at least 1, "
@@ -321,9 +326,13 @@ def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Networ
     # the base edges' codes, ascending as their endpoints are sorted
     base_code = base.ends[:, 0] * n + base.ends[:, 1]
     at = np.searchsorted(base_code, code).clip(max=base.edge_count - 1)
-    r = np.where(base_code[at] == code, base.resistance[at], r_fuzz)
-    # the edges include the connected base's, so the fuzz is connected
-    net = _validated(n, np.column_stack((*np.divmod(code, n), r)))
+    r = np.where(base_code[at] == code, base.resistance[at], float(r_fuzz))
+    # the codes ascend with u < v, so the ends are sorted as build_network
+    # sorts them; the edges include the connected base's, so the fuzz is
+    # connected
+    ends = np.column_stack(np.divmod(code, n))
+    _check_conductance(n, ends, r)
+    net = Network(n, ends, r)
     # fill the cached Network.sides: an axis reversal or swap of the base
     # keeps hop distance, so it maps the fuzz onto itself wherever it maps
     # the base

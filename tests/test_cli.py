@@ -279,6 +279,16 @@ class TestFig2:
             header = (tmp_path / name).read_text().split("\n")[0]
             assert header.startswith("t,V_")
 
+    def test_rerun_byte_identical(self, capsys, tmp_path):
+        argv = ["fig2", "--n", "6", "--T", "0.05", "--rows", "200",
+                "--seed", "7", "--out", "a"]
+        assert run(argv) == 0
+        first = {p.name: p.read_bytes() for p in tmp_path.glob("a_*.csv")}
+        assert len(first) == 6
+        assert run(argv) == 0
+        assert {p.name: p.read_bytes()
+                for p in tmp_path.glob("a_*.csv")} == first
+
     def test_row_contract(self, capsys, tmp_path):
         code, doc = run_json(["fig2", "--n", "10", "--T", "0.05", "--out",
                               "r"], capsys)

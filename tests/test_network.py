@@ -167,6 +167,22 @@ class TestLattice:
             build_network(math.prod(sides), triples)
         assert str(direct.value) == str(built.value)
 
+    @pytest.mark.parametrize("sides, r_fuzz", [
+        ((3, 4), 4e-308), ((3, 3, 3), 1.3e-307), ((2, 3), 1e-320)])
+    def test_hfuzz_conductance_overflow_as_build_network(self, sides,
+                                                         r_fuzz):
+        # generate_hfuzz skips build_network's validation but keeps this
+        # check: on the same triples the same node is named
+        base = generate_lattice(len(sides), sides)
+        kept = set(base.edges)
+        triples = [(i, j, r if (i, j, r) in kept else r_fuzz)
+                   for i, j, r in generate_hfuzz(base, 2).edges]
+        with pytest.raises(errors.InvalidEdge) as direct:
+            generate_hfuzz(base, 2, r_fuzz)
+        with pytest.raises(errors.InvalidEdge) as built:
+            build_network(base.node_count, triples)
+        assert str(direct.value) == str(built.value)
+
 
 def bfs_distances(net, source):
     adj = [[] for _ in range(net.node_count)]

@@ -107,6 +107,19 @@ class TestStepControl:
             white_noise_variance(scalar_model(), T=T)
 
 
+def assert_row_by_row(model, traj):
+    """The states match the recurrence x <- prop x from the first row, to
+    1e-12 of the largest |state|."""
+    prop = simulation.propagator(model.a, traj.dt)
+    x = traj.states[0]
+    expected = [x]
+    for _ in traj.times[1:]:
+        x = prop @ x
+        expected.append(x)
+    scale = np.abs(traj.states).max()
+    assert np.abs(traj.states - expected).max() <= 1e-12 * scale
+
+
 class TestSimulate:
     def test_zero_initial_state_stays_zero(self, k2, paper_params):
         m = assemble_droop(k2, paper_params)
@@ -157,6 +170,40 @@ class TestSimulate:
         for t, state in zip(traj.times, traj.states):
             assert np.allclose(state, expm(m.a * t) @ x0, rtol=1e-9,
                                atol=1e-12)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 16, 23])
+    def test_blocks_match_row_by_row(self, p3, paper_params, count):
+        # b = isqrt(count) rows one at a time, then blocks of b: count 1 to
+        # 3 has b = 1, 16 ends on a whole block, 23 on a ragged one of 3
+        m = assemble_dapi(p3, paper_params)
+        traj = simulate(m, np.arange(1.0, 7.0), T=count * 40 * default_dt(m),
+                        rows=count)
+        assert len(traj.times) == count + 1
+        assert_row_by_row(m, traj)
+
+    def test_paper_gain_dapi_path100_row_by_row(self):
+        # the sim op's trajectory: 39 rows one at a time, then blocks of 39
+        m = assemble_dapi(generate_lattice(1, 100), PAPER)
+        traj = simulate(m, sample_initial(m, 0, 1)[:, 0], T=0.3, rows=1500)
+        assert len(traj.times) == 1531
+        assert_row_by_row(m, traj)
+
+    def test_rows_past_memory_budget(self, monkeypatch):
+        # 10^12 rows of one state: refused before the propagator is formed
+        def no_propagator(a, h):
+            raise AssertionError("propagator computed")
+        monkeypatch.setattr(simulation, "propagator", no_propagator)
+        with pytest.raises(errors.InvalidSize, match="memory budget"):
+            simulate(scalar_model(), [1.0], T=1e12, rows=10**12)
+
+    def test_memory_budget_edge(self, monkeypatch):
+        # 10 steps of 0.1 and 11 rows of 8 bytes: exactly at a budget of
+        # 88 bytes, one byte past one of 87
+        monkeypatch.setattr(simulation, "MEMORY_BUDGET_BYTES", 88)
+        assert len(simulate(scalar_model(), [1.0], T=1.0, rows=10).times) == 11
+        monkeypatch.setattr(simulation, "MEMORY_BUDGET_BYTES", 87)
+        with pytest.raises(errors.InvalidSize):
+            simulate(scalar_model(), [1.0], T=1.0, rows=10)
 
     def test_labels_carried(self, p3, paper_params):
         m = assemble_dapi(p3, paper_params)
