@@ -7,14 +7,15 @@ finite d-dimensional lattices and their h-fuzzes, and produces their
 its eigenvalues and blocks of L^+ on demand. That spectrum is the
 closed-form Kronecker-sum spectrum when the edges are those of a uniform
 box lattice in row-major node order (:func:`lattice_box`), however the
-network was made, and otherwise the dense Laplacian's eigenvalues plus a
-banded Cholesky factor of the Laplacian grounded at node 0. The dense
-eigensolve splits into 2^a blocks of about n / 2^a when the edges are
-their own image under the reversal of a axes of ``Network.sides``, a
-hint that an h-fuzz takes from its base box (:func:`generate_hfuzz`),
-and further, into blocks of about n / 8 and one of n / 4 in place of the
-four blocks of axes 0 and 1, when they are also their own image under
-the swap of those two axes of a square hint.
+network was made, and otherwise the Laplacian's eigenvalues by a dense
+eigensolve plus a banded Cholesky factor of the Laplacian grounded at
+node 0. The dense eigensolve splits into 2^a blocks of about n / 2^a
+when the edges are their own image under the reversal of a axes of
+``Network.sides``, a hint that an h-fuzz takes from its base box
+(:func:`generate_hfuzz`), and further, into blocks of about n / 8 and one
+of n / 4 in place of the four blocks of axes 0 and 1, when they are also
+their own image under the swap of those two axes of a square hint. Its
+blocks and the factor are built from the edges, with no dense Laplacian.
 
 A network keeps its validated edges as two read-only arrays, the
 endpoints and the resistances, and every per-edge step (validation,
@@ -97,7 +98,8 @@ class Network:
         symmetries: the box's own sides for a box lattice, its base's for
         an h-fuzz (:func:`generate_hfuzz` fills it), else ``(n,)``, the
         whole-graph reversal i -> n - 1 - i. A hint only: the edges decide
-        which symmetries hold."""
+        which symmetries hold, and the orbits of the group they generate
+        index the rows of the eigensolve's blocks."""
         return (self.node_count,) if self.box is None else self.box[0]
 
     @cached_property
@@ -112,10 +114,14 @@ class Network:
         (all d axes of an h-fuzz of a d-dimensional box), and on a square
         :attr:`sides` also by the swap of axes 0 and 1: the 2-fuzz of an
         m x m grid takes four solves of about n / 8 and one of n / 4.
+        Each block is summed from the edges over the group's orbits,
+        B[o, o'] = sum chi(u) chi(v) L_uv / sqrt(|O_u| |O_v|) for a
+        character chi, with no n x n Laplacian, under the dense limit.
         """
         if self.box is None:
-            return numerics.laplacian_spectrum(laplacian(self), self.ends,
-                                               self.resistance, self.sides)
+            require_dense(self.node_count)
+            return numerics.laplacian_spectrum(self.ends, self.resistance,
+                                               self.sides)
         return numerics.lattice_spectrum(*self.box)
 
 

@@ -17,7 +17,10 @@ halves the blocks, and on a square box the swap of axes 0 and 1 splits
 them again (the dihedral group D_4), so the 2-fuzz of an m x m grid
 takes four solves of about n / 8 and one of n / 4, where the reversals
 alone gave four of n / 4 (7.1 ms against 12.5 ms at n = 1024, one BLAS
-thread). All routines are pure functions. ``scipy.linalg`` is
+thread). Each block is summed straight from the edge list over the
+orbits of the symmetry group, B[o, o'] = sum chi(u) chi(v) L_uv /
+sqrt(|O_u| |O_v|) for a character chi, so a symmetric graph's spectrum
+makes no n x n array. All routines are pure functions. ``scipy.linalg`` is
 imported on first use, inside the two kernels that call it (the Schur
 form and the banded factor), so a box lattice never loads it.
 """
@@ -96,9 +99,9 @@ def integer_in(value, low, high=math.inf) -> bool:
 
 def eig_sym(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending (no eigenvectors). Only
-    the lower triangle is read; its callers pass ``laplacian`` output or
-    the blocks that :func:`_symmetry_blocks` folds from it, both symmetric
-    by construction."""
+    the lower triangle is read; its caller passes the blocks that
+    :func:`_character_blocks` sums from the edges, symmetric by
+    construction."""
     return np.linalg.eigvalsh(mat)
 
 
@@ -191,10 +194,13 @@ def _grounded_solver(diagonal: np.ndarray, ends: np.ndarray,
     its edges (m x 2 endpoints i < j, and resistances). One banded
     Cholesky factor of L[1:, 1:] in LAPACK lower band storage (row k holds
     the k-th subdiagonal, so the width is the largest j - i of an edge
-    off node 0) serves every solve; a LinAlgError from it raises
-    DisconnectedGraph. Each solve is refined once against ``product``,
-    which brings it to full precision."""
-    from scipy.linalg import cho_solve_banded, cholesky_banded
+    off node 0) serves every solve; a factor that fails (a leading minor
+    not positive) raises DisconnectedGraph. LAPACK's pbtrf and pbtrs are
+    called directly: scipy's checking wrappers around them cost about
+    6 us a call (cholesky_banded takes 10.7 us where pbtrf takes 4.5 us on
+    42 nodes). Each solve is refined once against ``product``, which
+    brings it to full precision."""
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
 
     n = diagonal.size
     off_ground = ends[:, 0] > 0
@@ -206,12 +212,10 @@ def _grounded_solver(diagonal: np.ndarray, ends: np.ndarray,
     band = np.zeros(((rows - cols).max(initial=0) + 1, n - 1), order="F")
     band[0] = diagonal[1:]
     band[rows - cols, cols] = -conductance
-    try:
-        chol = cholesky_banded(band, overwrite_ab=True, lower=True)
-    except np.linalg.LinAlgError as exc:
+    chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info:
         raise DisconnectedGraph(
-            "Laplacian is numerically singular beyond its zero mode"
-        ) from exc
+            "Laplacian is numerically singular beyond its zero mode")
 
     def product(x):
         """L[1:, 1:] x for an (n - 1) x k block, summed edge by edge as
@@ -228,10 +232,9 @@ def _grounded_solver(diagonal: np.ndarray, ends: np.ndarray,
 
     def solve(rhs):
         rhs = rhs[1:]
-        z = cho_solve_banded((chol, True), rhs, check_finite=False)
+        z = dpbtrs(chol, rhs, lower=1)[0]
         out = np.zeros((n, rhs.shape[1]))
-        out[1:] = z + cho_solve_banded((chol, True), rhs - product(z),
-                                       check_finite=False)
+        out[1:] = z + dpbtrs(chol, rhs - product(z), lower=1)[0]
         return out
 
     return solve
@@ -269,161 +272,148 @@ def _symmetries(sides, ends: np.ndarray, resistance: np.ndarray
             len(holds) > len(sides) and holds[-1])
 
 
-def _pick(array: np.ndarray, axis: int, index) -> np.ndarray:
-    """``array`` at ``index`` on ``axis``: a view for a slice, a copy for
-    an index array."""
-    if isinstance(index, slice):
-        return array[(slice(None),) * axis + (index,)]
-    return array.take(index, axis=axis)
+def _orbits(sides, axes, swap: bool):
+    """The orbits of the group that the reversals of ``axes`` of the
+    row-major box ``sides`` generate, and of the larger one that they
+    generate with the swap of axes 0 and 1 when ``swap``, each as its
+    nodes' orbit indices and its number of orbits: an orbit is numbered by
+    its representative in the folded box, where each reversed coordinate
+    x is taken to min(x, m - 1 - x), and under the swap then x_0 to
+    min(x_0, x_1) and x_1 to max(x_0, x_1). With them two masks of
+    generators per node, bit k for the reversal of axis k and bit
+    len(sides) for the swap: ``flip``, those that carry the
+    representative of the node's orbit onto it, and ``stab``, those
+    whose conjugates fix it."""
+    d = len(sides)
+    x = np.indices(sides).reshape(d, -1)
+    top = np.array(sides)[:, None] - 1
+    bit = np.array([1 << k if k in axes else 0 for k in range(d)])
+    far = (2 * x > top) & (bit[:, None] > 0)
+    flip, stab = bit @ far, bit @ (2 * x == top)
+    x = np.where(far, top - x, x)
+    dims = [(m + 1) // 2 if k in axes else m for k, m in enumerate(sides)]
+    orbits = [(np.ravel_multi_index(x, dims), math.prod(dims))]
+    if swap:
+        lo, hi = np.minimum(x[0], x[1]), np.maximum(x[0], x[1])
+        flip |= (x[0] > x[1]) << d
+        stab |= (lo == hi) << d
+        # axes 0 and 1 are the slowest of the row-major folded box
+        rest = math.prod(dims[2:])
+        orbits.append(((hi * (hi + 1) // 2 + lo) * rest + orbits[0][0] % rest,
+                       dims[0] * (dims[0] + 1) // 2 * rest))
+    return orbits, flip, stab
 
 
-def _fold(stack: np.ndarray, grid: int, axis: int, near, far,
-          fixed: int) -> list[np.ndarray]:
-    """Split every block of ``stack`` by one involution J of its nodes
-    into the blocks of J's symmetric and antisymmetric modes (Cantoni and
-    Butler, LAA 1976).
+def _character_blocks(ends: np.ndarray, conductance: np.ndarray,
+                      degree: np.ndarray, sides, axes, swap: bool
+                      ) -> list[tuple[np.ndarray, int]]:
+    """The diagonal blocks of the Laplacian of the edges (m x 2 endpoints
+    i < j, their conductances, each node's summed conductance ``degree``)
+    when it commutes with the reversal of each of ``axes`` of the
+    row-major box ``sides`` and, when ``swap``, with the swap of its axes
+    0 and 1; each with the number of times its eigenvalues occur. With no
+    symmetry, the one block is L itself.
 
-    The last 2 ``grid`` axes of ``stack`` hold a block: a matrix over the
-    nodes of a grid, with one array axis per grid axis for its rows and
-    the same again for its columns. The axes before them index the
-    blocks. J acts on grid axis ``axis`` alone: ``near`` (a slice or an
-    index array) picks J's representatives on it, the ``fixed`` nodes
-    that J maps to themselves last, and ``far`` their images in the same
-    order. The symmetric modes (u, Ju) see near + far and the
-    antisymmetric ones (u, -Ju) near - far, in the representatives' rows,
-    which are all that is read. With no fixed node both come back in one
-    stack, with a new last leading axis, the symmetric block first. A
-    fixed node borders the symmetric block with sqrt(2) times its
-    coupling to the others and keeps its own diagonal; it has no
-    antisymmetric mode, and the two come back as two stacks, the second
-    without it."""
-    lead = stack.ndim - 2 * grid
-    rows = _pick(stack, lead + axis, near)
-    col = rows.ndim - grid + axis
-    near, far = _pick(rows, col, near), _pick(rows, col, far)
-    if not fixed:
-        out = np.empty(near.shape[:lead] + (2,) + near.shape[lead:])
-        np.add(near, far, out=out[(slice(None),) * lead + (0,)])
-        np.subtract(near, far, out=out[(slice(None),) * lead + (1,)])
-        return [out]
-    plus, minus = near + far, near - far
-    for at in (lead + axis, col):
-        edge = plus[(slice(None),) * at + (slice(-fixed, None),)]
-        np.multiply(edge, math.sqrt(0.5), out=edge)
-    keep = slice(minus.shape[lead + axis] - fixed)
-    return [plus, minus[(slice(None),) * (lead + axis) + (keep,)][
-        (slice(None),) * col + (keep,)]]
-
-
-def _symmetry_blocks(lap: np.ndarray, sides, axes, swap: bool
-                     ) -> list[tuple[np.ndarray, int]]:
-    """The diagonal blocks of a Laplacian that commutes with the reversal
-    of each of ``axes`` of the row-major box ``sides`` and, when ``swap``,
-    with the swap of its axes 0 and 1, each with the number of times its
-    eigenvalues occur; with no symmetry, ``lap`` once.
-
-    The reversals generate Z_2^a: :func:`_fold` splits the blocks once per
-    axis, on the first ceil(m/2) slices of each reversed axis. Only those
-    rows are read from ``lap``, as a view, and no n x n array is made.
-    The swap maps the reversal of axis 0 onto that of axis 1, so it maps
-    the blocks of characters (s, t) on those axes onto those of (t, s).
-    It folds the blocks with s = t once more, on the triangle x_0 <= x_1
-    of the first two axes with the diagonal x_0 = x_1 last as its fixed
-    nodes, and of each pair (+, -), (-, +) only the first is kept, counted
-    twice, after the others.
-
-    The blocks come stack by stack, each stack's blocks in the order of
-    its leading axes. A fold that fixes nodes (of an odd side, or the
-    swap) splits every stack in two, the symmetric blocks first; one that
-    fixes none adds to each stack a leading axis, the fastest. The zero
-    mode is in the first block."""
-    if not axes and not swap:
-        return [(lap, 1)]
-    grid = len(sides)
-    half = [(m + 1) // 2 if k in axes else m for k, m in enumerate(sides)]
-    # stacks of blocks, each with the sign of its blocks on every axis
-    # folded so far, None for an axis that is a leading axis of the stack
-    stacks = [(lap.reshape(tuple(sides) * 2)[tuple(map(slice, half))], ())]
-    for k in axes:
-        m, folded = sides[k], []
-        for stack, signs in stacks:
-            parts = _fold(stack, grid, k, slice(half[k]),
-                          slice(m - 1, m - half[k] - 1, -1), m % 2)
-            folded += [(part, signs + (sign if len(parts) > 1 else None,))
-                       for sign, part in enumerate(parts)]
-        stacks = folded
-    if not swap:
-        return _matrices([(stack, grid, 1) for stack, _ in stacks])
-    same, pairs = [], []
-    for stack, signs in stacks:
-        if axes[:1] != [0]:  # axes 0 and 1 are not reversed
-            same.append(stack)
-        elif signs[0] is None:  # the stack's first two axes are theirs
-            four = stack.reshape((4,) + stack.shape[2:])
-            same.append(four[::3])
-            pairs.append((four[1], grid, 2))
-        elif signs[0] == signs[1]:
-            same.append(stack)
-        elif signs[0] == 0:
-            pairs.append((stack, grid, 2))
-    swapped = []
-    for stack in same:
-        lead = stack.ndim - 2 * grid
-        side, rest = stack.shape[lead], stack.shape[lead + 2:-grid]
-        # the triangle x_0 < x_1, then the diagonal, as flat indices of
-        # the side x side grid, and their transposes
-        node = np.arange(side * side).reshape(side, side)
-        near = np.argsort(node - node.T, axis=None, kind="stable")[
-            :side * (side + 1) // 2]
-        swapped += [(part, grid - 1, 1) for part in _fold(
-            stack.reshape(stack.shape[:lead] + 2 * ((side * side,) + rest)),
-            grid - 1, 0, near, node.T.ravel()[near], side)]
-    return _matrices(swapped + pairs)
+    A one-dimensional character chi of the group (a sign per generator)
+    takes the orbits (:func:`_orbits`) on whose stabiliser it is trivial,
+    and the unit vector sum_u chi(u) e_u / sqrt(|O|) on each, chi(u) the
+    sign of the group element that carries the orbit's representative
+    onto u. In that basis L's block is B[o, o'] = sum chi(u) chi(v) L_uv /
+    sqrt(|O_u| |O_v|) over u in O_u and v in O_v, which is sqrt(|O_u| /
+    |O_v|) sum chi(v) L_rv over v alone, r the representative of O_u: only
+    the representatives' rows are read. The swap maps the reversal of axis
+    0 onto that of axis 1, so the group's characters are those with equal
+    signs on the two axes, each with either sign of the swap; the rest of
+    the reversals' characters pair up into D_4's two-dimensional
+    irreducible representation, whose spectrum, twice over, is that of
+    the reversal subgroup's block of signs (+, -) on axes 0 and 1, solved
+    once and counted twice. The orbits and masks are found once, and one
+    ``bincount`` over the entries of the representatives' rows sums all
+    the blocks of a group. The zero mode is in the first block."""
+    d, bits = len(sides), sum(1 << k for k in axes)
+    signs = [s for s in range(1 << d) if not s & ~bits]
+    orbits, flip, stab = _orbits(sides, axes, swap)
+    # (orbits, group's generators, characters, copies); the reversals'
+    # characters do not see the swap's bit of the masks
+    groups = [(*orbits[-1], bits | swap << d,
+               [s | t << d for s in signs if s & 1 == s >> 1 & 1
+                for t in (0, 1)] if swap else signs, 1)]
+    if swap:
+        groups.append((*orbits[0], bits, [s for s in signs if s & 3 == 2], 2))
+    # L's entries L_uv: both ways along each edge, then the diagonal
+    n = degree.size
+    u = np.concatenate((ends.ravel(), np.arange(n)))
+    v = np.concatenate((ends[:, ::-1].ravel(), np.arange(n)))
+    entry = np.concatenate((np.repeat(-conductance, 2), degree))
+    blocks = []
+    for orbit, count, group, characters, copies in groups:
+        if not characters:
+            continue
+        chi = np.array(characters)[:, None]
+        on = flip[u] & group == 0
+        w = v[on]
+        row, col = orbit[u[on]], orbit[w]
+        size = np.bincount(orbit, minlength=count)
+        value = entry[on] * np.sqrt(size[row] / size[col])
+        # times chi(w) for every character
+        value = np.where(np.bitwise_count(flip[w] & chi) & 1, -value, value)
+        # the masks of an orbit's nodes differ at most by the exchange of
+        # bits 0 and 1, where each of the group's characters has one sign
+        kept = np.zeros(count, np.intp)
+        kept[orbit] = stab
+        kept = kept & chi == 0
+        # each block is summed in a (count + 1)^2 slot; a dropped orbit's
+        # entries go to row and column count, cut off below
+        at = np.where(kept, kept.cumsum(axis=1) - 1, count)
+        sums = np.bincount(
+            ((at * (count + 1) + np.arange(0, chi.size * (count + 1) ** 2,
+                                           (count + 1) ** 2)[:, None]
+              ).take(row, axis=1) + at.take(col, axis=1)).ravel(),
+            value.ravel(), chi.size * (count + 1) ** 2
+        ).reshape(chi.size, count + 1, count + 1)
+        blocks += [(sums[c, :m, :m], copies)
+                   for c, m in enumerate(kept.sum(axis=1).tolist()) if m]
+    return blocks
 
 
-def _matrices(stacks) -> list[tuple[np.ndarray, int]]:
-    """Each block of each (stack, grid, copies) of :func:`_fold`'s layout
-    as a square matrix, with its copies; a block on no node (the swap's
-    antisymmetric modes of a side of 1) is left out."""
-    return [(block, copies) for stack, grid, copies in stacks
-            if stack.size
-            for block in stack.reshape((-1,) + 2 * (
-                math.prod(stack.shape[stack.ndim - grid:]),))]
-
-
-def laplacian_spectrum(lap: np.ndarray, ends: np.ndarray,
-                       resistance: np.ndarray, sides) -> LaplacianSpectrum:
-    """Laplacian spectrum of a connected graph from its dense Laplacian
-    and the edges it was built from: m x 2 endpoints i < j and their
-    resistances. ``sides`` is a row-major box of n nodes whose axis
-    reversals, and whose swap of axes 0 and 1 if it is square there, may
-    map the graph onto itself, ``(n,)`` for none known.
+def laplacian_spectrum(ends: np.ndarray, resistance: np.ndarray, sides
+                       ) -> LaplacianSpectrum:
+    """Laplacian spectrum of a connected graph from its edges: m x 2
+    endpoints i < j and their resistances. ``sides`` is a row-major box
+    of the n nodes whose axis reversals, and whose swap of axes 0 and 1 if
+    it is square there, may map the graph onto itself, ``(n,)`` for none
+    known.
 
     The eigenvalues come from :func:`eig_sym` on the blocks of
-    :func:`_symmetry_blocks`, split by the symmetries that map the edges
-    onto themselves with equal resistances (decided from the edges alone,
-    :func:`_symmetries`): 2^a blocks of about n / 2^a for a reversed axes,
-    and with the swap also four of about n / 8 and one of n / 4, solved
-    once and counted twice, in place of the four blocks of the first two
-    axes; ``lap`` itself for none. A wrong ``sides`` can only leave
+    :func:`_character_blocks`, assembled from the edges, one per character
+    of the group of the symmetries that map the edges onto themselves with
+    equal resistances (decided from the edges alone, :func:`_symmetries`):
+    B[o, o'] = sum chi(u) chi(v) L_uv / sqrt(|O_u| |O_v|) over the orbits
+    on whose stabiliser chi is trivial. That is 2^a blocks of about n / 2^a
+    for a reversed axes, and with the swap also four of about n / 8 and
+    one of n / 4, solved once and counted twice, in place of the four
+    blocks of the first two axes; L itself for none. So on a symmetric
+    graph no n x n array is made. A wrong ``sides`` can only leave
     symmetries out, so it costs speed, not values. The graph's
     connectivity is already proven, so the zero mode must pass the
     scale-invariant test |lambda_0| <= n eps lambda_max < lambda_1 (else
     DisconnectedGraph); it is set to exactly 0.0. Blocks of L^+ come from
     the solver of L grounded at node 0 (:func:`_grounded_solver`), made on
-    first use from the edges and ``lap``'s diagonal, the same rounded row
-    sums that the eigenvalues see. With G its padded inverse, L^+ = P G P for
+    first use from the edges and the same edge-wise degree sums that the
+    blocks' diagonals hold. With G its padded inverse, L^+ = P G P for
     P = I - 11^T/n, so L^+_ab = G_ab - g_a/n - g_b/n + 1^T g/n^2 for
     g = G 1, solved once with the factor. R_eff(i, j) is z_i - z_j for
     z = G (e_i - e_j), since e_i - e_j is orthogonal to 1. No n x n array
     is made for L^+; the factor holds (b + 1)(n - 1) doubles for
     bandwidth b.
     """
-    lap = np.asarray(lap, dtype=float)
-    n = lap.shape[0]
+    n = math.prod(sides)
+    conductance = 1.0 / resistance
+    degree = np.bincount(ends.ravel(), np.repeat(conductance, 2), n)
     parts = []
-    for block, copies in _symmetry_blocks(
-            lap, sides, *_symmetries(sides, ends, resistance)):
+    for block, copies in _character_blocks(
+            ends, conductance, degree, sides,
+            *_symmetries(sides, ends, resistance)):
         parts += [eig_sym(block)] * copies
     values = np.sort(np.concatenate(parts))
     bound = n * sys.float_info.epsilon * values[-1]
@@ -435,7 +425,7 @@ def laplacian_spectrum(lap: np.ndarray, ends: np.ndarray,
     @cache
     def grounded():
         """The grounded solver, and g = G 1 solved with it."""
-        solve = _grounded_solver(lap.diagonal(), ends, resistance)
+        solve = _grounded_solver(degree, ends, resistance)
         return solve, solve(np.ones((n, 1)))[:, 0]
 
     def pinv(nodes):

@@ -86,51 +86,34 @@ def block_shapes(sides, axes=None, swap=None):
     the swap of its axes 0 and 1, in call order. ``(n,)`` gives the
     whole-graph mirror's two halves.
 
-    The split keeps stacks of blocks of one shape. A reversed axis of m
-    slices leaves ceil(m/2) of them in the symmetric blocks and floor(m/2)
-    in the antisymmetric ones; when these differ, it splits every stack in
-    two, the symmetric one first, and else it doubles every stack. The
-    swap folds the blocks whose two signs on axes 0 and 1 agree, each
-    stack into one of its symmetric blocks, on t(t+1)/2 of the t x t
-    slices of those axes, and one of its antisymmetric blocks, on
-    t(t-1)/2, none for t = 1; the blocks of signs (+, -) come last, once
-    each, and those of (-, +) are not solved."""
+    One block per character, a sign on each reversed axis, the characters
+    taken in increasing order of their bit masks (bit k set for the sign
+    - on axis k). A reversed axis of m slices keeps ceil(m/2) of them
+    where its sign is + and floor(m/2) where it is -. Under the swap the
+    characters with equal signs on axes 0 and 1 come first, each with the
+    swap's sign + and then -, on t(t+1)/2 and t(t-1)/2 of the t x t
+    slices of those axes, none for t = 1; the blocks of signs (+, -) on
+    axes 0 and 1 follow, each solved once for two, and those of (-, +)
+    are not solved."""
     axes = range(len(sides)) if axes is None else axes
     swap = len(sides) > 1 and sides[0] == sides[1] if swap is None else swap
-    # each stack: the slices on each axis, its block count, its signs on
-    # the folded axes (None where the stack has both)
-    stacks = [([(m + 1) // 2 if k in axes else m
-                for k, m in enumerate(sides)], 1, ())]
-    for k in axes:
-        folded = []
-        for grid, count, signs in stacks:
-            if sides[k] % 2:
-                cut = grid[:k] + [grid[k] - 1] + grid[k + 1:]
-                folded += [(grid, count, signs + (0,)),
-                           (cut, count, signs + (1,))]
-            else:
-                folded.append((grid, 2 * count, signs + (None,)))
-        stacks = folded
-    if swap:
-        same, pairs = [], []
-        for grid, count, signs in stacks:
-            if 0 not in axes:
-                same.append((grid, count))
-            elif signs[0] is None:
-                same.append((grid, count // 2))
-                pairs.append((grid, count // 4))
-            elif signs[0] == signs[1]:
-                same.append((grid, count))
-            elif signs[0] == 0:
-                pairs.append((grid, count))
-        stacks = []
-        for grid, count in same:
-            t, rest = grid[0], grid[2:]
-            stacks += [([t * (t + 1) // 2] + rest, count, ()),
-                       ([t * (t - 1) // 2] + rest, count, ())]
-        stacks += [(grid, count, ()) for grid, count in pairs]
-    return [(math.prod(grid),) * 2 for grid, count, _ in stacks
-            if math.prod(grid) for _ in range(count)]
+
+    def slices(s):
+        return [(m // 2 if s >> k & 1 else m - m // 2) if k in axes else m
+                for k, m in enumerate(sides)]
+
+    signs = [s for s in range(2 ** len(sides))
+             if all(k in axes for k in range(len(sides)) if s >> k & 1)]
+    if not swap:
+        sizes = [math.prod(slices(s)) for s in signs]
+    else:
+        sizes = []
+        for s in signs:
+            if s & 1 == s >> 1 & 1:
+                t, rest = slices(s)[0], math.prod(slices(s)[2:])
+                sizes += [t * (t + 1) // 2 * rest, t * (t - 1) // 2 * rest]
+        sizes += [math.prod(slices(s)) for s in signs if s & 3 == 2]
+    return [(k, k) for k in sizes if k]
 
 
 def path_laplacian_eigenvalues(n):

@@ -4,17 +4,25 @@ exception, and no integer argument is truncated."""
 
 import contextlib
 import io
+import json
 import math
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcgrid import errors
 from dcgrid.cli import run
-from dcgrid.network import build_network, generate_hfuzz, generate_lattice
+from dcgrid.network import (
+    build_network,
+    format_edge_list,
+    generate_hfuzz,
+    generate_lattice,
+    to_json_dict,
+)
 from dcgrid.resistance import FAMILIES, scaling_sweep
 from dcgrid.simulation import monte_carlo_h2, sample_initial, simulate
 from dcgrid.systems import ControllerParams, assemble_droop
@@ -138,10 +146,32 @@ SIZES = either(("2,3", "3,4", "2,3,4"),
 CONTROLLER = ("resistance", "c", "kp", "k", "gamma")
 
 
+# the network files that file: specs name, written by ``network_files``
+FILES = ("{edges}", "{json}")
+
+
+@pytest.fixture(scope="module")
+def network_files(tmp_path_factory):
+    """An edge list of a 2-fuzz of a 3 x 3 grid and the JSON of a ring of
+    four buses with unequal resistances, by placeholder in ``FILES``."""
+    folder = tmp_path_factory.mktemp("networks")
+    nets = {"{edges}": format_edge_list(
+                generate_hfuzz(generate_lattice(2, 3), 2)),
+            "{json}": json.dumps(to_json_dict(build_network(
+                4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5), (0, 3, 1.5)])))}
+    paths = {}
+    for key, text in nets.items():
+        paths[key] = folder / f"net{len(paths)}"
+        paths[key].write_text(text)
+    return paths
+
+
 @st.composite
 def gen_specs(draw, depth=1):
-    """A generator spec of at most 64 buses, or a malformed one."""
-    kind = draw(st.sampled_from(("path", "grid2", "grid3", "fuzz", "bad")))
+    """A generator spec of at most 64 buses, a file: spec of a network
+    file from ``FILES``, or a malformed one."""
+    kind = draw(st.sampled_from(("path", "grid2", "grid3", "fuzz", "file",
+                                 "bad")))
     if kind == "path":
         return "path:" + draw(st.one_of(SIDES, st.just("64")))
     if kind == "grid2":
@@ -152,6 +182,8 @@ def gen_specs(draw, depth=1):
     if kind == "fuzz" and depth:
         radius = draw(either(("1", "2", "3"), ("-1", "0", "x")))
         return f"fuzz:{radius}:{draw(gen_specs(depth=0))}"
+    if kind == "file":
+        return "file:" + draw(st.sampled_from(FILES))
     return draw(st.sampled_from(MALFORMED))
 
 
@@ -164,9 +196,14 @@ def options(draw, names, values):
 
 @st.composite
 def argvs(draw):
-    command = draw(st.sampled_from(("h2", "compare", "resist", "sweep",
-                                    "sim", "fig2")))
+    command = draw(st.sampled_from(("gen", "h2", "compare", "resist",
+                                    "sweep", "sim", "fig2")))
     argv = [command]
+    if command == "gen":
+        argv.append("--gen=" + draw(gen_specs()))
+        argv += options(draw, ("format",), either(("json", "edges"),
+                                                  ("csv",)))
+        return argv + options(draw, ("resistance",), NUMBERS)
     if command in ("h2", "sim"):
         # the analytic route, and the dense guard that stops sim before
         # any n x n allocation
@@ -200,8 +237,13 @@ def argvs(draw):
 @given(argvs())
 @example(["sweep", "--family=hfuzz", "--sizes=2,53"]).via("the dense guard")
 @example(["h2", "--gen=path:1000000", "--c=inf"]).via("a huge box")
+@example(["gen", "--gen=fuzz:2:file:{edges}", "--format=edges"]).via(
+    "a fuzz of an edge-list file")
+@example(["h2", "--gen=file:{json}"]).via("a JSON file")
 @settings(max_examples=100, deadline=None)
-def test_cli_argv(argv):
+def test_cli_argv(network_files, argv):
+    for key, path in network_files.items():
+        argv = [arg.replace(key, str(path)) for arg in argv]
     with tempfile.TemporaryDirectory() as workdir:
         err = io.StringIO()
         with (contextlib.redirect_stdout(io.StringIO()),

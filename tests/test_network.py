@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -665,6 +666,26 @@ class TestSpectrumPinv:
         assert np.isclose(slack, 1e4 * 999 / 4, rtol=1e-9, atol=0.0)
         assert np.isclose(resistance.effective_resistance(net, 0, 999),
                           1e4 * 999, rtol=1e-9, atol=0.0)
+
+    def test_spectrum_makes_no_dense_laplacian(self, monkeypatch):
+        # the symmetry blocks are summed from the edges: folded out of a
+        # dense L, the spectrum and one L^+ entry peaked at 12.7 MB here
+        generate_hfuzz(generate_lattice(2, 4), 2).spectrum.pinv([0])
+        net = generate_hfuzz(generate_lattice(2, 32), 2)
+        n = net.node_count
+
+        def dense(_):
+            raise AssertionError("the spectrum route built a dense L")
+
+        monkeypatch.setattr(network, "laplacian", dense)
+        tracemalloc.start()
+        try:
+            net.spectrum.values
+            net.spectrum.pinv([0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
 
 class TestFileFormats:
