@@ -23,6 +23,12 @@ per seed, sample after sample, so sample i depends only on (seed, i);
 a seed is an integer in [0, 2^64).
 ``scipy.linalg`` is imported on first use, inside ``propagator``, the
 one caller of its ``expm``.
+``export_trajectory`` writes each value as the same text as its ``repr``,
+byte for byte, but formats a trajectory in 1024-row blocks with numpy:
+``shortest.csv_rows`` finds the shortest round-trip digits with Ryu's
+integer method, vectorized, and leaves the rare values outside its
+common case (zeros, subnormals, |x| >= 2^50, inf, nan, and values whose
+scaled product ends in zeros, whole numbers among them) to ``repr``.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .errors import (
 )
 from .network import MEMORY_BUDGET_BYTES, check_index
 from .numerics import integer_in, positive_real
+from .shortest import csv_rows
 from .systems import StateSpaceModel
 
 TAIL_THRESHOLD = 1e-8  # terminal ||x||^2 relative to initial, per sample mean
@@ -381,7 +388,15 @@ def white_noise_variance(model: StateSpaceModel, T: float, seed: int = 0
 
 
 def export_trajectory(traj: Trajectory, node_subset) -> str:
-    """CSV of selected bus voltages over time, full float precision."""
+    """CSV of selected bus voltages over time, full float precision.
+
+    The header ``t,V_<node>,...`` is followed by one row per recorded
+    time. Every value is written as its ``repr``, the shortest text that
+    reads back as the same double, and the rows are the same bytes as
+    ``",".join(map(repr, row))`` would give; ``shortest.csv_rows`` makes
+    them in 1024-row blocks with a vectorized Ryu kernel and hands the
+    values outside its common case to ``repr`` itself.
+    """
     label_to_col = {lbl: k for k, lbl in enumerate(traj.state_labels)}
     cols = []
     for node in node_subset:
@@ -390,7 +405,5 @@ def export_trajectory(traj: Trajectory, node_subset) -> str:
             raise IndexOutOfRange(f"no voltage state for bus {node}")
         cols.append(label_to_col[key])
     header = ",".join(["t"] + [f"V_{node}" for node in node_subset])
-    # repr of a listed Python float is the shortest round-trip string
-    table = np.column_stack([traj.times, traj.states[:, cols]]).tolist()
-    lines = [header] + [",".join(map(repr, row)) for row in table]
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([traj.times, traj.states[:, cols]])
+    return header + "\n" + csv_rows(table)

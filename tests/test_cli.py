@@ -38,6 +38,29 @@ def csv_rows(path):
     return len(path.read_text().strip().split("\n")) - 1
 
 
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every trajectory ``simulation.simulate`` returns, in call order."""
+    trajectories = []
+    simulate = simulation.simulate
+
+    def record(*args, **kwargs):
+        trajectories.append(simulate(*args, **kwargs))
+        return trajectories[-1]
+    monkeypatch.setattr(simulation, "simulate", record)
+    return trajectories
+
+
+def repr_csv(traj, header):
+    """A trajectory CSV written value by value with repr, the text that
+    ``export_trajectory`` must reproduce byte for byte."""
+    labels = list(traj.state_labels)
+    cols = [labels.index("V" + name[2:]) for name in header.split(",")[1:]]
+    table = np.column_stack([traj.times, traj.states[:, cols]]).tolist()
+    return "".join([header + "\n"] + [",".join(map(repr, row)) + "\n"
+                                      for row in table])
+
+
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
@@ -233,6 +256,14 @@ class TestSim:
         assert run(argv) == 0
         assert (tmp_path / "a_traj.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_same_bytes_as_repr(self, capsys, tmp_path, recorded, seed):
+        assert run(["sim", "--gen", "path:12", "--kind", "dapi", "--T",
+                    "0.05", "--seed", str(seed), "--out", "a"]) == 0
+        text = (tmp_path / "a_traj.csv").read_text()
+        [traj] = recorded
+        assert text == repr_csv(traj, text.split("\n")[0])
+
     def test_bus_subset(self, capsys, tmp_path):
         code, _ = run_json(["sim", "--gen", "path:6", "--c", "1", "--T", "1",
                             "--buses", "1,5", "--out", "b"], capsys)
@@ -288,6 +319,17 @@ class TestFig2:
         assert run(argv) == 0
         assert {p.name: p.read_bytes()
                 for p in tmp_path.glob("a_*.csv")} == first
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_same_bytes_as_repr(self, capsys, tmp_path, recorded, seed):
+        assert run(["fig2", "--n", "6", "--T", "0.05", "--rows", "300",
+                    "--seed", str(seed), "--out", "a"]) == 0
+        names = [f"a_{kind}_{tag}.csv" for tag in ("c1mF", "c1F")
+                 for kind in ("slack", "droop", "dapi")]
+        assert len(recorded) == len(names)
+        for name, traj in zip(names, recorded):
+            text = (tmp_path / name).read_text()
+            assert text == repr_csv(traj, text.split("\n")[0])
 
     def test_row_contract(self, capsys, tmp_path):
         code, doc = run_json(["fig2", "--n", "10", "--T", "0.05", "--out",

@@ -40,6 +40,17 @@ def test_import_leaves_out_scipy():
     assert _python(code) == "[]"
 
 
+def test_import_builds_no_power_table():
+    # the 5^i table of the CSV kernel costs start-up time; it is built on
+    # the first export, not at import
+    code = ("import dcgrid, dcgrid.cli\n"
+            "from dcgrid import shortest\n"
+            "before = shortest._tables.cache_info().currsize\n"
+            "shortest.csv_rows([[0.1]])\n"
+            "print(before, shortest._tables.cache_info().currsize)")
+    assert _python(code) == "0 1"
+
+
 def _module_level(tree):
     """Every node that runs when the module is imported: all but the
     bodies of functions and lambdas."""
