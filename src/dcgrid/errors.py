@@ -36,7 +36,11 @@ class InvalidSize(DCGridError):
 # --- numerics ---
 
 class NotHurwitz(DCGridError):
-    """System matrix has an eigenvalue with non-negative real part."""
+    """System matrix has an eigenvalue with non-negative real part, seen
+    by the Lyapunov solve's Schur form or ``slowest_time_constant``. Monte
+    Carlo's Gramian doublings raise it when expm(A t) overflows or shows
+    no decay within ``simulation.MAX_DOUBLINGS``, so also for a decay rate
+    below about 2^-52 times A's row-sum bound, lost to rounding."""
 
 
 class SingularSystem(DCGridError):

@@ -1,7 +1,7 @@
 """Time-domain simulation of the closed-loop systems.
 
 Every route steps the LTI system dx = Ax dt + B dW exactly, so no step
-size is too large for stability and none is refined or doubled.
+size is too large for stability and none is refined for accuracy.
 ``simulate(model, x0, T, rows)`` lays out its own trajectory grid from
 ``default_dt`` and the row target and fills one preallocated array: row r
 is expm(A h)^r x0, its first sqrt(count) rows advanced one at a time by
@@ -10,14 +10,14 @@ product with that propagator's power, so it matches the row-by-row
 recurrence to rounding. The expected output energy route to the H2 norm
 draws random initial conditions x0 = B xi, xi standard normal, so that
 cov(x0) = B B^T: unit normal bus voltages with any integrator at zero,
-since B's columns are the voltage states. It advances them by whole
-chunks of 10 slowest time constants, at most 5 chunks (50 tau), and adds
-each chunk's output energy exactly, as a quadratic form in the chunk's
-observability Gramian. The steady-state output variance route runs
-independent white-noise chains side by side from x = 0, adds the exact
-discrete noise at a step of half the slowest time constant, and
-averages each chain's output after a warm-up. The Gramian and the noise covariance
-both come from Van Loan's block exponential (``van_loan``).
+since B's columns are the voltage states. Each sample's output energy is
+x0^T G x0, G the infinite-horizon observability Gramian, doubled to
+convergence from a step of 1 / rho(A) with no eigensolve. The steady-state
+output variance route runs independent white-noise chains side by side
+from x = 0, adds the exact discrete noise at a step of half the slowest
+time constant, and averages each chain's output after a warm-up. The
+Gramian and the noise covariance both come from Van Loan's block
+exponential (``van_loan``).
 Each estimate draws its randomness from one counter-based Philox stream
 per seed, sample after sample, so sample i depends only on (seed, i);
 a seed is an integer in [0, 2^64).
@@ -51,9 +51,9 @@ from .numerics import integer_in, positive_real
 from .shortest import csv_rows
 from .systems import StateSpaceModel
 
-TAIL_THRESHOLD = 1e-8  # terminal ||x||^2 relative to initial, per sample mean
-CHUNK_CONSTANTS = 10.0  # Monte Carlo chunk length in slowest time constants
-MAX_CHUNKS = 5  # Monte Carlo horizon cap: 5 chunks, 50 time constants
+# A decay rate below about 2^-52 rho rounds away in expm(A / rho); any rate
+# above it has decayed past rounding by 2^58 / rho, 58 of these doublings.
+MAX_DOUBLINGS = 64  # Gramian horizon doublings from 1 / rho, 6 to spare
 VAN_LOAN_TERMS = 20  # Taylor terms of van_loan's series at norm <= 1
 # White noise, in slowest time constants tau. Averaging a mode of time
 # constant tau at samples h apart has (h/tau) coth(h/tau) times the variance
@@ -187,9 +187,9 @@ class McEstimate:
     samples: int
     mode: str
     seed: int
-    T: float
-    dt: float
-    converged: bool
+    T: float  # Gramian's doubled horizon, or white noise's averaged time
+    dt: float  # Gramian's first step 1 / rho, or the white-noise step
+    converged: bool  # always True: both routes run to their own end
 
 
 def simulate(model: StateSpaceModel, x0, T: float, rows: int) -> Trajectory:
@@ -272,45 +272,50 @@ def sample_initial(model: StateSpaceModel, seed: int, samples: int
     return model.b @ xi.T
 
 
+def _gramian(model: StateSpaceModel) -> tuple[np.ndarray, float, int]:
+    """(G, h0, d): G = int_0^inf e^{A^T s} H^T H e^{A s} ds by the squared
+    Smith iteration from ``van_loan``'s G and Phi = expm(A h0), h0 = 1/rho:
+    d doublings G <- G + Phi^T G Phi, Phi <- Phi^2, until ||Phi||_1 < 1 (a
+    Hurwitz certificate) and G keeps its bits. NotHurwitz when A is zero,
+    Phi overflows or ``MAX_DOUBLINGS`` pass; NonFiniteState when G
+    overflows while Phi contracts."""
+    rho = spectral_radius_bound(model.a)
+    h0 = 1.0 / rho if rho > 0.0 else np.inf
+    if h0 == np.inf:
+        raise NotHurwitz(f"{model.kind} system matrix is zero")
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        phi_t, gram = van_loan(model.a.T, model.h.T @ model.h, h0)
+        for doublings in range(MAX_DOUBLINGS + 1):
+            if not np.isfinite(phi_t).all():
+                raise NotHurwitz(f"{model.kind} system: expm(A t) overflowed")
+            contracts = np.linalg.norm(phi_t, np.inf) < 1.0  # ||Phi||_1
+            if contracts and not np.isfinite(gram).all():
+                raise NonFiniteState("observability Gramian overflowed")
+            longer = gram + phi_t @ gram @ phi_t.T
+            if contracts and np.array_equal(longer, gram):
+                return gram, h0, doublings
+            gram, phi_t = longer, phi_t @ phi_t
+    raise NotHurwitz(f"{model.kind} system: expm(A t) did not decay "
+                     f"within {MAX_DOUBLINGS} doublings of t = {h0:.3g}")
+
+
 def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0
                    ) -> McEstimate:
     """Estimate the expected output energy integral over random initial
-    conditions x0 = B xi (``sample_initial``).
-
-    Advances all samples together by whole chunks of length
-    h = ``CHUNK_CONSTANTS`` slowest time constants. Each chunk adds its
-    output energy exactly, as the quadratic form x^T G x with the Gramian
-    G = int_0^h e^{A^T s} H^T H e^{A s} ds, and then steps
-    x <- expm(A h) x; G and expm(A^T h) come from one ``van_loan`` call.
-    Chunks run until the mean squared state has decayed below a small
-    fraction of its initial value, at most ``MAX_CHUNKS`` = 5 chunks
-    (50 tau); stopping at the cap flags the estimate as unconverged. The
-    estimate's T is the horizon run and its dt the chunk length.
-    InvalidSize unless ``samples`` is an integer from 2 to the memory
-    budget's bound (``_check_samples``).
-    """
+    conditions x0 = B xi (``sample_initial``), each sample's energy exactly
+    x0^T G x0 (G from ``_gramian``), so sampling is the only error. dt is
+    G's first step h0 = 1 / rho and T the doubled horizon h0 2^d; always
+    converged. NotHurwitz or NonFiniteState as ``_gramian``; InvalidSize
+    unless ``samples`` is an integer from 2 to the memory budget's bound
+    (``_check_samples``)."""
     _check_samples(model, samples, 2)
-    h = CHUNK_CONSTANTS * slowest_time_constant(model)
-    phi_t, gram = van_loan(model.a.T, model.h.T @ model.h, h)
-    prop = phi_t.T
-
+    gram, h0, doublings = _gramian(model)
     x = sample_initial(model, seed, samples)
-    initial_ms = float(np.mean(np.sum(x * x, axis=0)))
-    energy = np.zeros(samples)
-    chunks = 0
-    converged = initial_ms == 0.0
-    while not converged and chunks < MAX_CHUNKS:
-        energy += np.sum(x * (gram @ x), axis=0)
-        x = prop @ x
-        chunks += 1
-        if not np.isfinite(x).all():
-            raise NonFiniteState("Monte Carlo state overflowed")
-        converged = (float(np.mean(np.sum(x * x, axis=0)))
-                     < TAIL_THRESHOLD * initial_ms)
+    energy = np.sum(x * (gram @ x), axis=0)
     mean = float(np.mean(energy))
     stderr = float(np.std(energy, ddof=1) / np.sqrt(samples))
     return McEstimate(mean, stderr, int(samples), "initial_condition",
-                      seed, chunks * h, h, converged)
+                      seed, h0 * 2.0**doublings, h0, True)
 
 
 def white_noise_variance(model: StateSpaceModel, T: float, seed: int = 0

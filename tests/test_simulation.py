@@ -50,15 +50,30 @@ class TestStepControl:
     def test_slowest_time_constant_scalar(self):
         assert np.isclose(slowest_time_constant(scalar_model(4.0)), 0.25)
 
-    @pytest.mark.parametrize("rate", [0.0, -1.0])
-    def test_not_hurwitz(self, rate):
-        # the stochastic routes' stability decision
+    @pytest.mark.parametrize("a, h", [
+        ([[0.0]], [[1.0]]), ([[1.0]], [[1.0]]),
+        ([[-1.0, 0.0], [0.0, 0.5]], [[1.0, 0.0]]),
+        ([[-1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]])],
+        ids=["0.0", "-1.0", "unseen-0.5", "unseen-0.0"])
+    def test_not_hurwitz(self, a, h):
+        # the stochastic routes' stability decision; in the unseen cases
+        # the output decays, but expm(A t) grows until it overflows or
+        # keeps norm 1 up to the Gramian's doubling cap
+        m = StateSpaceModel(np.array(a), np.eye(len(a)), np.array(h),
+                            ("V0", "V1")[:len(a)], "droop")
         with pytest.raises(errors.NotHurwitz):
-            slowest_time_constant(scalar_model(rate))
+            slowest_time_constant(m)
         with pytest.raises(errors.NotHurwitz):
-            monte_carlo_h2(scalar_model(rate), samples=10)
+            monte_carlo_h2(m, samples=10)
         with pytest.raises(errors.NotHurwitz):
-            white_noise_variance(scalar_model(rate), T=10.0)
+            white_noise_variance(m, T=10.0)
+
+    def test_gramian_overflow_is_non_finite(self):
+        # a stable mode whose output energy, 1e400 / 2, passes the doubles
+        m = StateSpaceModel(np.array([[-1.0]]), np.eye(1),
+                            np.array([[1e200]]), ("V0",), "droop")
+        with pytest.raises(errors.NonFiniteState):
+            monte_carlo_h2(m, samples=10)
 
     def test_non_finite_matrix_rejected(self):
         with pytest.raises(errors.NonFiniteState):
@@ -346,8 +361,8 @@ class TestMonteCarloH2:
         assert a.mean == b.mean and a.stderr == b.stderr
 
     def test_stiff_dapi_runs_fast(self, paper_params):
-        # 1 mF capacitances make the DAPI system stiff; the chunked
-        # propagator must still finish a realistic run in seconds
+        # 1 mF capacitances make the DAPI system stiff; the Gramian's
+        # doublings must still finish a realistic run in seconds
         net = generate_lattice(1, 10)
         m = assemble_dapi(net, paper_params)
         est = monte_carlo_h2(m, samples=50, seed=2)
@@ -360,7 +375,7 @@ class TestMonteCarloH2:
     def test_mean_is_exact_quadratic_form(self, k2, p3, unit_params, case,
                                           samples):
         # each sample's output energy is x0^T P x0 with A^T P + P A = -H^T H;
-        # the chunk energies add up to it with no step bias
+        # the doubled Gramian is P to rounding, with no horizon cut
         if case == "droop K2":
             m = assemble_droop(k2, unit_params)
         elif case == "slack P3":
@@ -373,23 +388,62 @@ class TestMonteCarloH2:
         p = solve_lyapunov(m.a, m.h.T @ m.h).P
         exact = np.mean(np.sum(x0 * (p @ x0), axis=0))
         assert est.converged
-        assert np.isclose(est.mean, exact, rtol=1e-7, atol=0.0)
+        assert np.isclose(est.mean, exact, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("net_name", ["path:10", "path:100", "grid:6x7"])
+    @pytest.mark.parametrize("kind", ["slack", "droop", "dapi"])
+    def test_gramian_trace_matches_closed_form(self, net_name, kind):
+        # tr(B^T G B) is the squared H2 norm, from the dynamics alone
+        if net_name == "grid:6x7":
+            net = generate_lattice(2, (6, 7))
+        else:
+            net = generate_lattice(1, int(net_name.split(":")[1]))
+        if kind == "slack":
+            m = assemble_slack(net, PAPER, 0)
+            target = h2_closed_form_slack(net, PAPER, 0)
+        else:
+            m = (assemble_droop if kind == "droop" else assemble_dapi)(
+                net, PAPER)
+            target = (h2_closed_form_droop if kind == "droop"
+                      else h2_closed_form_dapi)(net, PAPER)
+        gram = simulation._gramian(m)[0]
+        assert np.isclose(np.trace(m.b.T @ gram @ m.b), target, rtol=1e-12,
+                          atol=0.0)
+
+    def test_calls_no_eigensolver(self, p3, paper_params, monkeypatch):
+        # the Gramian's doublings certify decay; no slowest rate is needed
+        def refuse(model):
+            raise AssertionError("slowest_time_constant called")
+
+        monkeypatch.setattr(simulation, "slowest_time_constant", refuse)
+        est = monte_carlo_h2(assemble_dapi(p3, paper_params), samples=20)
+        assert est.converged and est.mean > 0
 
     @staticmethod
-    def _transient_model(coupling=1e18):
-        # ||x(t)|| grows like coupling t e^-t before it decays, so the tail
-        # test still fails after 50 time constants
+    def _transient_model(coupling):
+        # ||x(t)|| grows like coupling t e^-t before it decays, so the
+        # row-sum bound rho is about coupling times the decay rate
         a = np.array([[-1.0, coupling], [0.0, -1.0]])
         return StateSpaceModel(a, np.eye(2), np.eye(2), ("V0", "V1"),
                                "droop")
 
-    def test_default_horizon_is_five_chunks(self):
-        m = self._transient_model()
-        tau = slowest_time_constant(m)
+    def test_transient_gramian_matches_lyapunov(self):
+        m = self._transient_model(1e3)
+        gram, h0, doublings = simulation._gramian(m)
+        p = solve_lyapunov(m.a, m.h.T @ m.h).P
+        assert np.allclose(gram, p, rtol=1e-12, atol=0.0)
+        assert h0 == 1.0 / 1001.0 and doublings < simulation.MAX_DOUBLINGS
         est = monte_carlo_h2(m, samples=10, seed=1)
-        assert not est.converged
-        assert est.dt == 10.0 * tau
-        assert est.T == 5 * est.dt
+        assert est.converged
+        assert est.dt == h0 and est.T == h0 * 2.0**doublings
+
+    def test_decay_past_precision_hits_doubling_cap(self):
+        # the rate 1 is below eps rho = 2.2e2, so it rounds away in
+        # expm(A / rho): no doubling within the cap shows decay
+        m = self._transient_model(1e18)
+        with pytest.raises(errors.NotHurwitz,
+                           match=f"{simulation.MAX_DOUBLINGS} doublings"):
+            monte_carlo_h2(m, samples=10, seed=1)
 
 
 class TestWhiteNoise:
