@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -42,27 +43,30 @@ def parse_generator_spec(spec: str, resistance: float) -> Network:
     """Build a network from the mini-language.
 
     path:N, grid2:MxM, grid3:MxMxM, fuzz:h:<base spec>, file:<path>.
+    The fuzz:h: prefixes are read in a loop, however deeply they nest,
+    and applied to the base from the innermost out.
     """
     kind, _, rest = spec.partition(":")
+    radii = []
+    while kind == "fuzz":
+        h_text, _, base = rest.partition(":")
+        radii.append(h_text)
+        kind, _, rest = base.partition(":")
     try:
         if kind == "path":
-            return network.generate_lattice(1, int(rest), resistance)
-        if kind == "grid2":
+            net = network.generate_lattice(1, int(rest), resistance)
+        elif kind in ("grid2", "grid3"):
             sides = tuple(int(s) for s in rest.split("x"))
-            return network.generate_lattice(2, sides, resistance)
-        if kind == "grid3":
-            sides = tuple(int(s) for s in rest.split("x"))
-            return network.generate_lattice(3, sides, resistance)
-        if kind == "fuzz":
-            h_text, _, base = rest.partition(":")
-            return network.generate_hfuzz(
-                parse_generator_spec(base, resistance), int(h_text),
-                resistance)
-        if kind == "file":
-            return network.load_network(rest)
+            net = network.generate_lattice(int(kind[-1]), sides, resistance)
+        elif kind == "file":
+            net = network.load_network(rest)
+        else:
+            raise UsageError(f"unknown generator kind {kind!r} in {spec!r}")
+        for h_text in reversed(radii):
+            net = network.generate_hfuzz(net, int(h_text), resistance)
     except (ValueError, OSError) as exc:
         raise UsageError(f"bad generator spec {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown generator kind {kind!r} in {spec!r}")
+    return net
 
 
 def _params(args, c=None) -> systems.ControllerParams:
@@ -302,6 +306,14 @@ _COMMANDS = {"gen": _cmd_gen, "h2": _cmd_h2, "compare": _cmd_compare,
              "fig2": _cmd_fig2}
 
 
+def _check_out(out: str) -> None:
+    """Reject an --out prefix whose directory does not exist, before any
+    computation, so no command fails only when it writes."""
+    folder = os.path.dirname(out)
+    if folder and not os.path.isdir(folder):
+        raise UsageError(f"--out {out!r}: no directory {folder!r}")
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
@@ -309,6 +321,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_out(args.out)
         summary = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -28,9 +28,12 @@ class DisconnectedGraph(DCGridError):
 class InvalidSize(DCGridError):
     """A size, count or dimension that is not an integer in its range
     (``numerics.integer_in``), an unknown sweep family, a network too
-    large for a dense n x n matrix (see ``network.DENSE_MAX_NODES``), a
-    Monte Carlo sample count past the same memory budget, or an initial
-    state whose length is not the model's state dimension."""
+    large for a dense n x n matrix (see ``network.DENSE_MAX_NODES``) or a
+    lattice whose edge arrays pass the same memory budget, a Monte Carlo
+    sample count past it, an initial state whose length is not the
+    model's state dimension, or a time horizon that is not one positive
+    finite number, holds less than one step, has no finite step count or
+    passes the white-noise step budget."""
 
 
 # --- numerics ---
@@ -60,7 +63,7 @@ class InvalidParams(DCGridError):
 # --- resistance ---
 
 class SameNode(DCGridError):
-    pass
+    """An effective resistance asked between a node and itself."""
 
 
 class RayleighViolation(DCGridError):
@@ -69,12 +72,6 @@ class RayleighViolation(DCGridError):
 
 
 # --- simulation ---
-
-class StepTooLarge(DCGridError):
-    """The time grid cannot be laid out: A sets no finite step, the
-    horizon is not positive and finite, too short for the steps it must
-    hold or too long to count them."""
-
 
 class NonFiniteState(DCGridError):
     """A system matrix, a trajectory or a computed result (an H2 norm, a

@@ -257,6 +257,8 @@ def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
     is row-major over the box. The edges are made valid, sorted and
     connected, so of :func:`build_network`'s checks only those on the
     resistance remain, and the box is known without :func:`lattice_box`.
+    InvalidSize, before any allocation, when the arrays that
+    ``_lattice_ends`` builds would pass ``MEMORY_BUDGET_BYTES``.
     """
     if not numerics.integer_in(d, 1, 3):
         raise InvalidSize(f"lattice dimension must be 1, 2 or 3, got {d!r}")
@@ -269,6 +271,13 @@ def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
                           f"{resistance!r}")
     sides = tuple(map(int, axes))
     n = math.prod(sides)
+    # _lattice_ends holds per node its index, d (i, j) pairs and d inside
+    # flags, and keeps fewer than d of the pairs
+    per_node = (1 + 4 * len(sides)) * np.dtype(np.intp).itemsize + len(sides)
+    if n * per_node > MEMORY_BUDGET_BYTES:
+        raise InvalidSize(f"a box of {n} nodes needs {n * per_node} bytes "
+                          f"of edge arrays, past the memory budget of "
+                          f"{MEMORY_BUDGET_BYTES} bytes")
     ends = _lattice_ends(sides)
     # build_network's conductance check: doubled[k - 1] is twice k
     # conductances 1/R added one at a time, as it adds a node's k edges;

@@ -44,7 +44,6 @@ from .errors import (
     NonFiniteState,
     NotHurwitz,
     SingularSystem,
-    StepTooLarge,
 )
 from .network import MEMORY_BUDGET_BYTES, check_index
 from .numerics import integer_in, positive_real
@@ -82,15 +81,11 @@ def spectral_radius_bound(a: np.ndarray) -> float:
 
 
 def default_dt(model: StateSpaceModel) -> float:
-    """A tenth of 1 / rho(A), rho from the row-sum bound; StepTooLarge
-    when A is so small (say, underflowed to zero) that this is not
-    finite."""
+    """A tenth of 1 / rho(A), rho from the row-sum bound, or inf when A is
+    so small (say, underflowed to zero) that this overflows: a step no
+    horizon holds, so ``simulate`` refuses the model with InvalidSize."""
     rho = spectral_radius_bound(model.a)
-    dt = 0.1 / rho if rho > 0.0 else np.inf
-    if dt == np.inf:
-        raise StepTooLarge(f"A's row-sum bound {rho} sets no finite default "
-                           "step")
-    return dt
+    return 0.1 / rho if rho > 0.0 else math.inf
 
 
 def slowest_time_constant(model: StateSpaceModel) -> float:
@@ -204,12 +199,12 @@ def simulate(model: StateSpaceModel, x0, T: float, rows: int) -> Trajectory:
     product with P^b from the block before it, so a trajectory takes
     about 2 sqrt(count) products and matches the row-by-row recurrence
     x <- P x to rounding. InvalidSize when x0 is not one value per state,
-    rows is not an integer of at least 1 (``integer_in``), or the
-    (count + 1) x dim doubles of the states pass
-    ``network.MEMORY_BUDGET_BYTES`` (checked before P is computed);
-    StepTooLarge when T is not one positive finite number
-    (``positive_real``) of at least one step or T / dt is not a finite
-    count. Deterministic: identical arguments give identical output.
+    rows is not an integer of at least 1 (``integer_in``), T is not one
+    positive finite number (``positive_real``) of at least one step (no T
+    holds the infinite step of a zero A) or T / dt is not a finite count,
+    or the (count + 1) x dim doubles of the states pass
+    ``network.MEMORY_BUDGET_BYTES``, all checked before P is computed.
+    Deterministic: identical arguments give identical output.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (model.dim,):
@@ -220,8 +215,8 @@ def simulate(model: StateSpaceModel, x0, T: float, rows: int) -> Trajectory:
                           f"{rows!r}")
     dt = default_dt(model)
     if not (positive_real(T) and np.isfinite(T / dt) and T >= dt):
-        raise StepTooLarge(f"horizon T={T} must hold a finite count of at "
-                           f"least one step dt={dt}")
+        raise InvalidSize(f"horizon T={T} must hold a finite count of at "
+                          f"least one step dt={dt}")
     steps = int(round(T / dt))
     stride = max(1, steps // rows)
     count = steps // stride
@@ -339,24 +334,24 @@ def white_noise_variance(model: StateSpaceModel, T: float, seed: int = 0
     per chain). Only a Hurwitz A has a steady state (else NotHurwitz);
     T must be one positive finite number (``positive_real``) and hold at
     least one step per chain, and at most ``WHITE_NOISE_MAX_STEPS``
-    (else StepTooLarge, before any stepping); Q_d must have a Cholesky
+    (else InvalidSize, before any stepping); Q_d must have a Cholesky
     factor (else SingularSystem).
     """
     tau = slowest_time_constant(model)
     chains = WHITE_NOISE_CHAINS
     h = WHITE_NOISE_STEP * tau
     if not positive_real(T):
-        raise StepTooLarge(f"horizon T={T!r} must be one positive finite "
-                           "number")
+        raise InvalidSize(f"horizon T={T!r} must be one positive finite "
+                          "number")
     per_chain = T / (chains * h)
     if not per_chain <= WHITE_NOISE_MAX_STEPS:
-        raise StepTooLarge(f"horizon T={T} needs {per_chain:.3g} steps h={h} "
-                           f"per chain, past the budget of "
-                           f"{WHITE_NOISE_MAX_STEPS}")
+        raise InvalidSize(f"horizon T={T} needs {per_chain:.3g} steps h={h} "
+                          f"per chain, past the budget of "
+                          f"{WHITE_NOISE_MAX_STEPS}")
     kept = int(round(per_chain))
     if kept < 1:
-        raise StepTooLarge(f"horizon T={T} holds less than one step h={h} "
-                           f"for each of {chains} chains")
+        raise InvalidSize(f"horizon T={T} holds less than one step h={h} "
+                          f"for each of {chains} chains")
     warmup = int(np.ceil(WARMUP_CONSTANTS / WHITE_NOISE_STEP))
     steps = warmup + kept
     block = max(1, NOISE_BLOCK // (model.dim * chains))

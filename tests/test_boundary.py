@@ -240,6 +240,8 @@ def argvs(draw):
 @example(["gen", "--gen=fuzz:2:file:{edges}", "--format=edges"]).via(
     "a fuzz of an edge-list file")
 @example(["h2", "--gen=file:{json}"]).via("a JSON file")
+@example(["h2", "--gen=" + "fuzz:1:" * 1200 + "path:3"]).via(
+    "fuzz prefixes nested past the recursion limit")
 @settings(max_examples=100, deadline=None)
 def test_cli_argv(network_files, argv):
     for key, path in network_files.items():

@@ -192,6 +192,14 @@ class TestGen:
         code, doc = run_json(["gen", "--gen", "fuzz:2:grid2:3x3"], capsys)
         assert code == 0 and doc["edges"] == 26
 
+    def test_deeply_nested_fuzz_spec(self, capsys):
+        # 1200 nested prefixes once passed the recursion limit; a 1-fuzz
+        # keeps the edges, so the network is the one of a single prefix
+        code, deep = run_json(["h2", "--gen", "fuzz:1:" * 1200 + "path:3"],
+                              capsys)
+        _, single = run_json(["h2", "--gen", "fuzz:1:path:3"], capsys)
+        assert code == 0 and deep["n"] == single["n"] == 3
+
 
 class TestSweep:
     def test_path_sweep_csv(self, capsys, tmp_path):
@@ -460,6 +468,9 @@ class TestBoundaries:
         ["compare", "--gen", "path:3", "--c", "1e308"],
         ["sweep", "--family", "path", "--sizes", "3,4", "--resistance",
          "1e308"],
+        # a box whose edge arrays would take 148 TB, refused before they
+        # are made
+        ["h2", "--gen", "grid2:1000000000000x2"],
     ])
     @pytest.mark.filterwarnings("error")
     def test_computation_error(self, argv, capsys, tmp_path):
@@ -483,6 +494,27 @@ class TestBoundaries:
         assert run(argv + ["--out", "x"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error:")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--gen", "path:3"],
+        ["h2", "--gen", "path:3"],
+        ["fig2", "--n", "3"],
+    ], ids=["gen", "h2", "fig2"])
+    def test_out_in_missing_directory(self, argv, capsys, tmp_path,
+                                      monkeypatch):
+        # each once computed its result and then ended in a
+        # FileNotFoundError at its first write; now it is refused before
+        # the network is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before checking --out")
+
+        monkeypatch.setattr(cli, "parse_generator_spec", refuse)
+        monkeypatch.setattr(network, "generate_lattice", refuse)
+        assert run(argv + ["--out", str(tmp_path / "missing" / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:")
+        assert captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [

@@ -80,21 +80,28 @@ class TestStepControl:
             scalar_model(np.inf)
 
     @pytest.mark.parametrize("rate", [0.0, 1e-320])
-    def test_no_finite_default_step(self, rate):
-        # an A that underflowed sets no time scale to step by
-        with pytest.raises(errors.StepTooLarge):
-            default_dt(scalar_model(rate))
+    def test_no_finite_default_step(self, rate, monkeypatch):
+        # an A that underflowed sets no time scale to step by: its step is
+        # infinite, and simulate refuses it before any propagator is made
+        assert default_dt(scalar_model(rate)) == np.inf
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("propagator ran for an infinite step")
+
+        monkeypatch.setattr(simulation, "propagator", refuse)
+        with pytest.raises(errors.InvalidSize):
+            simulate(scalar_model(rate), [1.0], T=1.0, rows=10)
 
     def test_step_too_large(self):
         # the scalar model's default step is 0.1
-        with pytest.raises(errors.StepTooLarge):
+        with pytest.raises(errors.InvalidSize):
             simulate(scalar_model(), [1.0], T=0.05, rows=10)
 
     def test_step_count_overflows(self):
         # T / dt = 1e10 / 2.5e-302 is past the largest float
         m = assemble_slack(generate_lattice(1, 4), ControllerParams(c=1e-300),
                            ground=0)
-        with pytest.raises(errors.StepTooLarge):
+        with pytest.raises(errors.InvalidSize):
             simulate(m, np.ones(3), T=1e10, rows=10)
 
     @pytest.mark.parametrize("rows", [0, -1])
@@ -103,22 +110,22 @@ class TestStepControl:
             simulate(scalar_model(), [1.0], T=1.0, rows=rows)
 
     @pytest.mark.parametrize("T, rows, error", [
-        ("1", 10, errors.StepTooLarge), (10**400, 10, errors.StepTooLarge),
-        (True, 10, errors.StepTooLarge), (1.0, 2.5, errors.InvalidSize),
+        ("1", 10, errors.InvalidSize), (10**400, 10, errors.InvalidSize),
+        (True, 10, errors.InvalidSize), (1.0, 2.5, errors.InvalidSize),
         (1.0, "3", errors.InvalidSize), (1.0, True, errors.InvalidSize)],
         ids=["T-str", "T-huge-int", "T-bool", "rows-float", "rows-str",
              "rows-bool"])
     def test_wrong_type_horizon_or_rows(self, T, rows, error):
         # a bool ran as 1; the others ended in a TypeError or OverflowError;
-        # a bad horizon is a StepTooLarge, a bad row count an InvalidSize
+        # a bad horizon and a bad row count are both an InvalidSize
         with pytest.raises(error):
             simulate(scalar_model(), [1.0], T=T, rows=rows)
 
     @pytest.mark.parametrize("T", [np.nan, np.inf, -1.0, 0.0])
     def test_non_finite_or_non_positive_rejected(self, T):
-        with pytest.raises(errors.StepTooLarge):
+        with pytest.raises(errors.InvalidSize):
             simulate(scalar_model(), [1.0], T=T, rows=10)
-        with pytest.raises(errors.StepTooLarge):
+        with pytest.raises(errors.InvalidSize):
             white_noise_variance(scalar_model(), T=T)
 
 
@@ -281,7 +288,7 @@ class TestSampleInitial:
                      lambda: monte_carlo_h2(m, "3")):
             with pytest.raises(errors.InvalidSize):
                 call()
-        with pytest.raises(errors.StepTooLarge):
+        with pytest.raises(errors.InvalidSize):
             white_noise_variance(m, T="1")
 
     def test_first_sample_keeps_seed_key(self, p3, paper_params):
@@ -467,7 +474,7 @@ class TestWhiteNoise:
 
     def test_horizon_too_short(self, k2, unit_params):
         m = assemble_droop(k2, unit_params)
-        with pytest.raises(errors.StepTooLarge):
+        with pytest.raises(errors.InvalidSize):
             white_noise_variance(m, T=0.1)
 
     @pytest.mark.parametrize("budgets", [1.01, 1e290])
@@ -483,7 +490,7 @@ class TestWhiteNoise:
             raise AssertionError("van_loan ran past the step budget")
 
         monkeypatch.setattr(simulation, "van_loan", refuse)
-        with pytest.raises(errors.StepTooLarge, match="budget"):
+        with pytest.raises(errors.InvalidSize, match="budget"):
             white_noise_variance(scalar_model(), T=T)
 
     def test_reports_chains_step_and_horizon(self):

@@ -196,3 +196,5 @@ def test_simulation_raises_only_dcgrid_errors():
         assert names - dcgrid_errors == set()
     assert raised["network"] >= {"InvalidEdge", "IndexOutOfRange"}
     assert raised["resistance"] >= {"InvalidSize", "SameNode"}
+    # and every class is raised somewhere: one that nothing raises is dead
+    assert set().union(*raised.values()) == dcgrid_errors - {"DCGridError"}
