@@ -29,11 +29,11 @@ class InvalidSize(DCGridError):
     """A size, count or dimension that is not an integer in its range
     (``numerics.integer_in``), an unknown sweep family, a network too
     large for a dense n x n matrix (see ``network.DENSE_MAX_NODES``) or a
-    lattice whose edge arrays pass the same memory budget, a Monte Carlo
-    sample count past it, an initial state whose length is not the
-    model's state dimension, or a time horizon that is not one positive
-    finite number, holds less than one step, has no finite step count or
-    passes the white-noise step budget."""
+    lattice whose edge and spectrum arrays pass the same memory budget, a
+    Monte Carlo sample count past it, an initial state whose length is
+    not the model's state dimension, or a time horizon that is not one
+    positive finite number, holds less than one step, has no finite step
+    count or passes the white-noise step budget."""
 
 
 # --- numerics ---
@@ -41,9 +41,10 @@ class InvalidSize(DCGridError):
 class NotHurwitz(DCGridError):
     """System matrix has an eigenvalue with non-negative real part, seen
     by the Lyapunov solve's Schur form or ``slowest_time_constant``. Monte
-    Carlo's Gramian doublings raise it when expm(A t) overflows or shows
-    no decay within ``simulation.MAX_DOUBLINGS``, so also for a decay rate
-    below about 2^-52 times A's row-sum bound, lost to rounding."""
+    Carlo's Gramian doublings raise it when the powers of its trapezoid
+    step Phi overflow or show no decay within ``simulation.MAX_DOUBLINGS``,
+    so also for a decay rate below about 2^-52 times A's row-sum bound,
+    lost to rounding."""
 
 
 class SingularSystem(DCGridError):

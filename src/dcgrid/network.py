@@ -258,7 +258,8 @@ def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
     connected, so of :func:`build_network`'s checks only those on the
     resistance remain, and the box is known without :func:`lattice_box`.
     InvalidSize, before any allocation, when the arrays that
-    ``_lattice_ends`` builds would pass ``MEMORY_BUDGET_BYTES``.
+    ``_lattice_ends`` builds, the Network's resistances and the spectrum's
+    per-node arrays would together pass ``MEMORY_BUDGET_BYTES``.
     """
     if not numerics.integer_in(d, 1, 3):
         raise InvalidSize(f"lattice dimension must be 1, 2 or 3, got {d!r}")
@@ -272,12 +273,18 @@ def generate_lattice(d: int, sides, resistance: float = 1.0) -> Network:
     sides = tuple(map(int, axes))
     n = math.prod(sides)
     # _lattice_ends holds per node its index, d (i, j) pairs and d inside
-    # flags, and keeps fewer than d of the pairs
-    per_node = (1 + 4 * len(sides)) * np.dtype(np.intp).itemsize + len(sides)
+    # flags, and keeps fewer than d of the pairs; the Network adds fewer
+    # than d resistances, and the spectrum its eigenvalues and the closed
+    # forms' temporaries over them, at most seven doubles per node (an L^+
+    # entry of a path makes n-long phases, cosines and mode rows). h2 peaks
+    # at 80 traced bytes per node on a path and a grid and 107 on a cube,
+    # against 105, 146 and 187 counted here.
+    per_node = ((1 + 4 * d) * np.dtype(np.intp).itemsize + d
+                + (d + 7) * np.dtype(np.float64).itemsize)
     if n * per_node > MEMORY_BUDGET_BYTES:
         raise InvalidSize(f"a box of {n} nodes needs {n * per_node} bytes "
-                          f"of edge arrays, past the memory budget of "
-                          f"{MEMORY_BUDGET_BYTES} bytes")
+                          f"of edge and spectrum arrays, past the memory "
+                          f"budget of {MEMORY_BUDGET_BYTES} bytes")
     ends = _lattice_ends(sides)
     # build_network's conductance check: doubled[k - 1] is twice k
     # conductances 1/R added one at a time, as it adds a node's k edges;

@@ -12,12 +12,12 @@ draws random initial conditions x0 = B xi, xi standard normal, so that
 cov(x0) = B B^T: unit normal bus voltages with any integrator at zero,
 since B's columns are the voltage states. Each sample's output energy is
 x0^T G x0, G the infinite-horizon observability Gramian, doubled to
-convergence from a step of 1 / rho(A) with no eigensolve. The steady-state
-output variance route runs independent white-noise chains side by side
-from x = 0, adds the exact discrete noise at a step of half the slowest
-time constant, and averages each chain's output after a warm-up. The
-Gramian and the noise covariance both come from Van Loan's block
-exponential (``van_loan``).
+convergence from the trapezoid (Cayley) step of 1 / rho(A), whose Stein
+fixed point is G itself, with no eigensolve. The steady-state output
+variance route runs independent white-noise chains side by side from
+x = 0, adds the exact discrete noise at a step of half the slowest time
+constant, and averages each chain's output after a warm-up; its noise
+covariance comes from Van Loan's block exponential (``van_loan``).
 Each estimate draws its randomness from one counter-based Philox stream
 per seed, sample after sample, so sample i depends only on (seed, i);
 a seed is an integer in [0, 2^64).
@@ -50,8 +50,9 @@ from .numerics import integer_in, positive_real
 from .shortest import csv_rows
 from .systems import StateSpaceModel
 
-# A decay rate below about 2^-52 rho rounds away in expm(A / rho); any rate
-# above it has decayed past rounding by 2^58 / rho, 58 of these doublings.
+# A decay rate below about 2^-52 rho rounds away in the trapezoid step of
+# 1 / rho; any rate above it has decayed past rounding by 2^58 / rho, 58 of
+# these doublings.
 MAX_DOUBLINGS = 64  # Gramian horizon doublings from 1 / rho, 6 to spare
 VAN_LOAN_TERMS = 20  # Taylor terms of van_loan's series at norm <= 1
 # White noise, in slowest time constants tau. Averaging a mode of time
@@ -269,20 +270,34 @@ def sample_initial(model: StateSpaceModel, seed: int, samples: int
 
 def _gramian(model: StateSpaceModel) -> tuple[np.ndarray, float, int]:
     """(G, h0, d): G = int_0^inf e^{A^T s} H^T H e^{A s} ds by the squared
-    Smith iteration from ``van_loan``'s G and Phi = expm(A h0), h0 = 1/rho:
-    d doublings G <- G + Phi^T G Phi, Phi <- Phi^2, until ||Phi||_1 < 1 (a
-    Hurwitz certificate) and G keeps its bits. NotHurwitz when A is zero,
-    Phi overflows or ``MAX_DOUBLINGS`` pass; NonFiniteState when G
-    overflows while Phi contracts."""
+    Smith iteration (Smith 1968) from the trapezoid step of h0 = 1/rho.
+    With M = 2 rho I - A, that step is Phi = I + 2 M^-1 A, and G is exactly
+    the Stein fixed point G = Phi^T G Phi + G0, G0 = 4 rho Y Y^T with
+    Y = M^-T H^T (M's rows clear their off-diagonal sums by at least rho,
+    so it is never singular). A is first scaled, exactly, by the power of
+    two that takes rho into [1/2, 1), so neither 4 rho nor Y Y^T leaves
+    the doubles' range. d doublings G <- G + Phi^T G Phi, Phi <- Phi^2 run
+    until ||Phi||_1 < 1 (a Hurwitz certificate) and G keeps its bits.
+    NotHurwitz when A is zero, Phi's powers overflow or ``MAX_DOUBLINGS``
+    pass; NonFiniteState when G overflows while Phi contracts."""
     rho = spectral_radius_bound(model.a)
     h0 = 1.0 / rho if rho > 0.0 else np.inf
     if h0 == np.inf:
         raise NotHurwitz(f"{model.kind} system matrix is zero")
+    mantissa, exponent = math.frexp(rho)  # rho = mantissa 2^exponent
+    a = np.ldexp(model.a, -exponent)
+    shift = 2.0 * mantissa  # 2 rho, scaled into [1, 2)
+    m = -a
+    m[np.diag_indices_from(m)] += shift
+    y = np.linalg.solve(m.T, model.h.T)
+    phi_t = 2.0 * np.linalg.solve(m, a).T
+    phi_t[np.diag_indices_from(phi_t)] += 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        phi_t, gram = van_loan(model.a.T, model.h.T @ model.h, h0)
+        gram = np.ldexp(2.0 * shift * (y @ y.T), -exponent)
         for doublings in range(MAX_DOUBLINGS + 1):
             if not np.isfinite(phi_t).all():
-                raise NotHurwitz(f"{model.kind} system: expm(A t) overflowed")
+                raise NotHurwitz(f"{model.kind} system: Phi's powers "
+                                 "overflowed")
             contracts = np.linalg.norm(phi_t, np.inf) < 1.0  # ||Phi||_1
             if contracts and not np.isfinite(gram).all():
                 raise NonFiniteState("observability Gramian overflowed")
@@ -290,7 +305,7 @@ def _gramian(model: StateSpaceModel) -> tuple[np.ndarray, float, int]:
             if contracts and np.array_equal(longer, gram):
                 return gram, h0, doublings
             gram, phi_t = longer, phi_t @ phi_t
-    raise NotHurwitz(f"{model.kind} system: expm(A t) did not decay "
+    raise NotHurwitz(f"{model.kind} system: Phi's powers did not decay "
                      f"within {MAX_DOUBLINGS} doublings of t = {h0:.3g}")
 
 

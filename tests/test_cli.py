@@ -468,8 +468,8 @@ class TestBoundaries:
         ["compare", "--gen", "path:3", "--c", "1e308"],
         ["sweep", "--family", "path", "--sizes", "3,4", "--resistance",
          "1e308"],
-        # a box whose edge arrays would take 148 TB, refused before they
-        # are made
+        # a box whose edge and spectrum arrays would take 292 TB, refused
+        # before they are made
         ["h2", "--gen", "grid2:1000000000000x2"],
     ])
     @pytest.mark.filterwarnings("error")

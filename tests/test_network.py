@@ -7,7 +7,14 @@ from collections import deque
 import numpy as np
 import pytest
 
-from dcgrid import ControllerParams, errors, network, resistance, systems
+from dcgrid import (
+    ControllerParams,
+    cli,
+    errors,
+    network,
+    resistance,
+    systems,
+)
 from dcgrid.network import (
     build_network,
     generate_hfuzz,
@@ -142,6 +149,23 @@ class TestLattice:
     def test_invalid_size(self):
         with pytest.raises(errors.InvalidSize):
             generate_lattice(2, (1, 3))
+
+    def test_budget_covers_h2_peak(self, tmp_path, monkeypatch):
+        # the budget counts what h2 holds per node, not only the edge
+        # arrays: it counted 41 bytes per node on a path, which peaked at 80
+        n = 100_000
+        cli.run(["h2", "--gen", "path:10", "--out", str(tmp_path / "warm")])
+        tracemalloc.start()
+        try:
+            assert cli.run(["h2", "--gen", f"path:{n}", "--out",
+                            str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # refused iff n per_node > peak - 1, that is n per_node >= peak
+        monkeypatch.setattr(network, "MEMORY_BUDGET_BYTES", peak - 1)
+        with pytest.raises(errors.InvalidSize, match="memory budget"):
+            generate_lattice(1, n)
 
     @pytest.mark.parametrize("sides", [(2,), (7,), (2, 2), (3, 5), (5, 3),
                                        (2, 3, 4), (4, 2, 3), (3, 3, 3)])

@@ -57,8 +57,8 @@ class TestStepControl:
         ids=["0.0", "-1.0", "unseen-0.5", "unseen-0.0"])
     def test_not_hurwitz(self, a, h):
         # the stochastic routes' stability decision; in the unseen cases
-        # the output decays, but expm(A t) grows until it overflows or
-        # keeps norm 1 up to the Gramian's doubling cap
+        # the output decays, but the Gramian's Phi^(2^d) grows until it
+        # overflows or keeps norm 1 up to the doubling cap
         m = StateSpaceModel(np.array(a), np.eye(len(a)), np.array(h),
                             ("V0", "V1")[:len(a)], "droop")
         with pytest.raises(errors.NotHurwitz):
@@ -426,6 +426,46 @@ class TestMonteCarloH2:
         est = monte_carlo_h2(assemble_dapi(p3, paper_params), samples=20)
         assert est.converged and est.mean > 0
 
+    @pytest.mark.parametrize("case, doublings", [
+        ("droop K2", 6), ("slack P3", 8), ("dapi path:100", 21)])
+    def test_gramian_calls_no_van_loan(self, k2, p3, unit_params, case,
+                                       doublings, monkeypatch):
+        # the trapezoid step starts the doublings exactly; the benchmark's
+        # models keep the counts the Taylor-series start took
+        def refuse(*args, **kwargs):
+            raise AssertionError("van_loan called")
+
+        monkeypatch.setattr(simulation, "van_loan", refuse)
+        if case == "droop K2":
+            m = assemble_droop(k2, unit_params)
+        elif case == "slack P3":
+            m = assemble_slack(p3, unit_params, ground=0)
+        else:
+            m = assemble_dapi(generate_lattice(1, 100), PAPER)
+        assert simulation._gramian(m)[2] == doublings
+
+    @pytest.mark.parametrize("rate", [1e300, 5e307, 1.7e308])
+    def test_gramian_of_extreme_rate(self, rate):
+        # unscaled, the trapezoid start's 4 rho overflows or its
+        # Y Y^T = 1 / (3 rho)^2 underflows; 1 / (2 rate) would overflow too
+        gram = simulation._gramian(scalar_model(rate))[0]
+        assert np.isclose(gram[0, 0], 0.5 / rate, rtol=1e-12, atol=0.0)
+
+    def test_tiny_capacitance_keeps_its_energy(self):
+        # rho = 4e300: an unscaled start's Y Y^T underflowed to a zero G
+        m = assemble_slack(generate_lattice(1, 4), ControllerParams(c=1e-300),
+                           ground=0)
+        est = monte_carlo_h2(m, samples=10, seed=1)
+        assert 0.0 < est.mean < np.inf
+
+    def test_slow_mode_loses_no_more_than_rounding(self):
+        # a decay rate of 1e-10 rho lives in the first step's last bits:
+        # its energy 1 / (2 rate) comes out 9.1e-8 low, from either start
+        m = StateSpaceModel(np.diag([-1.0, -1e-10]), np.eye(2), np.eye(2),
+                            ("V0", "V1"), "droop")
+        gram = simulation._gramian(m)[0]
+        assert abs(gram[1, 1] * 2e-10 - 1.0) <= 1e-7
+
     @staticmethod
     def _transient_model(coupling):
         # ||x(t)|| grows like coupling t e^-t before it decays, so the
@@ -445,8 +485,8 @@ class TestMonteCarloH2:
         assert est.dt == h0 and est.T == h0 * 2.0**doublings
 
     def test_decay_past_precision_hits_doubling_cap(self):
-        # the rate 1 is below eps rho = 2.2e2, so it rounds away in
-        # expm(A / rho): no doubling within the cap shows decay
+        # the rate 1 is below eps rho = 2.2e2, so it rounds away in the
+        # trapezoid step of 1 / rho: no doubling within the cap shows decay
         m = self._transient_model(1e18)
         with pytest.raises(errors.NotHurwitz,
                            match=f"{simulation.MAX_DOUBLINGS} doublings"):
