@@ -33,7 +33,9 @@ class InvalidSize(DCGridError):
     Monte Carlo sample count past it, an initial state whose length is
     not the model's state dimension, or a time horizon that is not one
     positive finite number, holds less than one step, has no finite step
-    count or passes the white-noise step budget."""
+    count or passes the white-noise step budget, or a step whose product
+    with its matrix's norm bound overflows, so that it has no finite
+    count of halvings either."""
 
 
 # --- numerics ---

@@ -396,8 +396,9 @@ def lattice_box(net: Network) -> tuple[tuple[int, ...], float] | None:
 
 
 # The memory one call may ask for. The dense route's largest user,
-# ``sim --kind dapi``, holds about 36 n x n doubles at its peak (expm of the
-# 2n x 2n state matrix; 300 MB measured at n = 1024), so the budget admits
+# ``sim --kind dapi``, holds about 32 n x n doubles at its peak (the
+# propagator's six 2n x 2n arrays beside the state matrix; 270 MB traced at
+# n = 1024). Allowing it 36, the budget admits
 # n <= sqrt(2^31 / (36 * 8)) = 2730.
 MEMORY_BUDGET_BYTES = 2**31
 DENSE_MAX_NODES = math.isqrt(MEMORY_BUDGET_BYTES // (36 * 8))

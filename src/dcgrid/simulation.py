@@ -21,8 +21,8 @@ covariance comes from Van Loan's block exponential (``van_loan``).
 Each estimate draws its randomness from one counter-based Philox stream
 per seed, sample after sample, so sample i depends only on (seed, i);
 a seed is an integer in [0, 2^64).
-``scipy.linalg`` is imported on first use, inside ``propagator``, the
-one caller of its ``expm``.
+The module needs numpy alone: ``propagator`` sums expm's Taylor series
+itself, by the Paterson-Stockmeyer scheme, as ``van_loan`` sums its own.
 ``export_trajectory`` writes each value as the same text as its ``repr``,
 byte for byte, but formats a trajectory in 1024-row blocks with numpy:
 ``shortest.csv_rows`` finds the shortest round-trip digits with Ryu's
@@ -54,7 +54,10 @@ from .systems import StateSpaceModel
 # 1 / rho; any rate above it has decayed past rounding by 2^58 / rho, 58 of
 # these doublings.
 MAX_DOUBLINGS = 64  # Gramian horizon doublings from 1 / rho, 6 to spare
-VAN_LOAN_TERMS = 20  # Taylor terms of van_loan's series at norm <= 1
+# At norm <= 1 the Taylor series of expm past degree 20 sums to about
+# 1/21! = 2e-20, under rounding; 20 is a multiple of the four powers that
+# propagator's Paterson-Stockmeyer scheme keeps.
+TAYLOR_DEGREE = 20  # degree of propagator's and van_loan's series
 # White noise, in slowest time constants tau. Averaging a mode of time
 # constant tau at samples h apart has (h/tau) coth(h/tau) times the variance
 # of averaging it continuously over the same time: 1.08 at h = tau/2 (the
@@ -107,20 +110,44 @@ def stream(seed: int) -> np.random.Generator:
 
 
 def _halvings(bound: float, h: float) -> int:
-    """Least k with bound h / 2^k <= 1, for a norm bound of a matrix."""
+    """Least k with bound h / 2^k <= 1, for a norm bound of a matrix;
+    InvalidSize when bound h overflows, so no count of halvings is
+    finite."""
     scaled = bound * h
+    if not math.isfinite(scaled):
+        raise InvalidSize(f"step h={h} times the norm bound {bound} has no "
+                          "finite count of halvings")
     return int(np.ceil(np.log2(scaled))) if scaled > 1.0 else 0
 
 
 def propagator(a: np.ndarray, h: float) -> np.ndarray:
-    """expm(a h), taken at h / 2^k and squared k times (k from
-    ``_halvings`` of the row-sum bound). expm itself returns NaN once
-    ||a h|| passes about 1e38; the squarings of a Hurwitz a's propagator
-    underflow to 0."""
-    from scipy.linalg import expm
-
+    """expm(a h): its degree-``TAYLOR_DEGREE`` Taylor polynomial at
+    X = a h / 2^k, squared k times, with k from ``_halvings`` of the
+    row-sum bound so that ||X|| <= 1 and the truncation stays below
+    rounding at any h (the squarings of a Hurwitz a's propagator
+    underflow to 0). The polynomial is Horner's rule in X^4 over blocks
+    of four terms in I, X, X^2 and X^3 (Paterson and Stockmeyer 1973):
+    7 products where the term-by-term sum takes 19. Each block's X to X^3
+    terms are one product of its three coefficients with those powers
+    stacked, and its identity term is added on the diagonal, so at most
+    six dim x dim arrays are alive at once."""
     k = _halvings(spectral_radius_bound(a), h)
-    phi = expm(a * (h / 2.0**k))
+    dim = a.shape[0]
+    powers = np.empty((3, dim, dim))
+    x, x2, x3 = powers
+    np.multiply(a, math.ldexp(h, -k), out=x)
+    np.matmul(x, x, out=x2)
+    np.matmul(x2, x, out=x3)
+    x4 = x2 @ x2
+    stacked = powers.reshape(3, -1)
+    coef = np.array([1.0 / math.factorial(j)
+                     for j in range(TAYLOR_DEGREE + 1)])
+    phi = coef[TAYLOR_DEGREE] * x4
+    for start in range(TAYLOR_DEGREE - 4, -1, -4):
+        phi += (coef[start + 1:start + 4] @ stacked).reshape(dim, dim)
+        phi.reshape(-1)[::dim + 1] += coef[start]  # a view: phi is C-order
+        if start:
+            phi = x4 @ phi
     for _ in range(k):
         phi = phi @ phi
     return phi
@@ -137,19 +164,19 @@ def van_loan(a: np.ndarray, q: np.ndarray, h: float):
     are summed, as the Taylor series of expm(M h0), term j + 1 from term
     j: F <- (q E - a F) h0 / (j + 1), E <- a^T E h0 / (j + 1). At
     h0 = h / 2^k, with ||a h0|| <= 1 in the 1- and infinity-norms, the
-    ``VAN_LOAN_TERMS`` terms take the truncation below rounding, and no
+    ``TAYLOR_DEGREE`` terms take the truncation below rounding, and no
     2 dim x 2 dim block is formed (the upper left block expm(-a h0) is
     never needed, and it overflows for stiff a at large h). The step is
     then doubled k times: Q_d(2h) = Q_d(h) + Phi(h) Q_d(h) Phi(h)^T.
     """
     k = _halvings(max(spectral_radius_bound(a), spectral_radius_bound(a.T)),
                   h)
-    h0 = h / 2.0**k
+    h0 = math.ldexp(h, -k)
     e_term = np.eye(a.shape[0])
     f_term = np.zeros_like(a)
     e_sum = e_term.copy()
     f_sum = f_term.copy()
-    for j in range(1, VAN_LOAN_TERMS + 1):
+    for j in range(1, TAYLOR_DEGREE + 1):
         f_term = q @ e_term - a @ f_term
         f_term *= h0 / j
         e_term = a.T @ e_term
@@ -349,8 +376,10 @@ def white_noise_variance(model: StateSpaceModel, T: float, seed: int = 0
     per chain). Only a Hurwitz A has a steady state (else NotHurwitz);
     T must be one positive finite number (``positive_real``) and hold at
     least one step per chain, and at most ``WHITE_NOISE_MAX_STEPS``
-    (else InvalidSize, before any stepping); Q_d must have a Cholesky
-    factor (else SingularSystem).
+    (else InvalidSize, before any stepping, as is a step h whose product
+    with A's norm bound overflows); Q_d must have a Cholesky factor (else
+    SingularSystem); NonFiniteState when Q_d, the chains, or the mean and
+    stderr overflow.
     """
     tau = slowest_time_constant(model)
     chains = WHITE_NOISE_CHAINS
@@ -394,10 +423,12 @@ def white_noise_variance(model: StateSpaceModel, T: float, seed: int = 0
                     y = model.h @ x
                     energy += np.sum(y * y, axis=0)
     chain_means = energy / kept
-    if not np.isfinite(chain_means).all():
-        raise NonFiniteState("white-noise trajectory overflowed")
-    mean = float(chain_means.mean())
-    stderr = float(np.std(chain_means, ddof=1) / np.sqrt(chains))
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        mean = float(chain_means.mean())
+        stderr = float(np.std(chain_means, ddof=1) / np.sqrt(chains))
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise NonFiniteState("white-noise trajectory or its mean and "
+                             "stderr overflowed")
     return McEstimate(mean, stderr, chains, "white_noise", seed,
                       kept * chains * h, h, True)
 

@@ -61,19 +61,34 @@ def _module_level(tree):
             yield from _module_level(node)
 
 
+def _scipy_imports(path, nodes):
+    """file:line of every import among ``nodes`` that names scipy."""
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
 def test_no_module_level_scipy_import():
     found = []
     for path in SOURCES:
-        for node in _module_level(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "scipy" for name in names):
-                found.append(f"{path.name}:{node.lineno}")
+        found += _scipy_imports(path, _module_level(ast.parse(
+            path.read_text())))
     assert found == []
+
+
+def test_simulation_imports_no_scipy():
+    # the propagator and van_loan sum their Taylor series in numpy, so
+    # trajectories and both stochastic routes never load scipy.linalg
+    path = Path(dcgrid.__file__).parent / "simulation.py"
+    assert _scipy_imports(path, ast.walk(ast.parse(path.read_text()))) == []
 
 
 # runs each argv through the CLI, its summaries kept off stdout
@@ -88,13 +103,30 @@ print(codes, 'scipy.linalg' in sys.modules)
 
 @pytest.mark.parametrize("argvs, loaded", [
     (["h2 --gen grid2:8x8", "sweep --family grid3d --sizes 3,4"], False),
+    (["sim --gen path:4 --T 0.01", "fig2 --n 3 --T 0.01"], False),
     (["h2 --gen fuzz:2:grid2:4x4"], True),
-], ids=["box-lattices", "h-fuzz"])
+], ids=["box-lattices", "trajectories", "h-fuzz"])
 def test_scipy_linalg_loads_only_off_the_box_route(argvs, loaded, tmp_path):
-    # a box lattice's spectrum is analytic; an h-fuzz needs the banded
-    # Cholesky factor, whose import comes with its first use
+    # a box lattice's spectrum is analytic and a trajectory's propagator
+    # is summed in numpy; an h-fuzz needs the banded Cholesky factor, whose
+    # import comes with its first use
     out = _python(ROUTE_CODE, *argvs, cwd=tmp_path)
     assert out == f"{[0] * len(argvs)} {loaded}"
+
+
+def test_scipy_linalg_loads_only_for_the_oracle():
+    # of the three routes to the H2 norm, only the Lyapunov oracle needs
+    # scipy's Schur form
+    code = ("import sys\n"
+            "import dcgrid as d\n"
+            "m = d.assemble_droop(d.generate_lattice(1, 3), "
+            "d.ControllerParams())\n"
+            "d.monte_carlo_h2(m, 10)\n"
+            "d.white_noise_variance(m, 1000.0)\n"
+            "before = 'scipy.linalg' in sys.modules\n"
+            "d.h2_lyapunov(m)\n"
+            "print(before, 'scipy.linalg' in sys.modules)")
+    assert _python(code) == "False True"
 
 
 EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "eig_banded",
