@@ -3,8 +3,9 @@
 Subcommands: gen, h2, compare, sweep, resist, sim, fig2. Every run
 prints a machine-readable JSON summary to stdout and writes a metadata
 JSON (full configuration, seed, versions) alongside any output files, so
-a run can be reproduced byte-identically from its metadata. Parameter
-defaults follow the radial-network simulation study: R = 1 ohm,
+a run can be reproduced byte-identically from its metadata. Each command
+returns its files' text; ``run`` writes them once all are computed.
+Parameter defaults follow the radial-network simulation study: R = 1 ohm,
 C = 1 mF, k_P = 0.1, k = 100, gamma = 1000. ``sim`` and ``fig2`` check
 --T and --rows as input only and pass them to ``simulation.simulate``,
 which lays out the trajectory grid (``DEFAULT_ROWS`` rows for ``sim``).
@@ -160,37 +161,32 @@ def _metadata(args) -> dict:
                          "platform": sys.platform}}
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def _emit(summary: dict) -> None:
     print(json.dumps(summary, indent=2, sort_keys=True))
 
 
 def _cmd_gen(args):
     net = parse_generator_spec(args.gen, args.resistance)
+    path = f"{args.out}_network.{args.format}"
     if args.format == "json":
-        path = f"{args.out}_network.json"
-        _write(path, json.dumps(network.to_json_dict(net)) + "\n")
+        text = json.dumps(network.to_json_dict(net)) + "\n"
     else:
-        path = f"{args.out}_network.edges"
-        _write(path, network.format_edge_list(net))
-    return {"n": net.node_count, "edges": net.edge_count, "file": path}
+        text = network.format_edge_list(net)
+    return ({"n": net.node_count, "edges": net.edge_count, "file": path},
+            {path: text})
 
 
 def _cmd_h2(args):
     net = parse_generator_spec(args.gen, args.resistance)
     report = systems.compare_controllers(net, _params(args), args.ground)
     return {"n": report.n, "h2_slack": report.value_slack,
-            "h2_droop": report.value_droop, "h2_dapi": report.value_dapi}
+            "h2_droop": report.value_droop, "h2_dapi": report.value_dapi}, {}
 
 
 def _cmd_compare(args):
     net = parse_generator_spec(args.gen, args.resistance)
     report = systems.compare_controllers(net, _params(args), args.ground)
-    return json.loads(report.to_json())
+    return json.loads(report.to_json()), {}
 
 
 def _cmd_sweep(args):
@@ -202,11 +198,11 @@ def _cmd_sweep(args):
     result = resistance.scaling_sweep(args.family, sizes, _params(args),
                                       args.ground, args.resistance)
     path = f"{args.out}_sweep.csv"
-    _write(path, result.to_csv())
     fit = result.fit
-    return {"file": path, "records": len(result.records),
-            "fit": {"x_kind": fit.x_kind, "slope": fit.slope,
-                    "intercept": fit.intercept, "r_squared": fit.r_squared}}
+    return ({"file": path, "records": len(result.records),
+             "fit": {"x_kind": fit.x_kind, "slope": fit.slope,
+                     "intercept": fit.intercept, "r_squared": fit.r_squared}},
+            {path: result.to_csv()})
 
 
 def _cmd_resist(args):
@@ -221,22 +217,7 @@ def _cmd_resist(args):
             raise UsageError(f"bad pair {args.pair!r}") from exc
         out["pair"] = [i, j]
         out["effective_resistance"] = resistance.effective_resistance(net, i, j)
-    return out
-
-
-def _assemble(kind: str, net: Network, params, ground: int):
-    if kind == "slack":
-        return systems.assemble_slack(net, params, ground)
-    if kind == "droop":
-        return systems.assemble_droop(net, params)
-    return systems.assemble_dapi(net, params)
-
-
-def _first_buses(model) -> list[int]:
-    """The first ten voltage buses in ascending order: what ``sim``
-    exports without --buses, and ``fig2`` always."""
-    return sorted(int(lbl[1:]) for lbl in model.state_labels
-                  if lbl.startswith("V"))[:10]
+    return out, {}
 
 
 def _check_T(T: float) -> None:
@@ -251,6 +232,23 @@ def _check_seed(seed: int) -> None:
         raise UsageError(f"--seed must lie in [0, 2**64), got {seed}")
 
 
+def _trajectory(kind: str, net: Network, params, args, T: float, rows: int,
+                buses=None):
+    """(trajectory, CSV) of one controller from its --seed initial state;
+    the CSV holds ``buses``, by default the ten lowest voltage buses."""
+    if kind == "slack":
+        model = systems.assemble_slack(net, params, args.ground)
+    elif kind == "droop":
+        model = systems.assemble_droop(net, params)
+    else:
+        model = systems.assemble_dapi(net, params)
+    x0 = simulation.sample_initial(model, args.seed, 1)[:, 0]
+    traj = simulation.simulate(model, x0, T, rows)
+    buses = buses or sorted(int(lbl[1:]) for lbl in model.state_labels
+                            if lbl.startswith("V"))[:10]
+    return traj, simulation.export_trajectory(traj, buses)
+
+
 def _cmd_sim(args):
     _check_seed(args.seed)
     _check_T(args.T)
@@ -260,23 +258,20 @@ def _cmd_sim(args):
     except ValueError as exc:
         raise UsageError(f"bad buses {args.buses!r}") from exc
     net = parse_generator_spec(args.gen, args.resistance)
-    model = _assemble(args.kind, net, _params(args), args.ground)
-    x0 = simulation.sample_initial(model, args.seed, 1)[:, 0]
-    traj = simulation.simulate(model, x0, args.T, DEFAULT_ROWS)
+    traj, csv = _trajectory(args.kind, net, _params(args), args, args.T,
+                            DEFAULT_ROWS, buses)
     path = f"{args.out}_traj.csv"
-    _write(path, simulation.export_trajectory(
-        traj, buses or _first_buses(model)))
-    return {"file": path, "kind": args.kind, "rows": len(traj.times),
-            "dt": traj.dt, "seed": args.seed}
+    return ({"file": path, "kind": args.kind, "rows": len(traj.times),
+             "dt": traj.dt, "seed": args.seed}, {path: csv})
 
 
 def _cmd_fig2(args):
     """Paths with the study's parameters under random initial voltages.
 
     Emits one trajectory CSV per controller for the paper-exact 1 mF
-    capacitance and for a 1 F variant (same dynamics on a 1000x slower
-    time axis), which keeps the qualitative 30 s picture while making the
-    time constants explicit.
+    capacitance and for 1 F on a 1000x longer horizon: the same slack and
+    droop dynamics, A = -(L + k_P I)/c, on a 1000x slower time axis, but
+    not DAPI's, whose k and gamma terms do not scale with c.
     """
     _check_seed(args.seed)
     _check_T(args.T)
@@ -284,21 +279,15 @@ def _cmd_fig2(args):
         raise UsageError(f"--rows must lie in [1, {MAX_ROWS}], "
                          f"got {args.rows}")
     net = network.generate_lattice(1, args.n, args.resistance)
-    variants = [("c1mF", 1e-3, args.T), ("c1F", 1.0, args.T * 1000.0)]
-    outputs = []
-    for tag, c, horizon in variants:
+    files = {}
+    for tag, c, horizon in (("c1mF", 1e-3, args.T),
+                            ("c1F", 1.0, args.T * 1000.0)):
         params = _params(args, c)
         for kind in ("slack", "droop", "dapi"):
-            model = _assemble(kind, net, params, args.ground)
-            x0 = simulation.sample_initial(model, args.seed, 1)[:, 0]
-            traj = simulation.simulate(model, x0, horizon, args.rows)
-            csv = simulation.export_trajectory(traj, _first_buses(model))
-            outputs.append((f"{args.out}_{kind}_{tag}.csv", csv))
-    for path, csv in outputs:
-        _write(path, csv)
-    return {"files": [path for path, _ in outputs], "n": args.n,
-            "seed": args.seed,
-            "bus_subset": "first 10 non-grounded buses by index"}
+            files[f"{args.out}_{kind}_{tag}.csv"] = _trajectory(
+                kind, net, params, args, horizon, args.rows)[1]
+    return ({"files": list(files), "n": args.n, "seed": args.seed,
+             "bus_subset": "first 10 non-grounded buses by index"}, files)
 
 
 _COMMANDS = {"gen": _cmd_gen, "h2": _cmd_h2, "compare": _cmd_compare,
@@ -322,7 +311,12 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         _check_out(args.out)
-        summary = _COMMANDS[args.command](args)
+        summary, files = _COMMANDS[args.command](args)
+        meta_path = f"{args.out}_meta.json"
+        files[meta_path] = json.dumps(_metadata(args), indent=2,
+                                      sort_keys=True) + "\n"
+        for path in filter(os.path.isdir, files):
+            raise UsageError(f"--out {args.out!r}: {path!r} is a directory")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -330,9 +324,9 @@ def run(argv) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 1
-    meta_path = f"{args.out}_meta.json"
-    _write(meta_path, json.dumps(_metadata(args), indent=2, sort_keys=True)
-           + "\n")
+    for path, text in files.items():
+        with open(path, "w") as fh:
+            fh.write(text)
     summary["metadata"] = meta_path
     _emit(summary)
     return 0

@@ -173,12 +173,12 @@ def _family_network(family: str, size: int, resistance: float) -> Network:
 def sweep_sizes(sizes) -> list[int]:
     """``sizes`` (any sequence, numpy arrays included) as a list of ints;
     InvalidSize unless it holds two or more strictly ascending integers
-    of at least 1 (``integer_in``)."""
+    of at least 2 (``integer_in``), the smallest side any family builds."""
     listed = list(sizes) if np.iterable(sizes) else []
-    if (len(listed) < 2 or not all(numerics.integer_in(s, 1) for s in listed)
+    if (len(listed) < 2 or not all(numerics.integer_in(s, 2) for s in listed)
             or any(a >= b for a, b in zip(listed, listed[1:]))):
         raise InvalidSize(f"need at least two strictly ascending integer "
-                          f"sizes of at least 1, got {sizes!r}")
+                          f"sizes of at least 2, got {sizes!r}")
     return [int(s) for s in listed]
 
 

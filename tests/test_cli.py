@@ -29,7 +29,9 @@ def trajectory_rows(kind, n, c, T):
     dt) default steps, one row every max(1, steps // rows) of them, and
     the initial state."""
     params = systems.ControllerParams(c=c, k_p=0.1, k=100.0, gamma=1000.0)
-    model = cli._assemble(kind, network.generate_lattice(1, n), params, 0)
+    net = network.generate_lattice(1, n)
+    model = (systems.assemble_slack(net, params, 0) if kind == "slack"
+             else getattr(systems, f"assemble_{kind}")(net, params))
     steps = round(T / simulation.default_dt(model))
     return steps // max(1, steps // cli.DEFAULT_ROWS) + 1
 
@@ -350,6 +352,16 @@ class TestFig2:
                         == trajectory_rows(kind, 10, c, T))
 
 
+@pytest.mark.parametrize("kind", ["slack", "droop", "dapi"])
+def test_sim_is_one_cell_of_fig2(kind, capsys, tmp_path):
+    assert run(["sim", "--gen", "path:10", "--kind", kind, "--T", "0.05",
+                "--seed", "6", "--out", "s"]) == 0
+    assert run(["fig2", "--n", "10", "--T", "0.05", "--seed", "6",
+                "--out", "f"]) == 0
+    assert ((tmp_path / "s_traj.csv").read_bytes()
+            == (tmp_path / f"f_{kind}_c1mF.csv").read_bytes())
+
+
 class TestOptions:
     """Each subcommand accepts exactly the options it reads, so no option
     is settable without effect."""
@@ -490,6 +502,8 @@ class TestBoundaries:
         ["h2", "--gen", "path:5", "--c", "inf"],
         ["compare", "--gen", "path:5", "--gamma", "inf"],
         ["fig2", "--n", "3", "--kp", "nan"],
+        # no family builds a side of 1; this once exited 1 from the build
+        ["sweep", "--family", "path", "--sizes", "1,2"],
     ])
     def test_usage_error(self, argv, capsys, tmp_path):
         assert run(argv + ["--out", "x"]) == 2
@@ -517,6 +531,25 @@ class TestBoundaries:
         assert captured.err.startswith("usage error:")
         assert captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, taken", [
+        (["gen", "--gen", "path:3"], "x_meta.json"),
+        (["h2", "--gen", "path:3"], "x_meta.json"),
+        (["sweep", "--family", "path", "--sizes", "5,9"], "x_meta.json"),
+        (["sim", "--gen", "path:3", "--T", "0.01"], "x_meta.json"),
+        (["fig2", "--n", "3", "--T", "0.01"], "x_meta.json"),
+        (["fig2", "--n", "3", "--T", "0.01"], "x_dapi_c1F.csv"),
+    ], ids=["gen", "h2", "sweep", "sim", "fig2-meta", "fig2-last-csv"])
+    def test_directory_in_the_way(self, argv, taken, capsys, tmp_path):
+        # each once wrote its other files and then ended in an
+        # IsADirectoryError traceback
+        (tmp_path / taken).mkdir()
+        assert run(argv + ["--out", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == [taken]
 
     @pytest.mark.parametrize("argv", [
         ["sim", "--gen", "path:3", "--buses", "a"],

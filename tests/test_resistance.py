@@ -272,6 +272,11 @@ class TestScalingSweep:
         with pytest.raises(errors.InvalidSize):
             scaling_sweep("torus", [4], ControllerParams(c=1.0))
 
+    def test_side_of_one_is_refused(self):
+        # no family builds a network of side 1: a path needs two nodes
+        with pytest.raises(errors.InvalidSize):
+            resistance.sweep_sizes([1, 2])
+
     def test_csv_format(self):
         p = ControllerParams(c=1.0, k_p=0.1)
         res = scaling_sweep("path", [5, 10], p)

@@ -185,6 +185,16 @@ def test_trajectory_grid_only_in_simulate():
                      ("simulation", "simulate", "propagator")}
 
 
+def test_only_run_writes_cli_files():
+    # each command returns its files' text and run writes them all once
+    # every output is computed, so no command leaves a partial set
+    path = Path(dcgrid.__file__).parent / "cli.py"
+    found = {(scope, name)
+             for scope, name in _calls_by_function(ast.parse(path.read_text()))
+             if name == "open"}
+    assert found == {("run", "open")}
+
+
 def _loop_bindings(tree):
     """name -> the names that a for loop over a literal tuple of tuples
     binds it to, as ``error`` in ``for bad, error, what in ((b, InvalidEdge,
