@@ -4,13 +4,15 @@ Subcommands: gen, h2, compare, sweep, resist, sim, fig2. Every run
 prints a machine-readable JSON summary to stdout and writes a metadata
 JSON (full configuration, seed, versions) alongside any output files, so
 a run can be reproduced byte-identically from its metadata. Each command
-returns its files' text; ``run`` writes them once all are computed.
+returns its files' bytes; ``run`` checks every output name, then writes
+them once all are computed, and removes the files it created if a write
+fails.
 Parameter defaults follow the radial-network simulation study: R = 1 ohm,
 C = 1 mF, k_P = 0.1, k = 100, gamma = 1000. ``sim`` and ``fig2`` check
 --T and --rows as input only and pass them to ``simulation.simulate``,
 which lays out the trajectory grid (``DEFAULT_ROWS`` rows for ``sim``).
 
-Exit codes: 0 success, 1 computation error, 2 usage error.
+Exit codes: 0 success, 1 computation or write error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ def _cmd_gen(args):
     else:
         text = network.format_edge_list(net)
     return ({"n": net.node_count, "edges": net.edge_count, "file": path},
-            {path: text})
+            {path: text.encode()})
 
 
 def _cmd_h2(args):
@@ -202,7 +204,7 @@ def _cmd_sweep(args):
     return ({"file": path, "records": len(result.records),
              "fit": {"x_kind": fit.x_kind, "slope": fit.slope,
                      "intercept": fit.intercept, "r_squared": fit.r_squared}},
-            {path: result.to_csv()})
+            {path: result.to_csv().encode()})
 
 
 def _cmd_resist(args):
@@ -303,6 +305,24 @@ def _check_out(out: str) -> None:
         raise UsageError(f"--out {out!r}: no directory {folder!r}")
 
 
+def _check_paths(out: str, paths) -> None:
+    """Reject an output path that is a directory or whose name is longer
+    than its file system takes, before the first file is written."""
+    name_max = os.pathconf(os.path.dirname(out) or ".", "PC_NAME_MAX")
+    for path in paths:
+        if os.path.isdir(path):
+            raise UsageError(f"--out {out!r}: {path!r} is a directory")
+        if len(os.fsencode(os.path.basename(path))) > name_max:
+            raise UsageError(f"--out {out!r}: the name of {path!r} is "
+                             f"longer than {name_max} bytes")
+
+
+def _error(exc: Exception) -> int:
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    _emit({"error": type(exc).__name__, "message": str(exc)})
+    return 1
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
@@ -313,20 +333,23 @@ def run(argv) -> int:
         _check_out(args.out)
         summary, files = _COMMANDS[args.command](args)
         meta_path = f"{args.out}_meta.json"
-        files[meta_path] = json.dumps(_metadata(args), indent=2,
-                                      sort_keys=True) + "\n"
-        for path in filter(os.path.isdir, files):
-            raise UsageError(f"--out {args.out!r}: {path!r} is a directory")
+        files[meta_path] = (json.dumps(_metadata(args), indent=2,
+                                       sort_keys=True) + "\n").encode()
+        _check_paths(args.out, files)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DCGridError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        return 1
-    for path, text in files.items():
-        with open(path, "w") as fh:
-            fh.write(text)
+        return _error(exc)
+    new = [path for path in files if not os.path.lexists(path)]
+    try:
+        for path, data in files.items():
+            with open(path, "wb") as fh:
+                fh.write(data)
+    except OSError as exc:  # a full disk, say: remove what this run made
+        for path in filter(os.path.lexists, new):
+            os.remove(path)
+        return _error(exc)
     summary["metadata"] = meta_path
     _emit(summary)
     return 0

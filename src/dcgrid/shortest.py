@@ -1,40 +1,31 @@
 """Shortest round-trip text of a float64 table, byte for byte as ``repr``.
 
-``csv_rows(table)`` returns the same text as
+``csv_rows(table)`` returns the ASCII bytes of
 ``"".join(",".join(map(repr, row)) + "\\n" for row in table.tolist())``
-for a 2-D float64 table, but formats whole blocks of values with numpy
-instead of one ``repr`` call per value. It works in blocks of
-``BLOCK_ROWS`` rows, so its temporaries stay a few hundred kilobytes
-whatever the table's length.
+for a 2-D float64 table, formatting ``BLOCK_ROWS`` rows at a time with
+numpy, so its temporaries stay a few hundred kilobytes.
 
-Digits. CPython's ``repr`` prints the shortest decimal string that reads
-back as the same double, and of those the one nearest its exact value.
-Ryu (Adams, PLDI 2018) finds the same digits with integer arithmetic:
-it scales the double and its two rounding bounds by one power of five,
-vr = floor(4 m 5^i / 2^q) and the like for vp and vm, and removes
-decimal digits while the interval (vm, vp] still holds a number with
-fewer of them, rounding vr on the last digit removed. Here the power of
-five comes from a 326-entry table of 5^i at 125 bits, built from Python
-ints on the first call (``_tables``), never at import. Each product is
-held as six 29-bit limbs in int64 arrays, so no partial product or
-column sum overflows and nothing wraps. Only Ryu's common case is
-vectorized: a normal double below 2^50 (binary exponent e2 <= -5, so the
-decimal scale q is at least 2) whose scaled product does not end in
-zeros. Every other value is formatted by ``repr`` itself: zero, -0.0,
-subnormals, inf, nan, |x| >= 2^50 and the products that end in zeros,
-which include every whole number. So the bytes match by construction.
+Digits. ``repr`` prints the shortest decimal string that reads back as
+the same double, and of those the one nearest its exact value. Ryu
+(Adams, PLDI 2018) scales the double and its two rounding bounds by
+C = 5^i / 2^q, vr = floor(mv C) for mv = 4 m and the like for vp and vm,
+then removes digits while (vm, vp] still holds a number with fewer of
+them, rounding vr on the last digit removed. Here C is a double-double
+Ch + Cl from a per-exponent table built from Python ints on the first
+call (``_tables``), mv Ch is formed exactly as a double and its error by
+Dekker's two-product (Numer. Math. 1971), and as in Grisu3 (Loitsch,
+PLDI 2010) a floor is certified when its fraction, known to 2^-40, lies
+in [MARGIN, 1 - MARGIN] (``_scaled``). ``repr`` itself formats every
+value with an uncertain floor, which includes each exact product mv C
+and so each whole number, and subnormals, inf, nan and |x| >= 2^50. Zero
+and -0.0 are written in place. So the bytes match by construction.
 
-Text. ``repr`` prints fixed notation when the decimal point position
-decpt (value = 0.d1 d2 ... x 10^decpt) satisfies -4 < decpt <= 16 and
-scientific notation with at least two exponent digits otherwise; a
-value of the common case is never whole and stays below 10^16, so it
-needs neither the ".0" suffix nor a positive exponent. Each value gets
-one fixed-width byte field: sign, "0." and up to three zeros when decpt
-<= 0, the digits right-aligned with the dot inserted among them, the
-exponent and the separator. Unused bytes are zero, and one
-``bytes.translate(None, b"\\0")`` drops them all. The field of a value
-left to ``repr`` holds only the byte 1 and the separator, and the
-value's ``repr`` is spliced in where the byte stood.
+Text. ``repr`` uses fixed notation for -4 < decpt <= 16 (value = 0.d1
+d2 ... x 10^decpt), else scientific with at least two exponent digits; a
+vectorized value is never whole and stays below 10^16. Each value gets a
+fixed-width field (see ``WIDTH``) whose unused bytes are zero, and one
+``bytes.translate`` drops them; the ``repr`` of a value left to it is
+spliced in where its field's byte 1 stood.
 """
 
 from __future__ import annotations
@@ -44,13 +35,11 @@ from functools import cache
 import numpy as np
 
 BLOCK_ROWS = 1024  # rows formatted at once
-LIMB = 29  # bits per limb of the 5^i products
-LIMB_MASK = (1 << LIMB) - 1
+MARGIN = 2.0**-30  # least distance of a certified fraction from 0 and 1
 POW10 = 10 ** np.arange(19, dtype=np.int64)
-# Field bytes: 0 sign, 1-5 "0." and zeros, 6-23 digits and dot,
-# 24-28 exponent, 29 separator.
+# Field bytes: 0 sign, 1-5 "0." and zeros, 6-23 digits (a pair, then four
+# groups of four) and dot, 24-28 exponent, 29 separator.
 WIDTH = 30
-DIGITS = slice(6, 24)
 LAST_DIGIT = 23
 EXPONENT = 24
 NO_DOT = 18  # a dot position past every digit
@@ -59,90 +48,99 @@ NO_DOT = 18  # a dot position past every digit
 STAND_IN = int(np.float64(0.1).view(np.int64))
 
 
+def _decimal_scale(exp2):
+    """Ryu's e2 and q of a biased exponent: the double is mv 2^e2 / 4."""
+    e2 = exp2 - 1077
+    return e2, ((-e2 * 732923) >> 20) - 1  # floor(-e2 log10 5) - 1
+
+
+def _digit_text(width: int) -> np.ndarray:
+    """The text of every ``width``-digit group as little-endian bytes,
+    then the same with leading zeros blank (index + 10^width)."""
+    r = np.arange(10**width)[:, None]
+    places = 10 ** np.arange(width - 1, -1, -1)
+    text = (ord("0") + r // places % 10).astype(np.uint8)
+    return np.concatenate([text, text * (r >= places)]).view(
+        f"<u{width}").ravel()
+
+
 @cache
 def _tables():
-    """Read-only lookup tables: 5^i at 125 bits, floor(5^i / 2^(b - 125))
-    for b the bit length of 5^i (exact for i < 54), as five 29-bit limbs,
-    shape (5, 326); and the text of two digits 00-99 as little-endian
-    byte pairs, then the same with leading zeros blank (index + 100)."""
-    rows = []
-    for i in range(326):
-        power = 5**i
-        shift = power.bit_length() - 125
-        mul = power >> shift if shift >= 0 else power << -shift
-        rows.append([(mul >> (LIMB * b)) & LIMB_MASK for b in range(5)])
-    limbs = np.array(rows, dtype=np.int64).T.copy()
-    r = np.arange(100)
-    zero = ord("0")
-    pairs = (zero + r // 10) | (zero + r % 10) << 8
-    leading = np.where(r < 10, (zero + r) << 8, pairs) * (r > 0)
-    text = np.concatenate([pairs, leading]).astype("<u2")
-    for table in (limbs, text):
+    """Read-only lookup tables: C = 5^i / 2^q of each biased exponent as
+    rows Ch, Ch's two Veltkamp halves of 26 bits and Cl, shape (4, 1073),
+    5^i and its rest rounded to doubles and scaled, |Ch + Cl - C| <=
+    2^-106 C; the text of two- and four-digit groups; and the sign and
+    "0." prefix, at 5 * negative + (1 - decpt if decpt <= 0 else 0)."""
+    powers = [5**i for i in range(327)]
+    heads = [float(power) for power in powers]
+    rests = [float(power - int(head)) for power, head in zip(powers, heads)]
+    e2, q = _decimal_scale(np.arange(1073))
+    ch = np.ldexp(np.take(heads, -e2 - q), -q)
+    split = ch * (2.0**27 + 1)
+    hi = split - (split - ch)
+    cl = np.ldexp(np.take(rests, -e2 - q), -q)
+    scale = np.stack([ch, hi, ch - hi, cl])
+    prefix = np.frombuffer(b"".join(
+        (sign + b"0.000"[:kind + 1] * (kind > 0)).ljust(8, b"\0")
+        for sign in (b"\0", b"-") for kind in range(5)), "<u8").copy()
+    tables = scale, _digit_text(2), _digit_text(4), prefix
+    for table in tables:
         table.flags.writeable = False
-    return limbs, text
+    return tables
 
 
 def _scaled(mag: np.ndarray):
     """Ryu's scaled value and bounds for int64 bit patterns of positive
     normal doubles below 2^50: vr, vp and vm, the double and the ends of
-    the interval that rounds to it in units of 10^e10, e10, and a mask of
-    the values whose scaled product ends in zeros (outside the common
-    case; their other results are not meaningful)."""
-    limbs, _ = _tables()
+    the interval that rounds to it in units of 10^e10, e10, and the mask
+    of values with an uncertain floor, whose other results mean nothing.
+
+    Error bound: mv < 2^55 and 10 < C < 2^7, so 2^57 < mv Ch < 2^62, an
+    integer and an int64. Its exact error and mv Cl lie below 2^8, so
+    rounding mv Cl and their sum costs 2^-45 each, the table's 2^-104 C
+    2^-42; a bound's offset added to the fraction costs 2^-46 and the
+    2 Cl or Cl it leaves out under 2^-46. So every fraction is within
+    2^-41, far inside the margin of 2^-30."""
     exp2 = mag >> 52
     m2 = mag & ((1 << 52) - 1)
     # the lower bound is half as far below a power of two (fraction 0)
-    lower = -2 + ((m2 == 0) & (exp2 > 1))
+    lower = ((m2 == 0) & (exp2 > 1)) - 2.0
     m2 |= 1 << 52
-    # value = m2 2^(e2 + 2): mv = 4 m2 leaves room for the bounds
-    e2 = exp2 - 1077
-    q = ((-e2 * 732923) >> 20) - 1  # floor(-e2 log10 5) - 1, at least 2
-    i = -e2 - q
-    j = q + 124 - ((i * 1217359) >> 19)  # q - (bits of 5^i - 125), 118-121
-    zeros = ((m2 << 2) & ((1 << np.minimum(q, 56)) - 1)) == 0
-    a = [limbs[b].take(i) for b in range(5)]
-    low = m2 & LIMB_MASK
-    m2 >>= LIMB
-    # z = m2 * a in normalised limbs; top holds every bit from 145 up
-    z = [a[0] * low]
-    for b in range(1, 5):
-        limb = a[b] * low
-        limb += a[b - 1] * m2
-        limb += z[b - 1] >> LIMB
-        z[b - 1] &= LIMB_MASK
-        z.append(limb)
-    top = a[4] * m2
-    top += z[4] >> LIMB
-    z[4] &= LIMB_MASK
-    # vr = floor(4 z / 2^j); the rest, 4 z mod 2^j, decides the bounds
-    j -= 118
-    vr = top << (29 - j)
-    vr |= z[4] >> j
-    z[4] &= (1 << j) - 1
-    j += 2
+    e2, q = _decimal_scale(exp2)
+    ch, hi, lo, cl = (row.take(exp2) for row in _tables()[0])
+    # mv = 4 m2 = mh + ml, each with at most 26 significant bits
+    mv = (m2 << 2).astype(np.float64)
+    mh = ((m2 + (1 << 26)) >> 27 << 29).astype(np.float64)
+    ml = mv - mh
+    whole = mv * ch
+    part = mh * hi
+    part -= whole  # Dekker: the exact error of whole, then mv Cl
+    part += mh * lo
+    part += ml * hi
+    part += ml * lo
+    part += mv * cl
+    floor = np.floor(part)
+    part -= floor
+    vr = whole.astype(np.int64) + floor.astype(np.int64)
+    uncertain = np.abs(part - 0.5) > 0.5 - MARGIN
     bounds = []
-    for scale in (2, lower):
-        carry = 0
-        for b in range(5):
-            limb = a[b] * scale
-            limb += z[b] << 2
-            limb += carry
-            carry = limb >> LIMB
-        limb >>= j
-        limb += vr
-        bounds.append(limb)
-    return vr, *bounds, q + e2, zeros
+    for offset in (2.0, lower):
+        end = offset * ch
+        end += part
+        floor = np.floor(end)
+        uncertain |= np.abs(end - floor - 0.5) > 0.5 - MARGIN
+        bounds.append(vr + floor.astype(np.int64))
+    return vr, *bounds, q + e2, uncertain
 
 
 def _shortest(mag: np.ndarray):
     """Ryu's common case (see ``_scaled``): the shortest digits as an
     integer, their count and decpt, and the mask of values outside it."""
-    vr, vp, vm, e10, zeros = _scaled(mag)
+    vr, vp, vm, e10, uncertain = _scaled(mag)
     count = 17 + (vr >= POW10[17]) + (vr >= POW10[18])
-    # remove digits while (vm, vp] still holds a number with fewer: the
-    # bounds lie 23 to 513 units apart (5^i at 125 bits over 2^j, j in
-    # [118, 121], times 3 or 4), so the first digit always goes, and once
-    # three have gone (vm, vp] holds one integer, vm + 1, the answer
+    # remove digits while (vm, vp] still holds a number with fewer: it is
+    # 3C - 1 to 4C + 1 units wide, 29 to 400, so the first digit always
+    # goes, and once three have gone it holds one integer, vm + 1, the answer
     vp //= 100
     vm //= 10
     kept = vr // 10
@@ -156,35 +154,44 @@ def _shortest(mag: np.ndarray):
     np.copyto(vr, kept, where=two)
     removed = two + 1
     deep = np.flatnonzero(two & (vp // 10 > vm // 10))
-    idx, sp, sm = deep, vp[deep], vm[deep]
-    while idx.size:
-        sp //= 10
-        sm //= 10
-        vm[idx] = sm
-        removed[idx] += 1
-        go = np.flatnonzero(sp // 10 > sm // 10)
-        idx, sp, sm = idx[go], sp[go], sm[go]
-    vr[deep] = vm[deep]
+    # the third digit and then by bisection the most further ones, at most
+    # 15 as vp < 10^19: once one cannot go, no later one can
+    sp = vp[deep] // 10
+    sm = vm[deep] // 10
+    more = np.ones_like(sp)
+    for stride in (8, 4, 2, 1):
+        hp = sp // 10**stride
+        hm = sm // 10**stride
+        go = hp > hm
+        np.copyto(sp, hp, where=go)
+        np.copyto(sm, hm, where=go)
+        more += go * stride
+    removed[deep] += more
+    vm[deep] = sm
+    vr[deep] = sm
     vr += (vr == vm) | round_up
     # rounding up adds a digit only when it removed every digit (0 -> 1)
     count -= removed
     count += vr >= POW10.take(count)
     e10 += removed
     e10 += count
-    return vr, count, e10, zeros
+    return vr, count, e10, uncertain
 
 
 def _block(table: np.ndarray) -> bytes:
     """CSV text of one C-contiguous block of rows."""
-    rows, cols = table.shape
     flat = table.ravel()
     bits = flat.view(np.int64)
     mag = bits & ((1 << 63) - 1)
     exp2 = mag >> 52
-    slow = (exp2 == 0) | (exp2 > 1072)
-    np.copyto(mag, STAND_IN, where=slow)
-    digits, count, decpt, zeros = _shortest(mag)
-    slow |= zeros
+    zero = mag == 0
+    slow = (exp2 == 0) ^ zero | (exp2 > 1072)
+    np.copyto(mag, STAND_IN, where=slow | zero)
+    digits, count, decpt, uncertain = _shortest(mag)
+    slow |= uncertain
+    # zero is "0.0": the prefix of decpt -1 and no digits
+    np.copyto(digits, 0, where=zero)
+    np.copyto(decpt, -1, where=zero)
     sci = decpt < -3
     small = ~sci & (decpt <= 0)
     # digits after the dot: decpt of them stand before it in fixed
@@ -193,35 +200,29 @@ def _block(table: np.ndarray) -> bytes:
     np.copyto(dot, NO_DOT, where=slow | small | (dot == 0))
     # open a 0 digit at the dot's place: head 10^(dot+1) + tail
     scale = POW10.take(dot)
-    spread = digits // scale
-    spread *= scale
-    spread *= 9
-    digits += spread
+    digits += digits // scale * scale * 9
+    _, pairs, groups, prefixes = _tables()
     f = np.zeros((len(flat), WIDTH), np.uint8)
-    f[:, 0] = (bits < 0) * ord("-")
-    f[:, 1] = small * ord("0")
-    f[:, 2] = small * ord(".")
-    for zero in range(3):
-        f[:, 3 + zero] = (small & (decpt < -zero)) * ord("0")
-    _, text = _tables()
-    pairs = f[:, DIGITS].view("<u2")
-    for k in range(pairs.shape[1] - 1, -1, -1):
-        rest = digits // 100
-        pair = digits - 100 * rest
-        pair += (rest == 0) * 100  # the leading pair and any above it
-        pairs[:, k] = text.take(pair)
+    f[:, :8].view("<u8")[:, 0] = prefixes.take(  # bytes 6-7 follow
+        (1 - decpt) * small + 5 * (bits < 0))
+    out = f[:, 8:LAST_DIGIT + 1].view("<u4")
+    for k in range(3, -1, -1):
+        rest = digits // 10**4
+        group = digits - 10**4 * rest
+        group += (rest == 0) * 10**4  # the leading group and any above it
+        out[:, k] = groups.take(group)
         digits = rest
+    f[:, 6:8].view("<u2")[:, 0] = pairs.take(digits + 100)
     has = np.flatnonzero(dot < NO_DOT)
     f[has, LAST_DIGIT - dot[has]] = ord(".")
     at = np.flatnonzero(sci)
     if at.size:
-        e = 1 - decpt[at]  # the exponent's magnitude, 5 to 308
-        f[at, EXPONENT] = ord("e")
-        f[at, EXPONENT + 1] = ord("-")
-        f[at, EXPONENT + 2] = (e >= 100) * (ord("0") + e // 100)
-        f[at, EXPONENT + 3] = ord("0") + e // 10 % 10
-        f[at, EXPONENT + 4] = ord("0") + e % 10
-    fields = f.reshape(rows, cols, WIDTH)
+        e = 1 - decpt[at, None]  # the exponent's magnitude, 5 to 308
+        text = ord("0") + e // [100, 10, 1] % 10
+        text[:, 0] *= e[:, 0] >= 100
+        f[at, EXPONENT:EXPONENT + 2] = ord("e"), ord("-")
+        f[at, EXPONENT + 2:EXPONENT + 5] = text
+    fields = f.reshape(*table.shape, WIDTH)
     fields[:, :-1, -1] = ord(",")
     fields[:, -1, -1] = ord("\n")
     at = np.flatnonzero(slow)
@@ -237,10 +238,9 @@ def _block(table: np.ndarray) -> bytes:
     return b"".join(spliced)
 
 
-def csv_rows(table) -> str:
-    """Rows of a 2-D float64 table as CSV text, each value as its
+def csv_rows(table) -> bytes:
+    """Rows of a 2-D float64 table as CSV bytes, each value as its
     ``repr``, one line per row with a final newline."""
     table = np.ascontiguousarray(table, dtype=np.float64)
     return b"".join(_block(table[start:start + BLOCK_ROWS])
-                    for start in range(0, len(table), BLOCK_ROWS)
-                    ).decode("ascii")
+                    for start in range(0, len(table), BLOCK_ROWS))

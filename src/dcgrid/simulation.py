@@ -23,12 +23,13 @@ per seed, sample after sample, so sample i depends only on (seed, i);
 a seed is an integer in [0, 2^64).
 The module needs numpy alone: ``propagator`` sums expm's Taylor series
 itself, by the Paterson-Stockmeyer scheme, as ``van_loan`` sums its own.
-``export_trajectory`` writes each value as the same text as its ``repr``,
-byte for byte, but formats a trajectory in 1024-row blocks with numpy:
+``export_trajectory`` returns CSV bytes, each value the same text as its
+``repr``, but formats a trajectory in 1024-row blocks with numpy:
 ``shortest.csv_rows`` finds the shortest round-trip digits with Ryu's
-integer method, vectorized, and leaves the rare values outside its
-common case (zeros, subnormals, |x| >= 2^50, inf, nan, and values whose
-scaled product ends in zeros, whole numbers among them) to ``repr``.
+method, vectorized, from an exact double-double product whose floors are
+certified, and leaves the rare values it cannot certify (subnormals,
+|x| >= 2^50, inf, nan, exact products such as whole numbers, and any
+product within 2^-30 of an integer) to ``repr``.
 """
 
 from __future__ import annotations
@@ -433,15 +434,16 @@ def white_noise_variance(model: StateSpaceModel, T: float, seed: int = 0
                       kept * chains * h, h, True)
 
 
-def export_trajectory(traj: Trajectory, node_subset) -> str:
-    """CSV of selected bus voltages over time, full float precision.
+def export_trajectory(traj: Trajectory, node_subset) -> bytes:
+    """CSV bytes of selected bus voltages over time, full float precision.
 
     The header ``t,V_<node>,...`` is followed by one row per recorded
     time. Every value is written as its ``repr``, the shortest text that
-    reads back as the same double, and the rows are the same bytes as
-    ``",".join(map(repr, row))`` would give; ``shortest.csv_rows`` makes
-    them in 1024-row blocks with a vectorized Ryu kernel and hands the
-    values outside its common case to ``repr`` itself.
+    reads back as the same double, and the rows are the ASCII bytes of
+    ``",".join(map(repr, row))``; ``shortest.csv_rows`` makes them in
+    1024-row blocks with a vectorized Ryu kernel, its scaled products
+    formed as certified double-doubles, and hands every value it cannot
+    certify to ``repr`` itself. The bytes go to disk as they are.
     """
     label_to_col = {lbl: k for k, lbl in enumerate(traj.state_labels)}
     cols = []
@@ -452,4 +454,4 @@ def export_trajectory(traj: Trajectory, node_subset) -> str:
         cols.append(label_to_col[key])
     header = ",".join(["t"] + [f"V_{node}" for node in node_subset])
     table = np.column_stack([traj.times, traj.states[:, cols]])
-    return header + "\n" + csv_rows(table)
+    return (header + "\n").encode() + csv_rows(table)

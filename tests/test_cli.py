@@ -551,6 +551,44 @@ class TestBoundaries:
         assert captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == [taken]
 
+    def test_name_too_long(self, capsys, tmp_path):
+        # the 255-byte CSV name was once written before the 256-byte
+        # metadata name ended in an OSError traceback
+        argv = ["sim", "--gen", "path:3", "--T", "0.01", "--out", "a" * 246]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, files", [
+        (["sim", "--gen", "path:3", "--T", "0.01"], 2),
+        (["fig2", "--n", "3", "--T", "0.01"], 7),
+    ], ids=["sim", "fig2"])
+    def test_write_error_removes_new_files(self, argv, files, capsys,
+                                           tmp_path, monkeypatch):
+        # an open that fails at the k-th file leaves none of the files
+        # this run created, one error line and exit code 1; a file that
+        # was there before stays
+        (tmp_path / "x_traj.csv").write_text("old\n")
+        for k in range(1, files + 1):
+            calls = []
+
+            def failing(*args, **kwargs):
+                calls.append(args)
+                if len(calls) == k:
+                    raise OSError(28, "No space left on device")
+                return open(*args, **kwargs)
+
+            monkeypatch.setattr(cli, "open", failing, raising=False)
+            assert run(argv + ["--out", "x"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: OSError:")
+            assert captured.err.count("\n") == 1
+            assert strict_json(captured.out)["error"] == "OSError"
+            assert [p.name for p in tmp_path.iterdir()] == ["x_traj.csv"]
+        assert len(calls) == files
+
     @pytest.mark.parametrize("argv", [
         ["sim", "--gen", "path:3", "--buses", "a"],
         ["sim", "--gen", "path:3", "--T", "nan"],

@@ -833,9 +833,9 @@ class TestExportTrajectory:
         m = assemble_droop(p3, paper_params)
         traj = simulate(m, [0.3, -0.1, 0.7], T=0.5, rows=10)
         text = export_trajectory(traj, [0, 2])
-        lines = text.strip().split("\n")
-        assert lines[0] == "t,V_0,V_2"
-        parsed = np.array([[float(v) for v in ln.split(",")]
+        lines = text.strip().split(b"\n")
+        assert lines[0] == b"t,V_0,V_2"
+        parsed = np.array([[float(v) for v in ln.split(b",")]
                            for ln in lines[1:]])
         assert np.array_equal(parsed[:, 0], traj.times)
         assert np.array_equal(parsed[:, 1], traj.states[:, 0])
@@ -848,12 +848,13 @@ class TestExportTrajectory:
         for row, t in enumerate(traj.times):
             lines.append(",".join([repr(float(t))] + [
                 repr(float(traj.states[row, col])) for col in (5, 3)]))
-        assert export_trajectory(traj, [2, 0]) == "\n".join(lines) + "\n"
+        assert (export_trajectory(traj, [2, 0])
+                == ("\n".join(lines) + "\n").encode())
 
     def test_empty_subset(self, k2, paper_params):
         m = assemble_droop(k2, paper_params)
         traj = simulate(m, [1.0, 0.0], T=0.5, rows=10)
-        assert export_trajectory(traj, []).split("\n")[0] == "t"
+        assert export_trajectory(traj, []).split(b"\n")[0] == b"t"
 
     def test_grounded_bus_rejected(self, p3, paper_params):
         m = assemble_slack(p3, paper_params, ground=0)
@@ -865,4 +866,4 @@ class TestExportTrajectory:
         m = assemble_dapi(k2, paper_params)
         traj = simulate(m, np.zeros(4), T=0.1, rows=10)
         text = export_trajectory(traj, [0, 1])
-        assert text.split("\n")[0] == "t,V_0,V_1"
+        assert text.split(b"\n")[0] == b"t,V_0,V_1"
