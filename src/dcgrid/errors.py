@@ -33,7 +33,8 @@ class InvalidSize(DCGridError):
     Monte Carlo sample count past it, an initial state whose length is
     not the model's state dimension, or a time horizon that is not one
     positive finite number, holds less than one step, has no finite step
-    count or passes the white-noise step budget, or a step whose product
+    count (so also when A's row-sum bound overflows and its default step
+    is 0) or passes the white-noise step budget, or a step whose product
     with its matrix's norm bound overflows, so that it has no finite
     count of halvings either."""
 
@@ -43,9 +44,11 @@ class InvalidSize(DCGridError):
 class NotHurwitz(DCGridError):
     """System matrix has an eigenvalue with non-negative real part, seen
     by the Lyapunov solve's Schur form or ``slowest_time_constant``. Monte
-    Carlo's Gramian doublings raise it when the powers of its trapezoid
-    step Phi overflow or show no decay within ``simulation.MAX_DOUBLINGS``,
-    so also for a decay rate below about 2^-52 times A's row-sum bound,
+    Carlo's Gramian raises it when A is zero or singular in working
+    precision, when A^-1 overflows, when A has an eigenvalue at one of its
+    trapezoid cycle's shifts, and when the powers of the cycle's Phi
+    overflow or show no decay within ``simulation.MAX_DOUBLINGS``, so also
+    for a decay rate below about 2^-52 times the cycle's smallest shift,
     lost to rounding."""
 
 

@@ -12,8 +12,10 @@ draws random initial conditions x0 = B xi, xi standard normal, so that
 cov(x0) = B B^T: unit normal bus voltages with any integrator at zero,
 since B's columns are the voltage states. Each sample's output energy is
 x0^T G x0, G the infinite-horizon observability Gramian, doubled to
-convergence from the trapezoid (Cayley) step of 1 / rho(A), whose Stein
-fixed point is G itself, with no eigensolve. The steady-state output
+convergence from a cycle of trapezoid (Cayley) steps whose shifts span
+A's spectrum from 1 / ||A^-1|| to its row-sum bound (Penzl's cyclic
+Smith iteration); the cycle's Stein fixed point is G itself, with no
+eigensolve. The steady-state output
 variance route runs independent white-noise chains side by side from
 x = 0, adds the exact discrete noise at a step of half the slowest time
 constant, and averages each chain's output after a warm-up; its noise
@@ -34,6 +36,7 @@ product within 2^-30 of an integer) to ``repr``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,10 +54,18 @@ from .numerics import integer_in, positive_real
 from .shortest import csv_rows
 from .systems import StateSpaceModel
 
-# A decay rate below about 2^-52 rho rounds away in the trapezoid step of
-# 1 / rho; any rate above it has decayed past rounding by 2^58 / rho, 58 of
-# these doublings.
-MAX_DOUBLINGS = 64  # Gramian horizon doublings from 1 / rho, 6 to spare
+# Penzl's cyclic Smith(l): the Gramian's l trapezoid steps spread their
+# shifts over the spectrum before the squaring starts. On DAPI path:100 at
+# the paper's gains (decay rates 0.1 to 4099), best of 30 rounds of 8
+# calls with one BLAS thread on a 2-vCPU x86 machine: l = 2 takes 8
+# doublings and 12.7 ms, l = 1 (the geometric-mean shift) 13 doublings and
+# 14.3 ms, l = 3 6 doublings and 14.1 ms (each step costs an inverse), and
+# a single step at the shift 2 rho 21 doublings and 20.2 ms.
+CYCLE_STEPS = 2  # trapezoid steps in the Gramian's cycle
+# A decay rate below about 2^-52 times the cycle's smallest shift rounds
+# away in its steps; any rate above it has decayed past rounding by 2^58
+# cycles, 58 of these doublings.
+MAX_DOUBLINGS = 64  # Gramian horizon doublings of the cycle, 6 to spare
 # At norm <= 1 the Taylor series of expm past degree 20 sums to about
 # 1/21! = 2e-20, under rounding; 20 is a multiple of the four powers that
 # propagator's Paterson-Stockmeyer scheme keeps.
@@ -81,14 +92,17 @@ NOISE_BLOCK = 1 << 16  # normal draws held at once (512 KiB)
 
 
 def spectral_radius_bound(a: np.ndarray) -> float:
-    """Row-sum (infinity-norm) upper bound on the spectral radius."""
-    return float(np.abs(a).sum(axis=1).max())
+    """Row-sum (infinity-norm) upper bound on the spectral radius; inf,
+    with no warning, when a row's sum overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.abs(a).sum(axis=1).max())
 
 
 def default_dt(model: StateSpaceModel) -> float:
-    """A tenth of 1 / rho(A), rho from the row-sum bound, or inf when A is
-    so small (say, underflowed to zero) that this overflows: a step no
-    horizon holds, so ``simulate`` refuses the model with InvalidSize."""
+    """A tenth of 1 / rho(A), rho from the row-sum bound; inf when A is so
+    small (say, underflowed to zero) that this overflows, and 0 when rho
+    does: steps no horizon holds a finite count of, so ``simulate``
+    refuses the model with InvalidSize."""
     rho = spectral_radius_bound(model.a)
     return 0.1 / rho if rho > 0.0 else math.inf
 
@@ -211,8 +225,10 @@ class McEstimate:
     samples: int
     mode: str
     seed: int
-    T: float  # Gramian's doubled horizon, or white noise's averaged time
-    dt: float  # Gramian's first step 1 / rho, or the white-noise step
+    T: float  # Gramian's cycle span sum(2 / p_i) times 2^doublings, or
+    # white noise's averaged time
+    dt: float  # Gramian's shortest trapezoid step 2 / max(p_i), or the
+    # white-noise step
     converged: bool  # always True: both routes run to their own end
 
 
@@ -230,8 +246,9 @@ def simulate(model: StateSpaceModel, x0, T: float, rows: int) -> Trajectory:
     x <- P x to rounding. InvalidSize when x0 is not one value per state,
     rows is not an integer of at least 1 (``integer_in``), T is not one
     positive finite number (``positive_real``) of at least one step (no T
-    holds the infinite step of a zero A) or T / dt is not a finite count,
-    or the (count + 1) x dim doubles of the states pass
+    holds the infinite step of a zero A) or T / dt is not a finite count
+    (the zero step of an A whose row-sum bound overflows included), or
+    the (count + 1) x dim doubles of the states pass
     ``network.MEMORY_BUDGET_BYTES``, all checked before P is computed.
     Deterministic: identical arguments give identical output.
     """
@@ -243,6 +260,9 @@ def simulate(model: StateSpaceModel, x0, T: float, rows: int) -> Trajectory:
         raise InvalidSize(f"rows must be an integer of at least 1, got "
                           f"{rows!r}")
     dt = default_dt(model)
+    if dt == 0.0:
+        raise InvalidSize(f"{model.kind} system matrix's row-sum bound "
+                          "overflows, so it sets no finite step count")
     if not (positive_real(T) and np.isfinite(T / dt) and T >= dt):
         raise InvalidSize(f"horizon T={T} must hold a finite count of at "
                           f"least one step dt={dt}")
@@ -296,45 +316,75 @@ def sample_initial(model: StateSpaceModel, seed: int, samples: int
     return model.b @ xi.T
 
 
-def _gramian(model: StateSpaceModel) -> tuple[np.ndarray, float, int]:
-    """(G, h0, d): G = int_0^inf e^{A^T s} H^T H e^{A s} ds by the squared
-    Smith iteration (Smith 1968) from the trapezoid step of h0 = 1/rho.
-    With M = 2 rho I - A, that step is Phi = I + 2 M^-1 A, and G is exactly
-    the Stein fixed point G = Phi^T G Phi + G0, G0 = 4 rho Y Y^T with
-    Y = M^-T H^T (M's rows clear their off-diagonal sums by at least rho,
-    so it is never singular). A is first scaled, exactly, by the power of
-    two that takes rho into [1/2, 1), so neither 4 rho nor Y Y^T leaves
-    the doubles' range. d doublings G <- G + Phi^T G Phi, Phi <- Phi^2 run
-    until ||Phi||_1 < 1 (a Hurwitz certificate) and G keeps its bits.
-    NotHurwitz when A is zero, Phi's powers overflow or ``MAX_DOUBLINGS``
-    pass; NonFiniteState when G overflows while Phi contracts."""
-    rho = spectral_radius_bound(model.a)
-    h0 = 1.0 / rho if rho > 0.0 else np.inf
-    if h0 == np.inf:
-        raise NotHurwitz(f"{model.kind} system matrix is zero")
-    mantissa, exponent = math.frexp(rho)  # rho = mantissa 2^exponent
+def _gramian(model: StateSpaceModel) -> tuple[np.ndarray, list[float], int]:
+    """(G, steps, d): G = int_0^inf e^{A^T s} H^T H e^{A s} ds by Penzl's
+    cyclic Smith iteration (SIAM J. Sci. Comput. 21(4), 2000), squared.
+    A is first scaled, exactly, by the power of two that takes its largest
+    |a_ij| into [1/2, 1), so no row sum, inverse or shift leaves the
+    doubles' range. A cycle of ``CYCLE_STEPS`` trapezoid (Cayley) steps
+    follows, with shifts p_i log-spaced over [1 / ||A^-1||_inf, rho]
+    (rho the row-sum bound), each the midpoint of its share of that
+    interval in log scale. Step i is Phi_i = -I + 2 p_i (p_i I - A)^-1,
+    of length 2 / p_i, and it folds into G0 <- Phi_i^T G0 Phi_i
+    + 2 p_i Y_i Y_i^T with Y_i = (p_i I - A)^-T H^T, kept as the factor
+    of G0 = Z Z^T. With Phi the cycle's product, G is exactly the Stein
+    fixed point G = Phi^T G Phi + G0. d doublings G <- G + Phi^T G Phi,
+    Phi <- Phi^2 run until ||Phi||_1 < 1 (a Hurwitz certificate) and G
+    keeps its bits. steps are the cycle's step lengths 2 / p_i in A's
+    time unit. NotHurwitz when A is zero or singular, A^-1 overflows, A
+    has an eigenvalue at a shift, Phi's powers overflow or
+    ``MAX_DOUBLINGS`` pass; NonFiniteState when G overflows while Phi
+    contracts."""
+    kind = model.kind
+    top = float(np.abs(model.a).max())
+    if top == 0.0:
+        raise NotHurwitz(f"{kind} system matrix is zero")
+    exponent = math.frexp(top)[1]  # top = mantissa 2^exponent
     a = np.ldexp(model.a, -exponent)
-    shift = 2.0 * mantissa  # 2 rho, scaled into [1, 2)
-    m = -a
-    m[np.diag_indices_from(m)] += shift
-    y = np.linalg.solve(m.T, model.h.T)
-    phi_t = 2.0 * np.linalg.solve(m, a).T
-    phi_t[np.diag_indices_from(phi_t)] += 1.0
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotHurwitz(f"{kind} system matrix is singular in working "
+                         "precision") from exc
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        gram = np.ldexp(2.0 * shift * (y @ y.T), -exponent)
+        low = 1.0 / np.linalg.norm(a_inv, np.inf)
+        if not low > 0.0:
+            raise NotHurwitz(f"{kind} system matrix's inverse overflows: "
+                             "a decay rate is lost below rounding")
+        high = spectral_radius_bound(a)
+        eye = np.eye(model.dim)
+        factor = np.empty((model.dim, 0))
+        cycle, steps = [], []
+        for i in range(CYCLE_STEPS):
+            frac = (2 * i + 1) / (2 * CYCLE_STEPS)
+            # low^(1 - frac) high^frac, exactly high when low is; low / high
+            # cannot overflow, since high >= 1/2
+            shift = high * (low / high) ** (1.0 - frac)
+            try:
+                res_t = np.linalg.inv(shift * eye - a).T
+            except np.linalg.LinAlgError as exc:
+                raise NotHurwitz(
+                    f"{kind} system matrix has an eigenvalue at the shift "
+                    f"{float(np.ldexp(shift, exponent)):.3g}") from exc
+            step_t = 2.0 * shift * res_t - eye  # Phi_i^T
+            factor = np.concatenate([step_t @ factor, math.sqrt(2.0 * shift)
+                                     * (res_t @ model.h.T)], axis=1)
+            cycle.append(step_t)
+            steps.append(float(np.ldexp(2.0 / shift, -exponent)))
+        phi_t = functools.reduce(np.matmul, cycle)
+        gram = np.ldexp(factor @ factor.T, -exponent)
         for doublings in range(MAX_DOUBLINGS + 1):
             if not np.isfinite(phi_t).all():
-                raise NotHurwitz(f"{model.kind} system: Phi's powers "
-                                 "overflowed")
+                raise NotHurwitz(f"{kind} system: Phi's powers overflowed")
             contracts = np.linalg.norm(phi_t, np.inf) < 1.0  # ||Phi||_1
             if contracts and not np.isfinite(gram).all():
                 raise NonFiniteState("observability Gramian overflowed")
             longer = gram + phi_t @ gram @ phi_t.T
             if contracts and np.array_equal(longer, gram):
-                return gram, h0, doublings
+                return gram, steps, doublings
             gram, phi_t = longer, phi_t @ phi_t
-    raise NotHurwitz(f"{model.kind} system: Phi's powers did not decay "
-                     f"within {MAX_DOUBLINGS} doublings of t = {h0:.3g}")
+    raise NotHurwitz(f"{kind} system: Phi's powers did not decay within "
+                     f"{MAX_DOUBLINGS} doublings of t = {sum(steps):.3g}")
 
 
 def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0
@@ -342,18 +392,23 @@ def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0
     """Estimate the expected output energy integral over random initial
     conditions x0 = B xi (``sample_initial``), each sample's energy exactly
     x0^T G x0 (G from ``_gramian``), so sampling is the only error. dt is
-    G's first step h0 = 1 / rho and T the doubled horizon h0 2^d; always
-    converged. NotHurwitz or NonFiniteState as ``_gramian``; InvalidSize
-    unless ``samples`` is an integer from 2 to the memory budget's bound
-    (``_check_samples``)."""
+    the cycle's shortest trapezoid step and T the cycle's span, the sum of
+    its steps, times 2^d for d doublings; always converged. NotHurwitz or
+    NonFiniteState as ``_gramian``, and NonFiniteState when the energies
+    or their mean and stderr overflow; InvalidSize unless ``samples`` is
+    an integer from 2 to the memory budget's bound (``_check_samples``)."""
     _check_samples(model, samples, 2)
-    gram, h0, doublings = _gramian(model)
+    gram, steps, doublings = _gramian(model)
     x = sample_initial(model, seed, samples)
-    energy = np.sum(x * (gram @ x), axis=0)
-    mean = float(np.mean(energy))
-    stderr = float(np.std(energy, ddof=1) / np.sqrt(samples))
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        energy = np.sum(x * (gram @ x), axis=0)
+        mean = float(np.mean(energy))
+        stderr = float(np.std(energy, ddof=1) / np.sqrt(samples))
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise NonFiniteState("Monte Carlo energies or their mean and stderr "
+                             "overflowed")
     return McEstimate(mean, stderr, int(samples), "initial_condition",
-                      seed, h0 * 2.0**doublings, h0, True)
+                      seed, sum(steps) * 2.0**doublings, min(steps), True)
 
 
 def white_noise_variance(model: StateSpaceModel, T: float, seed: int = 0

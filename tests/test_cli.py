@@ -484,6 +484,9 @@ class TestBoundaries:
         # a box whose edge and spectrum arrays would take 292 TB, refused
         # before they are made
         ["h2", "--gen", "grid2:1000000000000x2"],
+        # A's entries are finite but its row-sum bound overflows, so the
+        # step 0.1 / rho was 0 and T / dt a ZeroDivisionError
+        ["sim", "--gen", "path:3", "--c", "1.5e-308", "--T", "1e-300"],
     ])
     @pytest.mark.filterwarnings("error")
     def test_computation_error(self, argv, capsys, tmp_path):

@@ -76,6 +76,28 @@ class TestStepControl:
         with pytest.raises(errors.NonFiniteState):
             monte_carlo_h2(m, samples=10)
 
+    def test_energy_overflow_is_non_finite(self):
+        # G = 1.3e154^2 / 2 = 8.45e307 is finite, but the samples' energies
+        # overflow: the estimate once read mean inf, stderr nan
+        m = StateSpaceModel(np.array([[-1.0]]), np.eye(1),
+                            np.array([[1.3e154]]), ("V0",), "droop")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.NonFiniteState):
+                monte_carlo_h2(m, samples=10)
+
+    def test_row_sum_bound_overflows(self):
+        # every entry of A is finite but a row's sum is not: no finite step
+        # (once 0.1 / inf = 0 and a ZeroDivisionError), and no warning
+        m = assemble_slack(generate_lattice(1, 3),
+                           ControllerParams(c=1.5e-308), ground=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral_radius_bound(m.a) == np.inf
+            assert default_dt(m) == 0.0
+            with pytest.raises(errors.InvalidSize, match="row-sum bound"):
+                simulate(m, np.ones(m.dim), T=1e-300, rows=10)
+
     def test_non_finite_matrix_rejected(self):
         with pytest.raises(errors.NonFiniteState):
             scalar_model(np.inf)
@@ -526,11 +548,12 @@ class TestMonteCarloH2:
         assert est.converged and est.mean > 0
 
     @pytest.mark.parametrize("case, doublings", [
-        ("droop K2", 6), ("slack P3", 8), ("dapi path:100", 21)])
+        ("droop K2", 3), ("slack P3", 4), ("dapi path:100", 8)])
     def test_gramian_calls_no_van_loan(self, k2, p3, unit_params, case,
                                        doublings, monkeypatch):
-        # the trapezoid step starts the doublings exactly; the benchmark's
-        # models keep the counts the Taylor-series start took
+        # the trapezoid cycle starts the doublings exactly; on the
+        # benchmark's models a single step at the shift 2 rho took 6, 8
+        # and 21 doublings
         def refuse(*args, **kwargs):
             raise AssertionError("van_loan called")
 
@@ -550,6 +573,34 @@ class TestMonteCarloH2:
         gram = simulation._gramian(scalar_model(rate))[0]
         assert np.isclose(gram[0, 0], 0.5 / rate, rtol=1e-12, atol=0.0)
 
+    def test_gramian_scale_ignores_row_sums(self):
+        # at c = 2e-308 A's row sums overflow though the model is Hurwitz;
+        # the largest entry sets the scale, so nothing overflows (the
+        # row-sum scale once gave NotHurwitz "of t = 0")
+        net = generate_lattice(1, 3)
+        params = ControllerParams(c=2e-308)
+        m = assemble_droop(net, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gram = simulation._gramian(m)[0]
+            est = monte_carlo_h2(m, samples=10, seed=1)
+        assert np.isclose(np.trace(m.b.T @ gram @ m.b),
+                          h2_closed_form_droop(net, params), rtol=1e-14,
+                          atol=0.0)
+        assert 0.0 < est.mean < np.inf
+
+    def test_gramian_of_subnormal_matrix(self):
+        # 1 / rho overflowed for a subnormal A, which was taken for zero;
+        # frexp scales it exactly, and G = h^2 / (2 rate) is 5.0e307
+        rates = np.array([1e-320, 1e-320])
+        m = StateSpaceModel(np.diag(-rates), np.eye(2), 1e-6 * np.eye(2),
+                            ("V0", "V1"), "droop")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gram = simulation._gramian(m)[0]
+        assert np.allclose(gram, np.diag(0.5e-12 / rates), rtol=1e-12,
+                           atol=0.0)
+
     def test_tiny_capacitance_keeps_its_energy(self):
         # rho = 4e300: an unscaled start's Y Y^T underflowed to a zero G
         m = assemble_slack(generate_lattice(1, 4), ControllerParams(c=1e-300),
@@ -558,12 +609,15 @@ class TestMonteCarloH2:
         assert 0.0 < est.mean < np.inf
 
     def test_slow_mode_loses_no_more_than_rounding(self):
-        # a decay rate of 1e-10 rho lives in the first step's last bits:
-        # its energy 1 / (2 rate) comes out 9.1e-8 low, from either start
-        m = StateSpaceModel(np.diag([-1.0, -1e-10]), np.eye(2), np.eye(2),
-                            ("V0", "V1"), "droop")
-        gram = simulation._gramian(m)[0]
-        assert abs(gram[1, 1] * 2e-10 - 1.0) <= 1e-7
+        # the cycle's small shift resolves a decay rate r far below rho,
+        # which a single step at 2 rho lost to 9.1e-8, 8.0e-4 and 9.9e-2
+        # of its energy 1 / (2 r); measured now: 6.0e-14, 3.3e-13, 1.1e-13
+        for rate, bound in ((1e-10, 1e-13), (1e-14, 5e-13), (3e-16, 2e-13)):
+            m = StateSpaceModel(np.diag([-1.0, -rate]), np.eye(2), np.eye(2),
+                                ("V0", "V1"), "droop")
+            gram = simulation._gramian(m)[0]
+            assert abs(gram[1, 1] * 2.0 * rate - 1.0) <= bound
+            assert abs(gram[0, 0] * 2.0 - 1.0) <= bound
 
     @staticmethod
     def _transient_model(coupling):
@@ -575,21 +629,74 @@ class TestMonteCarloH2:
 
     def test_transient_gramian_matches_lyapunov(self):
         m = self._transient_model(1e3)
-        gram, h0, doublings = simulation._gramian(m)
+        gram, steps, doublings = simulation._gramian(m)
         p = solve_lyapunov(m.a, m.h.T @ m.h).P
         assert np.allclose(gram, p, rtol=1e-12, atol=0.0)
-        assert h0 == 1.0 / 1001.0 and doublings < simulation.MAX_DOUBLINGS
+        # 1 / ||A^-1|| = 1 / 1001 and rho = 1001 put the shifts at
+        # 1001^(-1/2) and 1001^(1/2), steps of 2 / shift
+        root = np.sqrt(1001.0)
+        assert np.allclose(steps, [2.0 * root, 2.0 / root], rtol=1e-15,
+                           atol=0.0)
+        assert doublings < simulation.MAX_DOUBLINGS
         est = monte_carlo_h2(m, samples=10, seed=1)
         assert est.converged
-        assert est.dt == h0 and est.T == h0 * 2.0**doublings
+        assert est.dt == min(steps) and est.T == sum(steps) * 2.0**doublings
 
-    def test_decay_past_precision_hits_doubling_cap(self):
-        # the rate 1 is below eps rho = 2.2e2, so it rounds away in the
-        # trapezoid step of 1 / rho: no doubling within the cap shows decay
-        m = self._transient_model(1e18)
+    def test_decay_far_below_rho_matches_exact_gramian(self):
+        # the rate 1 is below eps rho = 2.2e2, so a single trapezoid step
+        # at 2 rho lost it and hit the doubling cap; the cycle's small
+        # shift keeps it, to a measured 2.6e-8 of every entry
+        coupling = 1e18
+        gram = simulation._gramian(self._transient_model(coupling))[0]
+        exact = np.array([[0.5, coupling / 4.0],
+                          [coupling / 4.0, coupling**2 / 4.0 + 0.5]])
+        assert np.allclose(gram, exact, rtol=3e-8, atol=0.0)
+
+    def test_marginal_pair_hits_doubling_cap(self):
+        # eigenvalues +-i: both shifts sit at |lambda|, where the cycle's
+        # Phi is an exact rotation, so no doubling within the cap decays
+        m = StateSpaceModel(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2),
+                            np.eye(2), ("V0", "V1"), "droop")
         with pytest.raises(errors.NotHurwitz,
                            match=f"{simulation.MAX_DOUBLINGS} doublings"):
             monte_carlo_h2(m, samples=10, seed=1)
+
+    @pytest.mark.parametrize("a, cause", [
+        (np.diag([-1.0, 0.0]), "singular"),
+        # scaled by its largest entry, the small rate underflows to zero
+        (np.diag([-1e300, -1e-300]), "singular"),
+        (np.diag([-1.0, -1e-320]), "inverse overflows"),
+        # the shifts 1/||A^-1|| and rho are both 1, A's one eigenvalue
+        (np.eye(2), "eigenvalue at the shift 1")],
+        ids=["zero-rate", "underflowed-rate", "subnormal-rate", "at-shift"])
+    def test_gramian_names_its_failure(self, a, cause):
+        m = StateSpaceModel(a, np.eye(2), np.eye(2), ("V0", "V1"), "droop")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.NotHurwitz, match=cause):
+                simulation._gramian(m)
+
+    def test_random_models_match_closed_forms(self):
+        # tr(B^T G B) against the spectral closed forms on 60 random
+        # connected networks at gains U(0.1, 10), all three controllers:
+        # the worst measured is 8.2e-15 (a single step at 2 rho: 2.3e-14)
+        rng = np.random.default_rng(1)
+        worst = 0.0
+        for _ in range(60):
+            net = random_connected_network(rng)
+            params = ControllerParams(*(float(v) for v in
+                                        rng.uniform(0.1, 10.0, size=4)))
+            for m, target in (
+                    (assemble_slack(net, params, 0),
+                     h2_closed_form_slack(net, params, 0)),
+                    (assemble_droop(net, params),
+                     h2_closed_form_droop(net, params)),
+                    (assemble_dapi(net, params),
+                     h2_closed_form_dapi(net, params))):
+                gram = simulation._gramian(m)[0]
+                worst = max(worst, abs(np.trace(m.b.T @ gram @ m.b) - target)
+                            / target)
+        assert worst <= 1e-14
 
 
 class TestWhiteNoise:
