@@ -15,28 +15,23 @@ x0^T G x0, G the infinite-horizon observability Gramian, doubled to
 convergence from a cycle of trapezoid (Cayley) steps whose shifts span
 A's spectrum from 1 / ||A^-1|| to its row-sum bound (Penzl's cyclic
 Smith iteration); the cycle's Stein fixed point is G itself, with no
-eigensolve. The steady-state output
-variance route runs independent white-noise chains side by side from
-x = 0, adds the exact discrete noise at a step of half the slowest time
-constant, and averages each chain's output after a warm-up; its noise
-covariance comes from Van Loan's block exponential (``van_loan``).
-Each estimate draws its randomness from one counter-based Philox stream
-per seed, sample after sample, so sample i depends only on (seed, i);
-a seed is an integer in [0, 2^64).
-The module needs numpy alone: ``propagator`` sums expm's Taylor series
-itself, by the Paterson-Stockmeyer scheme, as ``van_loan`` sums its own.
+eigensolve. The steady-state output variance route runs independent
+white-noise chains side by side from x = 0, adds the exact discrete
+noise at a step of half the slowest time constant, and averages each
+chain's output after a warm-up. Its step covariance is
+Q_d = W - Phi W Phi^T (``noise_step``), W the controllability Gramian,
+the same Gramian routine's on the dual system (A^T, B^T), so a chain's
+stationary covariance is W to rounding whatever error Phi carries. Each
+estimate draws its randomness from one counter-based Philox stream per
+seed, sample after sample, so sample i depends only on (seed, i); a seed
+is an integer in [0, 2^64). The module needs numpy alone: ``propagator``
+sums expm's Taylor series itself, by the Paterson-Stockmeyer scheme.
 ``export_trajectory`` returns CSV bytes, each value the same text as its
-``repr``, but formats a trajectory in 1024-row blocks with numpy:
-``shortest.csv_rows`` finds the shortest round-trip digits with Ryu's
-method, vectorized, from an exact double-double product whose floors are
-certified, and leaves the rare values it cannot certify (subnormals,
-|x| >= 2^50, inf, nan, exact products such as whole numbers, and any
-product within 2^-30 of an integer) to ``repr``.
+``repr``, formatted in 1024-row blocks by ``shortest.csv_rows``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -69,7 +64,7 @@ MAX_DOUBLINGS = 64  # Gramian horizon doublings of the cycle, 6 to spare
 # At norm <= 1 the Taylor series of expm past degree 20 sums to about
 # 1/21! = 2e-20, under rounding; 20 is a multiple of the four powers that
 # propagator's Paterson-Stockmeyer scheme keeps.
-TAYLOR_DEGREE = 20  # degree of propagator's and van_loan's series
+TAYLOR_DEGREE = 20  # degree of propagator's series
 # White noise, in slowest time constants tau. Averaging a mode of time
 # constant tau at samples h apart has (h/tau) coth(h/tau) times the variance
 # of averaging it continuously over the same time: 1.08 at h = tau/2 (the
@@ -166,44 +161,6 @@ def propagator(a: np.ndarray, h: float) -> np.ndarray:
     for _ in range(k):
         phi = phi @ phi
     return phi
-
-
-def van_loan(a: np.ndarray, q: np.ndarray, h: float):
-    """Exact discretization of dx = a x dt + dW with cov(dW) = q dt.
-
-    Returns (Phi, Q_d): Phi = expm(a h) and Q_d, the integral over
-    [0, h] of e^{a s} q e^{a^T s}, the covariance that one step of length
-    h adds. Van Loan's block exponential (IEEE TAC 1978) of
-    M = [[-a, q], [0, a^T]] holds E = expm(a^T h) in its lower right block
-    and F with Q_d = E^T F in its upper right one. Only those two blocks
-    are summed, as the Taylor series of expm(M h0), term j + 1 from term
-    j: F <- (q E - a F) h0 / (j + 1), E <- a^T E h0 / (j + 1). At
-    h0 = h / 2^k, with ||a h0|| <= 1 in the 1- and infinity-norms, the
-    ``TAYLOR_DEGREE`` terms take the truncation below rounding, and no
-    2 dim x 2 dim block is formed (the upper left block expm(-a h0) is
-    never needed, and it overflows for stiff a at large h). The step is
-    then doubled k times: Q_d(2h) = Q_d(h) + Phi(h) Q_d(h) Phi(h)^T.
-    """
-    k = _halvings(max(spectral_radius_bound(a), spectral_radius_bound(a.T)),
-                  h)
-    h0 = math.ldexp(h, -k)
-    e_term = np.eye(a.shape[0])
-    f_term = np.zeros_like(a)
-    e_sum = e_term.copy()
-    f_sum = f_term.copy()
-    for j in range(1, TAYLOR_DEGREE + 1):
-        f_term = q @ e_term - a @ f_term
-        f_term *= h0 / j
-        e_term = a.T @ e_term
-        e_term *= h0 / j
-        e_sum += e_term
-        f_sum += f_term
-    phi = e_sum.T
-    q_d = phi @ f_sum
-    for _ in range(k):
-        q_d += phi @ q_d @ phi.T
-        phi = phi @ phi
-    return phi, 0.5 * (q_d + q_d.T)
 
 
 @dataclass(frozen=True)
@@ -316,10 +273,13 @@ def sample_initial(model: StateSpaceModel, seed: int, samples: int
     return model.b @ xi.T
 
 
-def _gramian(model: StateSpaceModel) -> tuple[np.ndarray, list[float], int]:
-    """(G, steps, d): G = int_0^inf e^{A^T s} H^T H e^{A s} ds by Penzl's
-    cyclic Smith iteration (SIAM J. Sci. Comput. 21(4), 2000), squared.
-    A is first scaled, exactly, by the power of two that takes its largest
+def _gramian(a: np.ndarray, output: np.ndarray, kind: str
+             ) -> tuple[np.ndarray, list[float], int]:
+    """(G, steps, d): G = int_0^inf e^{A^T s} H^T H e^{A s} ds, the
+    observability Gramian of (A, H = ``output``) (of the dual (A^T, B^T),
+    the controllability one), by Penzl's cyclic Smith iteration (SIAM J.
+    Sci. Comput. 21(4), 2000), squared; ``kind`` names A in the errors. A
+    is first scaled, exactly, by the power of two that takes its largest
     |a_ij| into [1/2, 1), so no row sum, inverse or shift leaves the
     doubles' range. A cycle of ``CYCLE_STEPS`` trapezoid (Cayley) steps
     follows, with shifts p_i log-spaced over [1 / ||A^-1||_inf, rho]
@@ -335,26 +295,24 @@ def _gramian(model: StateSpaceModel) -> tuple[np.ndarray, list[float], int]:
     has an eigenvalue at a shift, Phi's powers overflow or
     ``MAX_DOUBLINGS`` pass; NonFiniteState when G overflows while Phi
     contracts."""
-    kind = model.kind
-    top = float(np.abs(model.a).max())
+    top = float(np.abs(a).max())
     if top == 0.0:
         raise NotHurwitz(f"{kind} system matrix is zero")
     exponent = math.frexp(top)[1]  # top = mantissa 2^exponent
-    a = np.ldexp(model.a, -exponent)
-    try:
-        a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotHurwitz(f"{kind} system matrix is singular in working "
-                         "precision") from exc
+    a = np.ldexp(a, -exponent)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        low = 1.0 / np.linalg.norm(a_inv, np.inf)
+        try:
+            low = 1.0 / np.linalg.norm(np.linalg.inv(a), np.inf)
+        except np.linalg.LinAlgError as exc:
+            raise NotHurwitz(f"{kind} system matrix is singular in working "
+                             "precision") from exc
         if not low > 0.0:
             raise NotHurwitz(f"{kind} system matrix's inverse overflows: "
                              "a decay rate is lost below rounding")
         high = spectral_radius_bound(a)
-        eye = np.eye(model.dim)
-        factor = np.empty((model.dim, 0))
-        cycle, steps = [], []
+        eye = np.eye(a.shape[0])
+        factor = np.empty((a.shape[0], 0))
+        phi_t, steps = eye, []  # the cycle's Phi^T = Phi_1^T Phi_2^T ...
         for i in range(CYCLE_STEPS):
             frac = (2 * i + 1) / (2 * CYCLE_STEPS)
             # low^(1 - frac) high^frac, exactly high when low is; low / high
@@ -368,23 +326,51 @@ def _gramian(model: StateSpaceModel) -> tuple[np.ndarray, list[float], int]:
                     f"{float(np.ldexp(shift, exponent)):.3g}") from exc
             step_t = 2.0 * shift * res_t - eye  # Phi_i^T
             factor = np.concatenate([step_t @ factor, math.sqrt(2.0 * shift)
-                                     * (res_t @ model.h.T)], axis=1)
-            cycle.append(step_t)
+                                     * (res_t @ output.T)], axis=1)
+            phi_t = phi_t @ step_t
             steps.append(float(np.ldexp(2.0 / shift, -exponent)))
-        phi_t = functools.reduce(np.matmul, cycle)
         gram = np.ldexp(factor @ factor.T, -exponent)
         for doublings in range(MAX_DOUBLINGS + 1):
             if not np.isfinite(phi_t).all():
                 raise NotHurwitz(f"{kind} system: Phi's powers overflowed")
             contracts = np.linalg.norm(phi_t, np.inf) < 1.0  # ||Phi||_1
             if contracts and not np.isfinite(gram).all():
-                raise NonFiniteState("observability Gramian overflowed")
+                raise NonFiniteState(f"{kind} system's Gramian overflowed")
             longer = gram + phi_t @ gram @ phi_t.T
             if contracts and np.array_equal(longer, gram):
                 return gram, steps, doublings
             gram, phi_t = longer, phi_t @ phi_t
     raise NotHurwitz(f"{kind} system: Phi's powers did not decay within "
                      f"{MAX_DOUBLINGS} doublings of t = {sum(steps):.3g}")
+
+
+def noise_step(model: StateSpaceModel, h: float
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi, Q_d) of one exact step h of dx = Ax dt + B dW: Phi = expm(A h)
+    (``propagator``, first, so a step with no finite count of halvings is
+    InvalidSize) and the covariance the step adds, Q_d = W - Phi W Phi^T,
+    W the controllability Gramian: ``_gramian`` of the dual (A^T, B^T),
+    whose errors it raises."""
+    phi = propagator(model.a, h)
+    gram = _gramian(model.a.T, model.b.T, model.kind)[0]
+    q_d = gram - phi @ gram @ phi.T
+    return phi, 0.5 * (q_d + q_d.T)
+
+
+def _mean_stderr(values: np.ndarray, what: str) -> tuple[float, float]:
+    """Mean and standard error of ``values``, computed on them scaled by
+    the power of two that takes their largest |value| into [1/2, 1), so
+    no squared deviation underflows, and scaled back (exact in the normal
+    range). NonFiniteState, naming ``what``, unless both are finite."""
+    exponent = math.frexp(float(np.abs(values).max()))[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        scaled = np.ldexp(values, -exponent)
+        mean = float(np.ldexp(scaled.mean(), exponent))
+        stderr = float(np.ldexp(np.std(scaled, ddof=1)
+                                / np.sqrt(values.size), exponent))
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise NonFiniteState(f"{what} or their mean and stderr overflowed")
+    return mean, stderr
 
 
 def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0
@@ -398,15 +384,11 @@ def monte_carlo_h2(model: StateSpaceModel, samples: int, seed: int = 0
     or their mean and stderr overflow; InvalidSize unless ``samples`` is
     an integer from 2 to the memory budget's bound (``_check_samples``)."""
     _check_samples(model, samples, 2)
-    gram, steps, doublings = _gramian(model)
+    gram, steps, doublings = _gramian(model.a, model.h, model.kind)
     x = sample_initial(model, seed, samples)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
         energy = np.sum(x * (gram @ x), axis=0)
-        mean = float(np.mean(energy))
-        stderr = float(np.std(energy, ddof=1) / np.sqrt(samples))
-    if not (math.isfinite(mean) and math.isfinite(stderr)):
-        raise NonFiniteState("Monte Carlo energies or their mean and stderr "
-                             "overflowed")
+    mean, stderr = _mean_stderr(energy, "Monte Carlo energies")
     return McEstimate(mean, stderr, int(samples), "initial_condition",
                       seed, sum(steps) * 2.0**doublings, min(steps), True)
 
@@ -417,7 +399,7 @@ def white_noise_variance(model: StateSpaceModel, T: float, seed: int = 0
 
     Runs ``WHITE_NOISE_CHAINS`` independent chains of dx = Ax dt + B dW,
     each from x = 0, stepped exactly as x <- Phi x + w with Phi and
-    cov(w) = Q_d from ``van_loan`` at the step h = ``WHITE_NOISE_STEP``
+    cov(w) = Q_d from ``noise_step`` at the step h = ``WHITE_NOISE_STEP``
     slowest time constants. The chains' states form one dim x chains
     block, advanced by one matrix product per step. Each chain discards
     a warm-up of ``WARMUP_CONSTANTS`` slowest time constants and then
@@ -433,7 +415,8 @@ def white_noise_variance(model: StateSpaceModel, T: float, seed: int = 0
     T must be one positive finite number (``positive_real``) and hold at
     least one step per chain, and at most ``WHITE_NOISE_MAX_STEPS``
     (else InvalidSize, before any stepping, as is a step h whose product
-    with A's norm bound overflows); Q_d must have a Cholesky factor (else
+    with A's norm bound overflows); NotHurwitz or NonFiniteState as
+    ``_gramian`` for W; Q_d must have a Cholesky factor (else
     SingularSystem); NonFiniteState when Q_d, the chains, or the mean and
     stderr overflow.
     """
@@ -457,10 +440,9 @@ def white_noise_variance(model: StateSpaceModel, T: float, seed: int = 0
     block = max(1, NOISE_BLOCK // (model.dim * chains))
     # overflow shows as a non-finite Q_d or energy, raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        phi, q_d = van_loan(model.a, model.b @ model.b.T, h)
+        phi, q_d = noise_step(model, h)
         if not np.isfinite(q_d).all():
-            raise NonFiniteState("white-noise step covariance Q_d "
-                                 "overflowed")
+            raise NonFiniteState("white-noise step covariance overflowed")
         try:
             factor = np.linalg.cholesky(q_d)  # Q_d = F F^T, F lower
         except np.linalg.LinAlgError as exc:
@@ -478,13 +460,7 @@ def white_noise_variance(model: StateSpaceModel, T: float, seed: int = 0
                 if k >= warmup:
                     y = model.h @ x
                     energy += np.sum(y * y, axis=0)
-    chain_means = energy / kept
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        mean = float(chain_means.mean())
-        stderr = float(np.std(chain_means, ddof=1) / np.sqrt(chains))
-    if not (math.isfinite(mean) and math.isfinite(stderr)):
-        raise NonFiniteState("white-noise trajectory or its mean and "
-                             "stderr overflowed")
+    mean, stderr = _mean_stderr(energy / kept, "white-noise chain means")
     return McEstimate(mean, stderr, chains, "white_noise", seed,
                       kept * chains * h, h, True)
 

@@ -16,8 +16,8 @@ from dcgrid.simulation import (
     simulate,
     slowest_time_constant,
     spectral_radius_bound,
+    noise_step,
     stream,
-    van_loan,
     white_noise_variance,
 )
 from dcgrid.systems import (
@@ -39,6 +39,11 @@ PAPER = ControllerParams(c=1e-3, k_p=0.1, k=100.0, gamma=1000.0)
 def scalar_model(rate=1.0):
     return StateSpaceModel(np.array([[-rate]]), np.eye(1), np.eye(1),
                            ("V0",), "droop")
+
+
+def gramian(model):
+    """The observability Gramian's (G, steps, doublings) of a model."""
+    return simulation._gramian(model.a, model.h, model.kind)
 
 
 class TestStepControl:
@@ -141,15 +146,18 @@ class TestStepControl:
         minus_one = np.array([[-1.0]])
         assert np.array_equal(simulation.propagator(minus_one, 1.5e308),
                               [[0.0]])
-        phi, q_d = van_loan(minus_one, np.eye(1), 1.5e308)
+        phi, q_d = noise_step(scalar_model(), 1.5e308)
         assert np.array_equal(phi, [[0.0]]) and np.isclose(q_d[0, 0], 0.5)
-        # white noise at rho tau / 2 = 1.25e308: the chain means near 3e299
-        # are finite, but their stderr's squares overflow
+        # white noise at rho tau / 2 = 1.25e308: the propagator takes its
+        # 1024 halvings, but scaled by its largest entry the slow rate is
+        # subnormal and the Gramian refuses it (once its chain means near
+        # 3e299 were finite, and their stderr's squares overflowed)
         m = StateSpaceModel(np.diag([-1e10, -4e-299]), np.eye(2), np.eye(2),
                             ("V0", "V1"), "droop")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(errors.NonFiniteState):
+            with pytest.raises(errors.NotHurwitz,
+                               match="decay rate is lost below rounding"):
                 white_noise_variance(m, T=1e300)
 
     @pytest.mark.parametrize("rows", [0, -1])
@@ -534,8 +542,13 @@ class TestMonteCarloH2:
                 net, PAPER)
             target = (h2_closed_form_droop if kind == "droop"
                       else h2_closed_form_dapi)(net, PAPER)
-        gram = simulation._gramian(m)[0]
+        gram = gramian(m)[0]
         assert np.isclose(np.trace(m.b.T @ gram @ m.b), target, rtol=1e-12,
+                          atol=0.0)
+        # the dual (A^T, B^T) gives the controllability Gramian W, and
+        # tr(H W H^T) is the same norm
+        dual = simulation._gramian(m.a.T, m.b.T, m.kind)[0]
+        assert np.isclose(np.trace(m.h @ dual @ m.h.T), target, rtol=1e-12,
                           atol=0.0)
 
     def test_calls_no_eigensolver(self, p3, paper_params, monkeypatch):
@@ -549,28 +562,28 @@ class TestMonteCarloH2:
 
     @pytest.mark.parametrize("case, doublings", [
         ("droop K2", 3), ("slack P3", 4), ("dapi path:100", 8)])
-    def test_gramian_calls_no_van_loan(self, k2, p3, unit_params, case,
-                                       doublings, monkeypatch):
-        # the trapezoid cycle starts the doublings exactly; on the
-        # benchmark's models a single step at the shift 2 rho took 6, 8
-        # and 21 doublings
+    def test_gramian_doublings_from_no_series(self, k2, p3, unit_params,
+                                              case, doublings, monkeypatch):
+        # the trapezoid cycle starts the doublings exactly, with no Taylor
+        # series; on the benchmark's models a single step at the shift
+        # 2 rho took 6, 8 and 21 doublings
         def refuse(*args, **kwargs):
-            raise AssertionError("van_loan called")
+            raise AssertionError("propagator called")
 
-        monkeypatch.setattr(simulation, "van_loan", refuse)
+        monkeypatch.setattr(simulation, "propagator", refuse)
         if case == "droop K2":
             m = assemble_droop(k2, unit_params)
         elif case == "slack P3":
             m = assemble_slack(p3, unit_params, ground=0)
         else:
             m = assemble_dapi(generate_lattice(1, 100), PAPER)
-        assert simulation._gramian(m)[2] == doublings
+        assert gramian(m)[2] == doublings
 
     @pytest.mark.parametrize("rate", [1e300, 5e307, 1.7e308])
     def test_gramian_of_extreme_rate(self, rate):
         # unscaled, the trapezoid start's 4 rho overflows or its
         # Y Y^T = 1 / (3 rho)^2 underflows; 1 / (2 rate) would overflow too
-        gram = simulation._gramian(scalar_model(rate))[0]
+        gram = gramian(scalar_model(rate))[0]
         assert np.isclose(gram[0, 0], 0.5 / rate, rtol=1e-12, atol=0.0)
 
     def test_gramian_scale_ignores_row_sums(self):
@@ -582,7 +595,7 @@ class TestMonteCarloH2:
         m = assemble_droop(net, params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gram = simulation._gramian(m)[0]
+            gram = gramian(m)[0]
             est = monte_carlo_h2(m, samples=10, seed=1)
         assert np.isclose(np.trace(m.b.T @ gram @ m.b),
                           h2_closed_form_droop(net, params), rtol=1e-14,
@@ -597,9 +610,28 @@ class TestMonteCarloH2:
                             ("V0", "V1"), "droop")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gram = simulation._gramian(m)[0]
+            gram = gramian(m)[0]
         assert np.allclose(gram, np.diag(0.5e-12 / rates), rtol=1e-12,
                            atol=0.0)
+
+    def test_stderr_of_energies_near_underflow(self):
+        # at c = 2e-308 the energies lie near the bottom of the doubles:
+        # their squared deviations underflowed to a stderr of 0.0, beside a
+        # mean of 4.07e-308 against the closed form 3.74e-308
+        net = generate_lattice(1, 3)
+        params = ControllerParams(c=2e-308)
+        est = monte_carlo_h2(assemble_droop(net, params), samples=10)
+        assert est.stderr > 0.0
+        assert (abs(est.mean - h2_closed_form_droop(net, params))
+                <= 5 * est.stderr)
+
+    def test_mean_stderr_unchanged_in_normal_range(self):
+        # scaling by a power of two is exact, so the plain formulas agree
+        # to the bit
+        values = 3.0 * stream(2).random(50)
+        assert simulation._mean_stderr(values, "values") == (
+            float(np.mean(values)),
+            float(np.std(values, ddof=1) / np.sqrt(values.size)))
 
     def test_tiny_capacitance_keeps_its_energy(self):
         # rho = 4e300: an unscaled start's Y Y^T underflowed to a zero G
@@ -615,7 +647,7 @@ class TestMonteCarloH2:
         for rate, bound in ((1e-10, 1e-13), (1e-14, 5e-13), (3e-16, 2e-13)):
             m = StateSpaceModel(np.diag([-1.0, -rate]), np.eye(2), np.eye(2),
                                 ("V0", "V1"), "droop")
-            gram = simulation._gramian(m)[0]
+            gram = gramian(m)[0]
             assert abs(gram[1, 1] * 2.0 * rate - 1.0) <= bound
             assert abs(gram[0, 0] * 2.0 - 1.0) <= bound
 
@@ -629,7 +661,7 @@ class TestMonteCarloH2:
 
     def test_transient_gramian_matches_lyapunov(self):
         m = self._transient_model(1e3)
-        gram, steps, doublings = simulation._gramian(m)
+        gram, steps, doublings = gramian(m)
         p = solve_lyapunov(m.a, m.h.T @ m.h).P
         assert np.allclose(gram, p, rtol=1e-12, atol=0.0)
         # 1 / ||A^-1|| = 1 / 1001 and rho = 1001 put the shifts at
@@ -647,7 +679,7 @@ class TestMonteCarloH2:
         # at 2 rho lost it and hit the doubling cap; the cycle's small
         # shift keeps it, to a measured 2.6e-8 of every entry
         coupling = 1e18
-        gram = simulation._gramian(self._transient_model(coupling))[0]
+        gram = gramian(self._transient_model(coupling))[0]
         exact = np.array([[0.5, coupling / 4.0],
                           [coupling / 4.0, coupling**2 / 4.0 + 0.5]])
         assert np.allclose(gram, exact, rtol=3e-8, atol=0.0)
@@ -674,7 +706,7 @@ class TestMonteCarloH2:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(errors.NotHurwitz, match=cause):
-                simulation._gramian(m)
+                gramian(m)
 
     def test_random_models_match_closed_forms(self):
         # tr(B^T G B) against the spectral closed forms on 60 random
@@ -693,7 +725,7 @@ class TestMonteCarloH2:
                      h2_closed_form_droop(net, params)),
                     (assemble_dapi(net, params),
                      h2_closed_form_dapi(net, params))):
-                gram = simulation._gramian(m)[0]
+                gram = gramian(m)[0]
                 worst = max(worst, abs(np.trace(m.b.T @ gram @ m.b) - target)
                             / target)
         assert worst <= 1e-14
@@ -726,16 +758,16 @@ class TestWhiteNoise:
     @pytest.mark.parametrize("budgets", [1.01, 1e290])
     def test_horizon_past_step_budget(self, budgets, monkeypatch):
         # tau = 1, so T holds `budgets` times the budgeted steps per chain
-        # (1e290 makes T = 1.2e298); it is refused before the step matrices
-        # are even made
+        # (1e290 makes T = 1.2e298); it is refused before the noise step is
+        # even made
         T = budgets * (simulation.WHITE_NOISE_MAX_STEPS
                        * simulation.WHITE_NOISE_CHAINS
                        * simulation.WHITE_NOISE_STEP)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("van_loan ran past the step budget")
+            raise AssertionError("noise step made past the step budget")
 
-        monkeypatch.setattr(simulation, "van_loan", refuse)
+        monkeypatch.setattr(simulation, "noise_step", refuse)
         with pytest.raises(errors.InvalidSize, match="budget"):
             white_noise_variance(scalar_model(), T=T)
 
@@ -765,7 +797,7 @@ class TestWhiteNoise:
         kept = round(est.T / (chains * est.dt))
         warmup = round(simulation.WARMUP_CONSTANTS
                        / simulation.WHITE_NOISE_STEP)
-        phi, q_d = van_loan(m.a, m.b @ m.b.T, est.dt)
+        phi, q_d = noise_step(m, est.dt)
         factor = np.linalg.cholesky(q_d)
         draws = stream(4).standard_normal((warmup + kept, m.dim, chains))
         means = []
@@ -800,8 +832,9 @@ class TestWhiteNoise:
             assert max(map(abs, z)) <= 5.0
 
     def test_paper_gain_dapi_path100(self):
-        # 28 steps of tau / 2 at dim 200: the peak is the Van Loan terms
-        # plus at most three noise blocks of NOISE_BLOCK doubles (2.9 MB)
+        # 28 steps of tau / 2 at dim 200: the peak is the noise step's, Phi
+        # and the Gramian's nine dim x dim arrays (3.2 MB measured), above
+        # the three noise blocks of NOISE_BLOCK doubles alive at once
         net = generate_lattice(1, 100)
         m = assemble_dapi(net, PAPER)
         tau = slowest_time_constant(m)
@@ -831,16 +864,33 @@ class TestWhiteNoise:
         m = assemble_dapi(generate_lattice(1, 100), PAPER)
         tau = slowest_time_constant(m)
         base = white_noise_variance(m, T=200 * tau, seed=3)
-        exact = simulation.van_loan
+        exact = simulation.noise_step
         signs = np.where(stream(0).random((m.dim, m.dim)) < 0.5, -1.0, 1.0)
         signs = np.triu(signs) + np.triu(signs, 1).T
 
-        def perturbed(a, q, h):
-            phi, q_d = exact(a, q, h)
+        def perturbed(model, h):
+            phi, q_d = exact(model, h)
             return phi, q_d * (1.0 + 2e-16 * signs)
-        monkeypatch.setattr(simulation, "van_loan", perturbed)
+        monkeypatch.setattr(simulation, "noise_step", perturbed)
         moved = white_noise_variance(m, T=200 * tau, seed=3)
         assert abs(moved.mean / base.mean - 1.0) < 1e-11
+
+    def test_slow_mode_lost_by_propagator(self):
+        # at rate 1e-16 the propagator loses the slow decay (on the
+        # diagonal model Phi's slow entry is exactly 1, and the singular
+        # W - Phi W Phi^T is refused); the block exponential's Q_d gave
+        # 0.147 times the variance on this rotation (z = -95) and 26.5
+        # times it on the diagonal model (z = +4.6); measured now: z = -2.1
+        rot = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))[0]
+        m = StateSpaceModel(rot @ np.diag([-1.0, -1e-16]) @ rot.T, np.eye(2),
+                            np.eye(2), ("V0", "V1"), "droop")
+        exact = 0.5 + 0.5e16
+        try:
+            est = white_noise_variance(
+                m, T=200 * slowest_time_constant(m), seed=1)
+        except errors.DCGridError:
+            return
+        assert abs(est.mean - exact) <= 5 * est.stderr
 
     def test_singular_noise_covariance(self):
         # the noise never reaches the second state: Q_d has no Cholesky
@@ -859,7 +909,16 @@ class TestWhiteNoise:
             white_noise_variance(m, T=100.0)
 
 
+def noise_model(a, b):
+    """A model of dx = a x dt + b dW, for ``noise_step``."""
+    labels = tuple(f"V{i}" for i in range(a.shape[0]))
+    return StateSpaceModel(a, b, np.eye(a.shape[0]), labels, "droop")
+
+
 class TestVanLoan:
+    """noise_step against the Lyapunov difference and Van Loan's block
+    exponential."""
+
     @pytest.mark.parametrize("case", ["droop_k2", "dapi_path10"])
     @pytest.mark.parametrize("steps", [1, 1000])
     def test_matches_lyapunov_difference(self, k2, unit_params, case, steps):
@@ -873,11 +932,23 @@ class TestVanLoan:
         bbt = m.b @ m.b.T
         p = solve_lyapunov(m.a.T, bbt).P
         h = steps * default_dt(m)
-        phi, q_d = van_loan(m.a, bbt, h)
+        phi, q_d = noise_step(m, h)
         assert np.allclose(phi, expm(m.a * h), rtol=1e-10, atol=1e-14)
         expected = p - phi @ p @ phi.T
         assert (np.linalg.norm(q_d - expected)
                 <= 1e-10 * np.linalg.norm(expected))
+
+    @pytest.mark.parametrize("rate", [1e-8, 1e-12, 1e-15])
+    def test_chain_keeps_the_gramian(self, rate):
+        # the stationary covariance P = Phi P Phi^T + Q_d of the chain is
+        # W = diag(1/2, 1 / (2 rate)), whatever error the slow entry of
+        # Phi carries (3.7e-9 here); the block exponential's Q_d put P's
+        # slow entry 7.4e-9 off
+        m = noise_model(np.diag([-1.0, -rate]), np.eye(2))
+        phi, q_d = noise_step(m, 0.5 / rate)
+        p = np.linalg.solve(np.eye(4) - np.kron(phi, phi), q_d.ravel())
+        assert np.allclose(p, [0.5, 0.0, 0.0, 0.5 / rate], rtol=1e-12,
+                           atol=0.0)
 
     @staticmethod
     def _block_reference(a, q, h):
@@ -904,7 +975,7 @@ class TestVanLoan:
         m, h = self._dapi_path100()
         a = m.a.T if transpose else m.a
         q = m.h.T @ m.h
-        phi, q_d = van_loan(a, q, h)
+        phi, q_d = noise_step(noise_model(a, m.h.T), h)
         ref_phi, ref_q_d = self._block_reference(a, q, h)
         assert m.dim == 200
         assert (np.linalg.norm(phi - ref_phi)
@@ -913,12 +984,13 @@ class TestVanLoan:
                 <= 1e-10 * np.linalg.norm(ref_q_d))
 
     def test_dim_200_memory(self):
-        # the 400 x 400 block and expm's work arrays took 9.8 MB
+        # the 400 x 400 block and expm's work arrays took 9.8 MB; Phi
+        # beside the dual Gramian's work arrays measure 3.2 MB
         m, h = self._dapi_path100()
-        q = m.h.T @ m.h
+        model = noise_model(m.a.T, m.h.T)
         tracemalloc.start()
         try:
-            van_loan(m.a.T, q, h)
+            noise_step(model, h)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -85,8 +85,9 @@ def test_no_module_level_scipy_import():
 
 
 def test_simulation_imports_no_scipy():
-    # the propagator and van_loan sum their Taylor series in numpy, so
-    # trajectories and both stochastic routes never load scipy.linalg
+    # the propagator sums its Taylor series in numpy and the Gramian needs
+    # only inverses, so trajectories and both stochastic routes never load
+    # scipy.linalg
     path = Path(dcgrid.__file__).parent / "simulation.py"
     assert _scipy_imports(path, ast.walk(ast.parse(path.read_text()))) == []
 
@@ -176,13 +177,15 @@ def test_connectivity_search_only_in_build_network():
 
 def test_trajectory_grid_only_in_simulate():
     # simulate lays out the trajectory grid; a second caller of its step
-    # or propagator would be a second owner of that grid
+    # or propagator would be a second owner of that grid. noise_step's
+    # propagator is one white-noise step, not a trajectory grid
     found = {(path.stem, scope, name)
              for path in SOURCES
              for scope, name in _calls_by_function(ast.parse(path.read_text()))
              if name in ("default_dt", "propagator")}
     assert found == {("simulation", "simulate", "default_dt"),
-                     ("simulation", "simulate", "propagator")}
+                     ("simulation", "simulate", "propagator"),
+                     ("simulation", "noise_step", "propagator")}
 
 
 def test_only_run_writes_cli_files():
