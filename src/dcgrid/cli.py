@@ -8,11 +8,19 @@ returns its files' bytes; ``run`` checks every output name, then writes
 them once all are computed, and removes the files it created if a write
 fails.
 Parameter defaults follow the radial-network simulation study: R = 1 ohm,
-C = 1 mF, k_P = 0.1, k = 100, gamma = 1000. ``sim`` and ``fig2`` check
---T and --rows as input only and pass them to ``simulation.simulate``,
-which lays out the trajectory grid (``DEFAULT_ROWS`` rows for ``sim``).
+C = 1 mF, k_P = 0.1, k = 100, gamma = 1000. Every option is declared once,
+in ``_OPTIONS``, whose argparse ``type`` converts its value and checks it
+as it is parsed, with the library's own predicates (``positive_real``,
+``integer_in``, ``resistance.sweep_sizes``); a resistance, ground, node
+pair or bus that parses but that the library refuses is a computation
+error. Each subcommand only computes: ``sim`` and ``fig2`` pass --T and
+--rows to ``simulation.simulate``, which lays out the trajectory grid
+(``DEFAULT_ROWS`` rows for ``sim``).
 
-Exit codes: 0 success, 1 computation or write error, 2 usage error.
+Exit codes: 0 success, 1 computation or write error, 2 usage error. A
+usage error (a refused or unknown option, a bad generator spec, an
+output name that cannot be written) is one ``usage error:`` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -26,12 +34,10 @@ import sys
 import numpy as np
 
 from . import __version__, network, resistance, simulation, systems
-from .errors import DCGridError, InvalidParams, InvalidSize
+from .errors import DCGridError, InvalidSize
 from .network import Network
 from .numerics import integer_in, positive_real
 
-PAPER_DEFAULTS = {"c": 1e-3, "kp": 0.1, "k": 100.0, "gamma": 1000.0,
-                  "resistance": 1.0}
 # recorded rows per trajectory: sim's and fig2's default, and fig2's cap
 # (every row is kept in memory, and more add no visible detail to a plot)
 DEFAULT_ROWS = 1500
@@ -40,6 +46,14 @@ MAX_ROWS = 100_000
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose own failures (a missing, unknown or
+    refused option) raise UsageError, reported as every usage error is."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def parse_generator_spec(spec: str, resistance: float) -> Network:
@@ -73,90 +87,78 @@ def parse_generator_spec(spec: str, resistance: float) -> Network:
 
 
 def _params(args, c=None) -> systems.ControllerParams:
-    try:
-        return systems.ControllerParams(c=args.c if c is None else c,
-                                        k_p=args.kp, k=args.k,
-                                        gamma=args.gamma)
-    except InvalidParams as exc:
-        raise UsageError(str(exc)) from exc
+    return systems.ControllerParams(c=args.c if c is None else c,
+                                    k_p=args.kp, k=args.k, gamma=args.gamma)
 
 
-# shared options; each subcommand takes only those it reads
+def _checked(rule: str, convert, ok=lambda value: True):
+    """An option's argparse ``type``: the value ``convert`` reads from the
+    text, refused, as "must be ``rule``", unless it converts and ``ok``
+    holds for it."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except (ValueError, InvalidSize):
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return parse
+
+
+def _ints(text: str) -> list[int]:
+    """Comma-separated integers; an empty text is none, as if the option
+    were not given."""
+    return [int(s) for s in text.split(",")] if text else []
+
+
+_POSITIVE = _checked("a positive finite number", float, positive_real)
+
+# every option, once, with the type that converts and checks its value;
+# each subcommand takes only those it reads (``_COMMANDS``)
 _OPTIONS = {
     "gen": {"required": True,
             "help": "network spec (path:N, grid2:MxM, grid3:MxMxM, "
                     "fuzz:h:<base>, file:<path>)"},
-    "resistance": {"type": float, "default": PAPER_DEFAULTS["resistance"]},
-    "c": {"type": float, "default": PAPER_DEFAULTS["c"]},
-    "kp": {"type": float, "default": PAPER_DEFAULTS["kp"]},
-    "k": {"type": float, "default": PAPER_DEFAULTS["k"]},
-    "gamma": {"type": float, "default": PAPER_DEFAULTS["gamma"]},
+    "resistance": {"type": float, "default": 1.0},
+    "c": {"type": _POSITIVE, "default": 1e-3},
+    "kp": {"type": _POSITIVE, "default": 0.1},
+    "k": {"type": _POSITIVE, "default": 100.0},
+    "gamma": {"type": _POSITIVE, "default": 1000.0},
     "ground": {"type": int, "default": 0},
-    "seed": {"type": int, "default": 0},
-    "out": {"default": "dcgrid_run", "help": "output file prefix"},
+    "seed": {"type": _checked("an integer in [0, 2**64)", int,
+                              lambda seed: integer_in(seed, 0, 2**64 - 1)),
+             "default": 0},
+    "out": {"type": _checked("a prefix in an existing directory", str,
+                             lambda out: os.path.isdir(
+                                 os.path.dirname(out) or ".")),
+            "default": "dcgrid_run", "help": "output file prefix"},
+    "format": {"choices": ("json", "edges"), "default": "json"},
+    "family": {"choices": resistance.FAMILIES, "required": True},
+    "sizes": {"type": _checked(
+                  "two or more strictly ascending integers of at least 2",
+                  lambda text: resistance.sweep_sizes(_ints(text))),
+              "required": True, "help": "comma-separated ascending sizes"},
+    "pair": {"type": _checked("two node indices i,j", _ints,
+                              lambda pair: len(pair) in (0, 2)),
+             "help": "i,j node pair for a single resistance"},
+    "kind": {"choices": ("slack", "droop", "dapi"), "default": "slack"},
+    "T": {"type": _POSITIVE, "default": 30.0,
+          "help": "horizon in seconds (fig2: of the 1 mF variant)"},
+    "buses": {"type": _checked("comma-separated bus indices", _ints),
+              "help": "bus subset to export (default: first 10)"},
+    "n": {"type": int, "default": 10},
+    "rows": {"type": _checked(f"an integer in [1, {MAX_ROWS}]", int,
+                              lambda rows: integer_in(rows, 1, MAX_ROWS)),
+             "default": DEFAULT_ROWS,
+             "help": "approximate recorded rows per trajectory"},
 }
-
-
-def _add_options(parser, names: str) -> None:
-    for name in names.split():
-        parser.add_argument(f"--{name}", **_OPTIONS[name])
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first ``run`` of a process (not
-    at import) and reused; ``parse_args`` returns a fresh namespace on
-    every call, so no state carries from one run to the next."""
-    top = argparse.ArgumentParser(
-        prog="dcgrid", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a network file")
-    _add_options(p, "gen resistance out")
-    p.add_argument("--format", choices=("json", "edges"), default="json")
-
-    p = sub.add_parser("h2", help="closed-form squared H2 norms")
-    _add_options(p, "gen resistance c kp k gamma ground out")
-
-    p = sub.add_parser("compare", help="controller comparison report")
-    _add_options(p, "gen resistance c kp k gamma ground out")
-
-    p = sub.add_parser("sweep", help="scaling sweep over network sizes")
-    _add_options(p, "resistance c kp k gamma ground out")
-    p.add_argument("--family", choices=resistance.FAMILIES, required=True)
-    p.add_argument("--sizes", required=True,
-                   help="comma-separated ascending sizes")
-
-    p = sub.add_parser("resist", help="effective resistance indices")
-    _add_options(p, "gen resistance out")
-    p.add_argument("--pair", help="i,j node pair for a single resistance")
-
-    p = sub.add_parser("sim", help="simulate one controller run")
-    _add_options(p, "gen resistance c kp k gamma ground seed out")
-    p.add_argument("--kind", choices=("slack", "droop", "dapi"),
-                   default="slack")
-    p.add_argument("--T", type=float, default=30.0)
-    p.add_argument("--buses", default=None,
-                   help="comma-separated bus subset to export (default: "
-                        "first 10)")
-
-    p = sub.add_parser("fig2", help="radial-network trajectory study")
-    _add_options(p, "resistance kp k gamma ground seed out")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--T", type=float, default=30.0,
-                   help="horizon in seconds for the 1 mF variant")
-    p.add_argument("--rows", type=int, default=DEFAULT_ROWS,
-                   help="approximate recorded rows per trajectory "
-                        f"(at most {MAX_ROWS})")
-    return top
 
 
 def _metadata(args) -> dict:
     import scipy  # its version alone: the top-level package is cheap
 
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    return {"config": cfg,
+    return {"config": vars(args),
             "versions": {"dcgrid": __version__, "numpy": np.__version__,
                          "scipy": scipy.__version__,
                          "python": ".".join(map(str, sys.version_info[:3])),
@@ -192,12 +194,7 @@ def _cmd_compare(args):
 
 
 def _cmd_sweep(args):
-    try:
-        sizes = resistance.sweep_sizes(
-            [int(s) for s in args.sizes.split(",")])
-    except (ValueError, InvalidSize) as exc:
-        raise UsageError(f"bad sizes {args.sizes!r}: {exc}") from exc
-    result = resistance.scaling_sweep(args.family, sizes, _params(args),
+    result = resistance.scaling_sweep(args.family, args.sizes, _params(args),
                                       args.ground, args.resistance)
     path = f"{args.out}_sweep.csv"
     fit = result.fit
@@ -213,25 +210,10 @@ def _cmd_resist(args):
            "kstar": resistance.kstar(net),
            "kirchhoff": resistance.kirchhoff_index(net)}
     if args.pair:
-        try:
-            i, j = (int(s) for s in args.pair.split(","))
-        except ValueError as exc:
-            raise UsageError(f"bad pair {args.pair!r}") from exc
-        out["pair"] = [i, j]
-        out["effective_resistance"] = resistance.effective_resistance(net, i, j)
+        out["pair"] = args.pair
+        out["effective_resistance"] = resistance.effective_resistance(
+            net, *args.pair)
     return out, {}
-
-
-def _check_T(T: float) -> None:
-    """Reject a --T that no trajectory grid can take; the grid itself is
-    laid out by ``simulation.simulate``."""
-    if not positive_real(T):
-        raise UsageError(f"--T must be positive and finite, got {T}")
-
-
-def _check_seed(seed: int) -> None:
-    if not integer_in(seed, 0, 2**64 - 1):
-        raise UsageError(f"--seed must lie in [0, 2**64), got {seed}")
 
 
 def _trajectory(kind: str, net: Network, params, args, T: float, rows: int,
@@ -252,16 +234,9 @@ def _trajectory(kind: str, net: Network, params, args, T: float, rows: int,
 
 
 def _cmd_sim(args):
-    _check_seed(args.seed)
-    _check_T(args.T)
-    try:
-        buses = ([int(s) for s in args.buses.split(",")] if args.buses
-                 else None)
-    except ValueError as exc:
-        raise UsageError(f"bad buses {args.buses!r}") from exc
     net = parse_generator_spec(args.gen, args.resistance)
     traj, csv = _trajectory(args.kind, net, _params(args), args, args.T,
-                            DEFAULT_ROWS, buses)
+                            DEFAULT_ROWS, args.buses)
     path = f"{args.out}_traj.csv"
     return ({"file": path, "kind": args.kind, "rows": len(traj.times),
              "dt": traj.dt, "seed": args.seed}, {path: csv})
@@ -275,11 +250,6 @@ def _cmd_fig2(args):
     droop dynamics, A = -(L + k_P I)/c, on a 1000x slower time axis, but
     not DAPI's, whose k and gamma terms do not scale with c.
     """
-    _check_seed(args.seed)
-    _check_T(args.T)
-    if not integer_in(args.rows, 1, MAX_ROWS):
-        raise UsageError(f"--rows must lie in [1, {MAX_ROWS}], "
-                         f"got {args.rows}")
     net = network.generate_lattice(1, args.n, args.resistance)
     files = {}
     for tag, c, horizon in (("c1mF", 1e-3, args.T),
@@ -292,17 +262,39 @@ def _cmd_fig2(args):
              "bus_subset": "first 10 non-grounded buses by index"}, files)
 
 
-_COMMANDS = {"gen": _cmd_gen, "h2": _cmd_h2, "compare": _cmd_compare,
-             "sweep": _cmd_sweep, "resist": _cmd_resist, "sim": _cmd_sim,
-             "fig2": _cmd_fig2}
+# each subcommand: the function that computes it, its help line and the
+# options (keys of ``_OPTIONS``) it reads
+_COMMANDS = {
+    "gen": (_cmd_gen, "generate a network file",
+            "gen resistance out format"),
+    "h2": (_cmd_h2, "closed-form squared H2 norms",
+           "gen resistance c kp k gamma ground out"),
+    "compare": (_cmd_compare, "controller comparison report",
+                "gen resistance c kp k gamma ground out"),
+    "sweep": (_cmd_sweep, "scaling sweep over network sizes",
+              "resistance c kp k gamma ground out family sizes"),
+    "resist": (_cmd_resist, "effective resistance indices",
+               "gen resistance out pair"),
+    "sim": (_cmd_sim, "simulate one controller run",
+            "gen resistance c kp k gamma ground seed out kind T buses"),
+    "fig2": (_cmd_fig2, "radial-network trajectory study",
+             "resistance kp k gamma ground seed out n T rows"),
+}
 
 
-def _check_out(out: str) -> None:
-    """Reject an --out prefix whose directory does not exist, before any
-    computation, so no command fails only when it writes."""
-    folder = os.path.dirname(out)
-    if folder and not os.path.isdir(folder):
-        raise UsageError(f"--out {out!r}: no directory {folder!r}")
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``run`` of a process (not
+    at import) and reused; ``parse_args`` returns a fresh namespace on
+    every call, so no state carries from one run to the next."""
+    top = _Parser(prog="dcgrid", description=__doc__,
+                  formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, options) in _COMMANDS.items():
+        parser = sub.add_parser(name, help=help_line)
+        for option in options.split():
+            parser.add_argument(f"--{option}", **_OPTIONS[option])
+    return top
 
 
 def _check_paths(out: str, paths) -> None:
@@ -324,14 +316,11 @@ def _error(exc: Exception) -> int:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    """Run one command line and return its exit code; ``--help`` alone
+    prints its text and raises SystemExit(0), as argparse does."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        _check_out(args.out)
-        summary, files = _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        summary, files = _COMMANDS[args.command][0](args)
         meta_path = f"{args.out}_meta.json"
         files[meta_path] = (json.dumps(_metadata(args), indent=2,
                                        sort_keys=True) + "\n").encode()

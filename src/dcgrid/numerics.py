@@ -401,11 +401,10 @@ def laplacian_spectrum(ends: np.ndarray, resistance: np.ndarray, sides
     the solver of L grounded at node 0 (:func:`_grounded_solver`), made on
     first use from the edges and the same edge-wise degree sums that the
     blocks' diagonals hold. With G its padded inverse, L^+ = P G P for
-    P = I - 11^T/n, so L^+_ab = G_ab - g_a/n - g_b/n + 1^T g/n^2 for
-    g = G 1, solved once with the factor. R_eff(i, j) is z_i - z_j for
-    z = G (e_i - e_j), since e_i - e_j is orthogonal to 1. No n x n array
-    is made for L^+; the factor holds (b + 1)(n - 1) doubles for
-    bandwidth b.
+    P = I - 11^T/n, so column a of L^+ is z - mean(z) for the one solve
+    z = G (e_a - 1/n). R_eff(i, j) is z_i - z_j for z = G (e_i - e_j),
+    since e_i - e_j is orthogonal to 1. No n x n array is made for L^+;
+    the factor holds (b + 1)(n - 1) doubles for bandwidth b.
     """
     n = math.prod(sides)
     conductance = 1.0 / resistance
@@ -422,25 +421,19 @@ def laplacian_spectrum(ends: np.ndarray, resistance: np.ndarray, sides
             f"expected exactly one zero eigenvalue, got {values[:2]} against "
             f"the bound {bound}")
 
-    @cache
-    def grounded():
-        """The grounded solver, and g = G 1 solved with it."""
-        solve = _grounded_solver(degree, ends, resistance)
-        return solve, solve(np.ones((n, 1)))[:, 0]
+    solver = cache(lambda: _grounded_solver(degree, ends, resistance))
 
     def pinv(nodes):
         nodes = np.asarray(nodes, dtype=np.intp)
-        solve, g = grounded()
-        unit = np.zeros((n, nodes.size))
-        unit[nodes, np.arange(nodes.size)] = 1.0
-        row_mean = g[nodes] / n
-        return (solve(unit)[nodes] - row_mean[:, None] - row_mean[None, :]
-                + g.sum() / n**2)
+        centred = np.full((n, nodes.size), -1.0 / n)
+        centred[nodes, np.arange(nodes.size)] += 1.0
+        z = solver()(centred)
+        return z[nodes] - z.mean(axis=0)
 
     def reff(i, j):
         unit = np.zeros((n, 1))
         unit[i], unit[j] = 1.0, -1.0
-        z = grounded()[0](unit)[:, 0]
+        z = solver()(unit)[:, 0]
         return float(z[i] - z[j])
 
     values[0] = 0.0

@@ -400,6 +400,66 @@ class TestOptions:
         assert run(argv) == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_every_value_is_checked_where_it_is_declared(self):
+        # the argparse type declared once in _OPTIONS converts and checks
+        # each option's value, or its choices bound it; --gen's spec is
+        # read by parse_generator_spec
+        (commands,) = [a.choices for a in cli._build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        for parser in commands.values():
+            for action in parser._actions[1:]:  # after --help
+                assert action.type is cli._OPTIONS[action.dest].get("type")
+                assert (action.type or action.choices
+                        or action.dest == "gen"), action.dest
+
+
+# a refused value of every option, after argv that a subcommand reading it
+# takes; each is refused while argv is parsed, but --gen's, which
+# parse_generator_spec refuses before anything is built
+BAD_VALUES = {
+    "gen": (["h2"], "torus:3"),
+    "resistance": (["h2", "--gen", "path:3"], "x"),
+    "c": (["h2", "--gen", "path:3"], "-1"),
+    "kp": (["fig2"], "nan"),
+    "k": (["compare", "--gen", "path:3"], "0"),
+    "gamma": (["sim", "--gen", "path:3"], "inf"),
+    "ground": (["h2", "--gen", "path:3"], "1.5"),
+    "seed": (["sim", "--gen", "path:3"], str(2**64)),
+    "out": (["h2", "--gen", "path:3"], "missing/x"),
+    "format": (["gen", "--gen", "path:3"], "csv"),
+    "family": (["sweep", "--sizes", "3,4"], "torus"),
+    "sizes": (["sweep", "--family", "path"], "4,3"),
+    "pair": (["resist", "--gen", "path:3"], "0,1,2"),
+    "kind": (["sim", "--gen", "path:3"], "pid"),
+    "T": (["fig2"], "0"),
+    "buses": (["sim", "--gen", "path:3"], "1;2"),
+    "n": (["fig2"], "2.5"),
+    "rows": (["fig2"], str(10**400)),
+}
+
+
+class TestUsageErrorLine:
+    """Every usage error is one ``usage error:`` line on stderr, with
+    nothing on stdout and no file written."""
+
+    def test_every_option_has_a_bad_value(self):
+        assert set(BAD_VALUES) == set(cli._OPTIONS)
+
+    @pytest.mark.parametrize("argv, named", [
+        (["h2", "--out", "x"], "--gen"),
+        (["h2", "--gen", "path:3", "--out", "x", "--frob", "1"], "--frob"),
+    ] + [(argv + [f"--{name}={bad}"] + ["--out", "x"] * (name != "out"),
+          "" if name == "gen" else f"argument --{name}:")
+         for name, (argv, bad) in BAD_VALUES.items()],
+        ids=["h2-no-gen", "unknown-option"] + list(BAD_VALUES))
+    def test_one_line(self, argv, named, capsys, tmp_path):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("usage error: ") and named in line
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestErrors:
     def test_unknown_generator_is_usage_error(self):

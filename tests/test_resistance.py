@@ -183,6 +183,21 @@ class TestRayleigh:
         with pytest.raises(errors.InvalidEdge):
             rayleigh_check(p3, (0, 2))
 
+    def test_megohm_rounding_is_no_violation(self):
+        # R_eff matrices formed as d_i + d_j - 2 P_ij round in proportion to
+        # their entries: on 1 Mohm lines a 1e-12 raise of one edge once
+        # read as decreases of up to 3e-9 ohm, past an absolute 1e-10 gate
+        rng = np.random.default_rng(0)
+        for n in range(5, 30):
+            chords = {tuple(sorted(map(int, rng.choice(n, 2, replace=False))))
+                      for _ in range(n)}
+            pairs = sorted({(i, i + 1) for i in range(n - 1)} | chords)
+            net = build_network(n, [(i, j, float(r)) for (i, j), r in zip(
+                pairs, rng.uniform(0.5e6, 2e6, len(pairs)))])
+            i, j, r = net.edges[0]
+            rep = rayleigh_check(net, (i, j), new_resistance=r * (1 + 1e-12))
+            assert rep.max_delta > 0
+
     def test_violation_raises(self, triangle, monkeypatch):
         # a second matrix smaller than the first must be reported, not
         # asserted (python -O strips asserts)

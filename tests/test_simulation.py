@@ -915,7 +915,7 @@ def noise_model(a, b):
     return StateSpaceModel(a, b, np.eye(a.shape[0]), labels, "droop")
 
 
-class TestVanLoan:
+class TestNoiseStep:
     """noise_step against the Lyapunov difference and Van Loan's block
     exponential."""
 

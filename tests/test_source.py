@@ -198,6 +198,28 @@ def test_only_run_writes_cli_files():
     assert found == {("run", "open")}
 
 
+def test_cli_commands_only_compute():
+    # each option's value is checked by its argparse type in cli._OPTIONS,
+    # so no command parses, checks or maps an error to a usage error; one
+    # is raised only by argparse, a generator spec or an output name
+    path = Path(dcgrid.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text())
+    usage = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(func))
+        if any(isinstance(node, ast.Raise) and node.exc is not None
+               and "UsageError" in ast.unparse(node.exc) for node in nodes):
+            usage.add(func.name)
+        if func.name.startswith("_cmd_"):
+            assert not any(isinstance(node, ast.Try) for node in nodes)
+    assert usage == {"error", "parse_generator_spec", "_check_paths"}
+    checks = {"int", "float", "positive_real", "integer_in", "sweep_sizes"}
+    assert {(scope, name) for scope, name in _calls_by_function(tree)
+            if scope.startswith("_cmd_") and name in checks} == set()
+
+
 def _loop_bindings(tree):
     """name -> the names that a for loop over a literal tuple of tuples
     binds it to, as ``error`` in ``for bad, error, what in ((b, InvalidEdge,
