@@ -31,7 +31,10 @@ class InvalidSize(DCGridError):
     large for a dense n x n matrix (see ``network.DENSE_MAX_NODES``) or a
     lattice whose edge and spectrum arrays pass the same memory budget, a
     Monte Carlo sample count past it, an initial state whose length is
-    not the model's state dimension, or a time horizon that is not one
+    not the model's state dimension, a state-space model whose A is not
+    dim x dim with dim >= 1 or whose B rows, H columns or labels are not
+    dim in number, a Lyapunov equation whose A and Q are not one n x n
+    shape with n >= 1, or a time horizon that is not one
     positive finite number, holds less than one step, has no finite step
     count (so also when A's row-sum bound overflows and its default step
     is 0) or passes the white-noise step budget, or a step whose product
@@ -56,7 +59,9 @@ class SingularSystem(DCGridError):
     """The Lyapunov equation is (numerically) singular: an eigenvalue pair
     of A sums to about zero, so its solve would need a perturbation. Or
     the covariance one white-noise step adds is not numerically positive
-    definite, so it has no Cholesky factor."""
+    definite, so it has no Cholesky factor. Or LAPACK's gees, the
+    Lyapunov solve's Schur form, returns info from 1 to n: its QR
+    iteration found no Schur form of A."""
 
 
 # --- systems ---
@@ -80,6 +85,8 @@ class RayleighViolation(DCGridError):
 # --- simulation ---
 
 class NonFiniteState(DCGridError):
-    """A system matrix, a trajectory or a computed result (an H2 norm, a
-    resistance index, a sweep's fit) holds non-finite values: it
-    overflowed, or it is undefined."""
+    """A system matrix, a Lyapunov equation's A or Q, a trajectory or a
+    computed result (an H2 norm, a resistance index, a sweep's fit) holds
+    non-finite values: it overflowed, or it is undefined. Also a Lyapunov
+    equation's A or Q that is not real (a complex one is refused, not
+    truncated to its real part)."""

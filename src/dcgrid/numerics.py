@@ -20,9 +20,12 @@ alone gave four of n / 4 (7.1 ms against 12.5 ms at n = 1024, one BLAS
 thread). Each block is summed straight from the edge list over the
 orbits of the symmetry group, B[o, o'] = sum chi(u) chi(v) L_uv /
 sqrt(|O_u| |O_v|) for a character chi, so a symmetric graph's spectrum
-makes no n x n array. All routines are pure functions. ``scipy.linalg`` is
-imported on first use, inside the two kernels that call it (the Schur
-form and the banded factor), so a box lattice never loads it.
+makes no n x n array. All routines are pure functions. Of scipy only
+LAPACK routines are used, from ``scipy.linalg.lapack``: the Lyapunov
+solve's gees and trsyl and the banded factor's pbtrf and pbtrs. Each
+kernel imports them on first use, so a box lattice never loads
+``scipy.linalg``, and calls them directly, with its input checked here
+and a failure's ``info`` mapped to a DCGridError.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import numpy as np
 
 from .errors import (
     DisconnectedGraph,
+    InvalidSize,
     NonFiniteState,
     NotHurwitz,
     SingularSystem,
@@ -165,13 +169,33 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> LyapunovSolution:
     T Y + Y T^T = -U^T Q U, and P = U Y U^T. When an eigenvalue pair of A
     sums to about zero, trsyl would perturb the equation and return a
     wrong P; that raises SingularSystem instead.
-    """
-    from scipy.linalg import schur
-    from scipy.linalg.lapack import dtrsyl
 
-    a = np.asarray(a, dtype=float)
-    q = np.asarray(q, dtype=float)
-    t, u = schur(a.T, output="real")
+    The Schur form comes from LAPACK's gees, called directly with no sort
+    and its minimum workspace: scipy's ``schur`` adds a workspace query
+    and a finiteness pass, which after a cache flush cost more than gees
+    itself at dim 6. So the input is checked here, before LAPACK sees it: A and Q must be real arrays of one shape n x n, n >= 1 (else
+    InvalidSize; a complex one raises NonFiniteState, not truncated), and
+    finite (else NonFiniteState: gees would spend seconds of QR sweeps on
+    a NaN). A QR iteration that fails to converge raises SingularSystem.
+    """
+    from scipy.linalg.lapack import dgees, dtrsyl
+
+    a, q = np.asarray(a), np.asarray(q)
+    if not (a.ndim == 2 and a.shape[0] == a.shape[1] > 0
+            and q.shape == a.shape):
+        raise InvalidSize(f"A and Q must be one shape n x n with n >= 1, got "
+                          f"{a.shape} and {q.shape}")
+    if a.dtype.kind not in "biuf" or q.dtype.kind not in "biuf":
+        raise NonFiniteState(
+            f"A and Q must be real, got {a.dtype} and {q.dtype}")
+    a, q = a.astype(float, copy=False), q.astype(float, copy=False)
+    if not (np.isfinite(a).all() and np.isfinite(q).all()):
+        raise NonFiniteState("A or Q has non-finite entries")
+    t, _, _, _, u, _, info = dgees(_no_sort, a.T)
+    if info != 0:
+        raise SingularSystem(
+            f"gees returned info {info}: the QR algorithm found no Schur "
+            "form of A")
     if not t.diagonal().max() < 0.0:
         raise NotHurwitz("A has an eigenvalue with non-negative real part")
     y, scale, info = dtrsyl(t, t, -(u.T @ q @ u), tranb="T")
@@ -183,6 +207,12 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> LyapunovSolution:
     p = 0.5 * (p + p.T)
     residual = float(np.linalg.norm(a.T @ p + p @ a + q, "fro"))
     return LyapunovSolution(p, residual)
+
+
+def _no_sort(wr, wi):
+    """gees's eigenvalue selector, never called: the Schur form is not
+    sorted."""
+    return 0
 
 
 def _grounded_solver(diagonal: np.ndarray, ends: np.ndarray,

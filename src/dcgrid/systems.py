@@ -16,7 +16,7 @@ import numpy as np
 
 from . import network as net_mod
 from . import numerics
-from .errors import InvalidParams, NonFiniteState
+from .errors import InvalidParams, InvalidSize, NonFiniteState
 from .network import Network
 
 
@@ -50,10 +50,12 @@ class StateSpaceModel:
     """LTI triple (A, B, H) for dx/dt = Ax + Bw, y = Hx.
 
     ``state_labels`` tags each state as V<i> (bus voltage) or z<i>
-    (integrator); ``kind`` is slack, droop, or dapi. A must be finite
-    (else NonFiniteState: extreme gains can overflow it). Stability is not
-    checked here; each route that needs it decides it from the
-    eigenvalues it computes anyway.
+    (integrator); ``kind`` is slack, droop, or dapi. A must be dim x dim
+    with dim >= 1, B must have dim rows and H dim columns, both 2-D, and
+    there must be dim labels (else InvalidSize, decided from the shapes
+    alone). A must be finite (else NonFiniteState: extreme gains can
+    overflow it). Stability is not checked here; each route that needs it
+    decides it from the eigenvalues it computes anyway.
     """
 
     a: np.ndarray
@@ -67,6 +69,14 @@ class StateSpaceModel:
         return self.a.shape[0]
 
     def __post_init__(self):
+        a, b, h = np.shape(self.a), np.shape(self.b), np.shape(self.h)
+        dim = a[0] if len(a) == 2 and a[0] == a[1] else 0
+        if not (dim > 0 and len(b) == len(h) == 2 and b[0] == h[1] == dim
+                and len(self.state_labels) == dim):
+            raise InvalidSize(
+                f"{self.kind} model needs A dim x dim, B dim x m, H p x dim "
+                f"and dim labels with dim >= 1, got A {a}, B {b}, H {h} and "
+                f"{len(self.state_labels)} labels")
         if not np.isfinite(self.a).all():
             raise NonFiniteState(
                 f"{self.kind} system matrix has non-finite entries")
@@ -77,28 +87,36 @@ class StateSpaceModel:
 
 
 # Extreme gains can overflow an entry of A to inf (or inf * 0 to nan);
-# StateSpaceModel rejects such an A, so the assemblers do not warn.
+# StateSpaceModel rejects such an A, so the assemblers do not warn. Each
+# fills its arrays in place, entry by entry the same products as the
+# block formulas in its docstring (so the same bits, signed zeros
+# included), with no block temporaries.
 @np.errstate(over="ignore", invalid="ignore")
 def assemble_slack(net: Network, params: ControllerParams,
                    ground: int = 0) -> StateSpaceModel:
-    """Grounded-slack-bus dynamics on the n-1 remaining buses."""
+    """Grounded-slack-bus dynamics on the n-1 remaining buses:
+    A = -(1/c) L_red, B = I, H = I / sqrt(n)."""
     n = net.node_count
-    lap_red = net_mod.reduced_laplacian(net_mod.laplacian(net), ground)
-    a = -(1.0 / params.c) * lap_red
+    a = net_mod.reduced_laplacian(net_mod.laplacian(net), ground)
+    a *= -(1.0 / params.c)
     b = np.eye(n - 1)
-    h = np.eye(n - 1) / np.sqrt(n)
+    h = np.zeros((n - 1, n - 1))
+    h.flat[::n] = 1.0 / np.sqrt(n)
     labels = tuple(f"V{i}" for i in range(n) if i != ground)
     return StateSpaceModel(a, b, h, labels, "slack")
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def assemble_droop(net: Network, params: ControllerParams) -> StateSpaceModel:
-    """Decentralized proportional (droop) control on every bus."""
+    """Decentralized proportional (droop) control on every bus:
+    A = -(1/c) (L + k_P I), B = I, H = I / sqrt(n)."""
     n = net.node_count
-    lap = net_mod.laplacian(net)
-    a = -(1.0 / params.c) * (lap + params.k_p * np.eye(n))
+    a = net_mod.laplacian(net)
+    a.flat[::n + 1] += params.k_p
+    a *= -(1.0 / params.c)
     b = np.eye(n)
-    h = np.eye(n) / np.sqrt(n)
+    h = np.zeros((n, n))
+    h.flat[::n + 1] = 1.0 / np.sqrt(n)
     return StateSpaceModel(a, b, h, tuple(f"V{i}" for i in range(n)), "droop")
 
 
@@ -106,22 +124,28 @@ def assemble_droop(net: Network, params: ControllerParams) -> StateSpaceModel:
 def assemble_dapi(net: Network, params: ControllerParams) -> StateSpaceModel:
     """Droop plus distributed averaging integral control.
 
-    States are ordered integrators first, then voltages. Unit-covariance
-    current disturbances enter the voltage dynamics only, so B is zero on
-    the integrator rows and identity on the voltage rows.
+    States are ordered integrators first, then voltages:
+    A = [[-(1/k) gamma L, (1/k) I], [-((1/c) I), -(1/c) (L + k_P I)]].
+    Unit-covariance current disturbances enter the voltage dynamics only,
+    so B = [0; I], zero on the integrator rows and identity on the voltage
+    rows, and H = [0, I / sqrt(n)].
     """
     n = net.node_count
     lap = net_mod.laplacian(net)
-    lap_q = params.gamma * lap
     c_inv = 1.0 / params.c
     k_inv = 1.0 / params.k
-    eye = np.eye(n)
-    a = np.block([
-        [-k_inv * lap_q, k_inv * eye],
-        [-(c_inv * eye), -c_inv * (lap + params.k_p * eye)],
-    ])
-    b = np.vstack([np.zeros((n, n)), np.eye(n)])
-    h = np.hstack([np.zeros((n, n)), eye / np.sqrt(n)])
+    a = np.zeros((2 * n, 2 * n))
+    top_left = np.multiply(lap, params.gamma, out=a[:n, :n])
+    top_left *= -k_inv
+    a.flat[n:2 * n * n:2 * n + 1] = k_inv  # (1/k) I, top right
+    a[n:, :n] = -0.0  # -((1/c) I): its zeros are -(c_inv * 0.0)
+    a.flat[2 * n * n::2 * n + 1] = -c_inv
+    lap.flat[::n + 1] += params.k_p
+    np.multiply(lap, -c_inv, out=a[n:, n:])
+    b = np.zeros((2 * n, n))
+    b.flat[n * n::n + 1] = 1.0
+    h = np.zeros((n, 2 * n))
+    h.flat[n::2 * n + 1] = 1.0 / np.sqrt(n)
     labels = tuple(f"{x}{i}" for x in "zV" for i in range(n))
     return StateSpaceModel(a, b, h, labels, "dapi")
 
@@ -179,13 +203,17 @@ def h2_closed_form_dapi(net: Network, params: ControllerParams) -> float:
 
 def h2_lyapunov(model: StateSpaceModel) -> float:
     """Squared H2 norm tr(B^T P B) via the Lyapunov equation on the full
-    system matrix, O(dim^3) from its real Schur form.
+    system matrix, O(dim^3) from its real Schur form (see
+    ``numerics.solve_lyapunov``).
 
     Independent of the spectral closed forms (no eig_sym of L); raises
-    SingularSystem when A is too close to marginal to solve reliably.
+    SingularSystem when A is too close to marginal to solve reliably,
+    NonFiniteState for a non-finite H (through H^T H) or value. The trace
+    is the sum of B's entries times those of P B, one product.
     """
     sol = numerics.solve_lyapunov(model.a, model.h.T @ model.h)
-    return float(np.trace(model.b.T @ sol.P @ model.b))
+    return numerics.require_finite(np.vdot(model.b, sol.P @ model.b),
+                                   "Lyapunov H2 norm")
 
 
 @dataclass(frozen=True)

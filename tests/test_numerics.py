@@ -135,6 +135,48 @@ class TestSolveLyapunov:
         assert sol.residual <= bound
         assert np.array_equal(sol.P, sol.P.T)
 
+    @pytest.mark.parametrize("a, q, error", [
+        (np.array([[np.nan, 0.0], [0.0, -1.0]]), np.eye(2),
+         errors.NonFiniteState),
+        # gees alone spends seconds of QR sweeps on this one
+        (np.full((30, 30), np.nan), np.eye(30), errors.NonFiniteState),
+        (-np.eye(2), np.array([[np.inf, 0.0], [0.0, 1.0]]),
+         errors.NonFiniteState),
+        (-np.eye(2), np.eye(3), errors.InvalidSize),
+        (-np.ones(2), np.eye(2), errors.InvalidSize),
+        (-np.ones((2, 3)), np.eye(2), errors.InvalidSize),
+        (np.zeros((0, 0)), np.zeros((0, 0)), errors.InvalidSize),
+        (-(1 + 1j) * np.eye(2), np.eye(2), errors.NonFiniteState),
+        (-np.eye(2), (1 + 1j) * np.eye(2), errors.NonFiniteState),
+        (-np.eye(2, dtype=object), np.eye(2), errors.NonFiniteState),
+    ], ids=["nan-a", "nan-a-30", "inf-q", "q-3x3", "a-1d", "a-2x3",
+            "a-0x0", "complex-a", "complex-q", "object-a"])
+    def test_bad_input_is_refused_before_lapack(self, a, q, error,
+                                                monkeypatch):
+        import scipy.linalg.lapack
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("gees saw input it should not")
+        monkeypatch.setattr(scipy.linalg.lapack, "dgees", refuse)
+        with pytest.raises(error):
+            solve_lyapunov(a, q)
+
+    def test_real_input_of_any_real_dtype(self):
+        sol = solve_lyapunov(-np.eye(2, dtype=np.int64), np.eye(2, dtype=bool))
+        assert np.array_equal(sol.P, 0.5 * np.eye(2))
+
+    def test_qr_failure_is_singular(self, monkeypatch):
+        # no input makes gees's QR iteration fail reliably, so its info of
+        # 1 (the first eigenvalue not found) is put in by hand
+        import scipy.linalg.lapack
+        dgees = scipy.linalg.lapack.dgees
+
+        def failing(*args, **kwargs):
+            return *dgees(*args, **kwargs)[:-1], 1
+        monkeypatch.setattr(scipy.linalg.lapack, "dgees", failing)
+        with pytest.raises(errors.SingularSystem, match="info 1"):
+            solve_lyapunov(-np.eye(3), np.eye(3))
+
 
 def _spectrum(net):
     """The dense route's spectrum, even on a box lattice."""

@@ -138,20 +138,52 @@ EIGENSOLVER_CALLERS = {("numerics", "eig_sym"): {"eigvalsh"},
                        ("simulation", "slowest_time_constant"): {"eigvals"}}
 
 
-def _calls_by_function(tree, scope="<module>"):
-    """(enclosing top-level function, called name) for every call whose
-    callee is a bare or dotted name."""
+def _nodes_by_function(tree, scope="<module>"):
+    """(enclosing top-level function, node) for every node below ``tree``."""
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if (scope == "<module>"
                 and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))):
             inner = node.name
+        yield scope, node
+        yield from _nodes_by_function(node, inner)
+
+
+def _calls_by_function(tree):
+    """(enclosing top-level function, called name) for every call whose
+    callee is a bare or dotted name."""
+    for scope, node in _nodes_by_function(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = getattr(func, "attr", getattr(func, "id", None))
             if name is not None:
                 yield scope, name
-        yield from _calls_by_function(node, inner)
+
+
+def test_scipy_gives_only_lapack_routines():
+    # scipy's checking wrappers (schur, cholesky_banded, ...) cost more
+    # than the LAPACK routine under them on the oracle's small matrices,
+    # so each kernel calls the routine and checks its own input; the one
+    # other use of scipy is the version the CLI records
+    import scipy.linalg.lapack
+
+    routines, other = [], []
+    for path in SOURCES:
+        for scope, node in _nodes_by_function(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                if (node.module or "").split(".")[0] != "scipy":
+                    continue
+                if node.module != "scipy.linalg.lapack":
+                    other.append(f"{path.name}:{node.lineno}")
+                routines += [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                other += [f"{path.stem}.{scope} imports {alias.name}"
+                          for alias in node.names
+                          if alias.name.split(".")[0] == "scipy"]
+    assert other == ["cli._metadata imports scipy"]
+    assert "dgees" in routines
+    for name in routines:
+        assert type(getattr(scipy.linalg.lapack, name)).__name__ == "fortran"
 
 
 def test_eigensolves_go_through_eig_sym():

@@ -15,6 +15,7 @@ from dcgrid.network import (
 )
 from dcgrid.systems import (
     ControllerParams,
+    StateSpaceModel,
     assemble_dapi,
     assemble_droop,
     assemble_slack,
@@ -160,6 +161,36 @@ class TestAssembly:
             assert np.array_equal(model.a, ref)
             assert np.array_equal(np.signbit(model.a), np.signbit(ref))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_in_place_assembly_matches_block_formulas(self, seed):
+        # the assemblers fill A, B and H in place; the np.block, vstack and
+        # hstack forms they replace give the same bytes, signed zeros
+        # included, at gains 10^U(-4, 4)
+        rng = np.random.default_rng(400 + seed)
+        net = random_connected_network(rng)
+        p = ControllerParams(*(10 ** rng.uniform(-4, 4, size=4)))
+        n = net.node_count
+        ground = int(rng.integers(n))
+        lap, eye = laplacian(net), np.eye(n)
+        c_inv, k_inv = 1.0 / p.c, 1.0 / p.k
+        red = reduced_laplacian(lap, ground)
+        expected = {
+            "slack": (-(1.0 / p.c) * red, np.eye(n - 1),
+                      np.eye(n - 1) / np.sqrt(n)),
+            "droop": (-(1.0 / p.c) * (lap + p.k_p * eye), eye,
+                      eye / np.sqrt(n)),
+            "dapi": (np.block([
+                [-k_inv * (p.gamma * lap), k_inv * eye],
+                [-(c_inv * eye), -c_inv * (lap + p.k_p * eye)]]),
+                np.vstack([np.zeros((n, n)), eye]),
+                np.hstack([np.zeros((n, n)), eye / np.sqrt(n)]))}
+        for model in (assemble_slack(net, p, ground), assemble_droop(net, p),
+                      assemble_dapi(net, p)):
+            for got, want in zip((model.a, model.b, model.h),
+                                 expected[model.kind]):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     def test_assembled_matrices_hurwitz(self, triangle, paper_params):
         for m in (assemble_slack(triangle, paper_params),
                   assemble_droop(triangle, paper_params),
@@ -235,7 +266,6 @@ class TestClosedForms:
 
 class TestLyapunovOracle:
     def test_scalar(self):
-        from dcgrid.systems import StateSpaceModel
         m = StateSpaceModel(np.array([[-1.0]]), np.eye(1), np.eye(1),
                             ("V0",), "droop")
         assert np.isclose(h2_lyapunov(m), 0.5)
@@ -300,6 +330,19 @@ class TestLyapunovOracle:
                     h2_closed_form_slack(net, paper_params, ground),
                     trace_inv / (2 * n), rtol=1e-9)
 
+    def test_non_finite_h_is_refused(self):
+        m = StateSpaceModel(-np.eye(2), np.eye(2),
+                            np.array([[1.0, np.nan]]), ("V0", "V1"), "droop")
+        with pytest.raises(errors.NonFiniteState):
+            h2_lyapunov(m)
+
+    def test_overflowed_value_is_refused(self):
+        # finite A, B and Q whose tr(B^T P B) overflows
+        m = StateSpaceModel(-np.eye(2), 1e300 * np.eye(2), np.eye(2),
+                            ("V0", "V1"), "droop")
+        with pytest.raises(errors.NonFiniteState, match="Lyapunov H2"):
+            h2_lyapunov(m)
+
     @pytest.mark.parametrize("ground", [-1, -3, 3])
     def test_slack_ground_out_of_range(self, p3, paper_params, ground):
         with pytest.raises(errors.IndexOutOfRange):
@@ -315,6 +358,31 @@ class TestLyapunovOracle:
         assert gain[0] == 0.1
         dapi = h2_closed_form_dapi(net, p)
         assert 0 < dapi <= h2_closed_form_droop(net, p)
+
+
+class TestStateSpaceModelShapes:
+    LABELS = ("V0", "V1")
+
+    @pytest.mark.parametrize("a, b, h, labels", [
+        (-np.eye(2), np.eye(3), np.eye(2), LABELS),
+        (-np.eye(2), np.eye(2), np.eye(3), LABELS),
+        (-np.ones((2, 3)), np.eye(2), np.eye(2), LABELS),
+        (-np.ones(2), np.eye(2), np.eye(2), LABELS),
+        (np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)), ()),
+        (-np.eye(2), np.ones(2), np.eye(2), LABELS),
+        (-np.eye(2), np.eye(2), np.eye(2), ("V0",)),
+        (-np.eye(2), np.eye(2), np.eye(2), ("V0", "V1", "V2")),
+    ], ids=["b-rows", "h-columns", "a-2x3", "a-1d", "a-0x0", "b-1d",
+            "short-labels", "long-labels"])
+    def test_bad_shape_is_invalid_size(self, a, b, h, labels):
+        with pytest.raises(errors.InvalidSize):
+            StateSpaceModel(a, b, h, labels, "droop")
+
+    def test_any_input_and_output_count(self):
+        # B may have any number of columns and H any number of rows
+        m = StateSpaceModel(-np.eye(2), np.ones((2, 1)), np.ones((3, 2)),
+                            ("V0", "V1"), "droop")
+        assert np.isclose(h2_lyapunov(m), 6.0)  # P = H^T H / 2
 
 
 class TestCompareControllers:
