@@ -15,8 +15,9 @@ class InvalidEdge(DCGridError):
 
 
 class IndexOutOfRange(DCGridError):
-    """A node, ground or bus index that is not an integer in range, or a
-    random seed that is not an integer in [0, 2^64)."""
+    """A node, ground or bus index that is not an integer in range (also a
+    list of export buses that is not a sequence), or a random seed that
+    is not an integer in [0, 2^64)."""
 
 
 class DisconnectedGraph(DCGridError):
@@ -34,12 +35,13 @@ class InvalidSize(DCGridError):
     not the model's state dimension, a state-space model whose A is not
     dim x dim with dim >= 1 or whose B rows, H columns or labels are not
     dim in number, a Lyapunov equation whose A and Q are not one n x n
-    shape with n >= 1, or a time horizon that is not one
-    positive finite number, holds less than one step, has no finite step
-    count (so also when A's row-sum bound overflows and its default step
-    is 0) or passes the white-noise step budget, or a step whose product
-    with its matrix's norm bound overflows, so that it has no finite
-    count of halvings either."""
+    shape with n >= 1, a Laplacian to ground that is not a square 2-D
+    array, or a time horizon that is not one positive finite number,
+    holds less than one step, has no finite step count (so also when A's
+    row-sum bound overflows and its default step is 0) or passes the
+    white-noise step budget, or a step whose product with its matrix's
+    norm bound overflows, so that it has no finite count of halvings
+    either."""
 
 
 # --- numerics ---
@@ -47,12 +49,12 @@ class InvalidSize(DCGridError):
 class NotHurwitz(DCGridError):
     """System matrix has an eigenvalue with non-negative real part, seen
     by the Lyapunov solve's Schur form or ``slowest_time_constant``. Monte
-    Carlo's Gramian raises it when A is zero or singular in working
-    precision, when A^-1 overflows, when A has an eigenvalue at one of its
-    trapezoid cycle's shifts, and when the powers of the cycle's Phi
-    overflow or show no decay within ``simulation.MAX_DOUBLINGS``, so also
-    for a decay rate below about 2^-52 times the cycle's smallest shift,
-    lost to rounding."""
+    Carlo's Gramian raises it when A is singular in working precision (a
+    zero A among them, refused by the same test), when A^-1 overflows,
+    when A has an eigenvalue at one of its trapezoid cycle's shifts, and
+    when the powers of the cycle's Phi overflow or show no decay within
+    ``simulation.MAX_DOUBLINGS``, so also for a decay rate below about
+    2^-52 times the cycle's smallest shift, lost to rounding."""
 
 
 class SingularSystem(DCGridError):
@@ -73,10 +75,6 @@ class InvalidParams(DCGridError):
 
 # --- resistance ---
 
-class SameNode(DCGridError):
-    """An effective resistance asked between a node and itself."""
-
-
 class RayleighViolation(DCGridError):
     """An effective resistance decreased after an edge was removed or its
     resistance raised."""
@@ -87,6 +85,8 @@ class RayleighViolation(DCGridError):
 class NonFiniteState(DCGridError):
     """A system matrix, a Lyapunov equation's A or Q, a trajectory or a
     computed result (an H2 norm, a resistance index, a sweep's fit) holds
-    non-finite values: it overflowed, or it is undefined. Also a Lyapunov
-    equation's A or Q that is not real (a complex one is refused, not
-    truncated to its real part)."""
+    non-finite values: it overflowed, or it is undefined. Also any array
+    that is not real (``numerics.real_array``): a state-space model's A,
+    B or H, a Lyapunov equation's A or Q or an initial state whose dtype
+    is complex, a string or an object is refused, not truncated to its
+    real part or parsed."""

@@ -433,11 +433,17 @@ def check_index(index, n: int, what: str = "node index") -> int:
 
 
 def reduced_laplacian(lap: np.ndarray, ground: int = 0) -> np.ndarray:
-    """Principal submatrix with the grounded node's row and column removed."""
+    """Principal submatrix with the grounded node's row and column removed,
+    a new C-ordered array picked by one boolean mask; InvalidSize unless
+    ``lap`` is a 2-D square array."""
+    lap = np.asarray(lap)
+    if not (lap.ndim == 2 and lap.shape[0] == lap.shape[1]):
+        raise InvalidSize(f"a Laplacian must be a square 2-D array, got "
+                          f"shape {lap.shape}")
     n = lap.shape[0]
     ground = check_index(ground, n, "ground index")
-    keep = [k for k in range(n) if k != ground]
-    return lap[np.ix_(keep, keep)]
+    keep = np.arange(n) != ground
+    return lap[keep[:, None] & keep].reshape(n - 1, n - 1)
 
 
 # --- file formats ---
@@ -471,9 +477,14 @@ def from_json_dict(doc: dict) -> Network:
 
 
 def load_network(path) -> Network:
-    """Load a network from a JSON file or an "i j R" edge-list file."""
+    """Load a network from a JSON file or an "i j R" edge-list file. A
+    file that does not decode as text is malformed, an InvalidEdge like
+    malformed JSON; a file that cannot be opened is an OSError."""
     with open(path) as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidEdge(f"network file is not text: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)

@@ -26,6 +26,13 @@ solve's gees and trsyl and the banded factor's pbtrf and pbtrs. Each
 kernel imports them on first use, so a box lattice never loads
 ``scipy.linalg``, and calls them directly, with its input checked here
 and a failure's ``info`` mapped to a DCGridError.
+
+The module also holds the library's boundary predicates, one per kind
+of input: :func:`integer_in` for every index, seed, count, size and
+dimension, :func:`positive_real` for every gain, capacitance and
+horizon, :func:`real_array` for the dtype of every array (a state-space
+model's A, B and H, a Lyapunov equation's A and Q, an initial state),
+and :func:`require_finite` for every computed result.
 """
 
 from __future__ import annotations
@@ -101,6 +108,16 @@ def integer_in(value, low, high=math.inf) -> bool:
             and not isinstance(value, bool) and low <= int(value) <= high)
 
 
+def real_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array if its dtype is bool, integer or floating
+    (float64 comes back as it is, not copied), else NonFiniteState naming
+    ``what``: the dtype check of every array that enters the library."""
+    value = np.asarray(value)
+    if value.dtype.kind not in "biuf":
+        raise NonFiniteState(f"{what} must be real, got dtype {value.dtype}")
+    return value.astype(float, copy=False)
+
+
 def eig_sym(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending (no eigenvectors). Only
     the lower triangle is read; its caller passes the blocks that
@@ -173,10 +190,12 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> LyapunovSolution:
     The Schur form comes from LAPACK's gees, called directly with no sort
     and its minimum workspace: scipy's ``schur`` adds a workspace query
     and a finiteness pass, which after a cache flush cost more than gees
-    itself at dim 6. So the input is checked here, before LAPACK sees it: A and Q must be real arrays of one shape n x n, n >= 1 (else
-    InvalidSize; a complex one raises NonFiniteState, not truncated), and
-    finite (else NonFiniteState: gees would spend seconds of QR sweeps on
-    a NaN). A QR iteration that fails to converge raises SingularSystem.
+    itself at dim 6. So the input is checked here, before LAPACK sees it:
+    A and Q must be arrays of one shape n x n, n >= 1 (else InvalidSize),
+    real (``real_array``: a complex, string or object one raises
+    NonFiniteState, not truncated) and finite (else NonFiniteState: gees
+    would spend seconds of QR sweeps on a NaN). A QR iteration that fails
+    to converge raises SingularSystem.
     """
     from scipy.linalg.lapack import dgees, dtrsyl
 
@@ -185,10 +204,7 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> LyapunovSolution:
             and q.shape == a.shape):
         raise InvalidSize(f"A and Q must be one shape n x n with n >= 1, got "
                           f"{a.shape} and {q.shape}")
-    if a.dtype.kind not in "biuf" or q.dtype.kind not in "biuf":
-        raise NonFiniteState(
-            f"A and Q must be real, got {a.dtype} and {q.dtype}")
-    a, q = a.astype(float, copy=False), q.astype(float, copy=False)
+    a, q = real_array(a, "A"), real_array(q, "Q")
     if not (np.isfinite(a).all() and np.isfinite(q).all()):
         raise NonFiniteState("A or Q has non-finite entries")
     t, _, _, _, u, _, info = dgees(_no_sort, a.T)

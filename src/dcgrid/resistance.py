@@ -23,7 +23,6 @@ from .errors import (
     InvalidEdge,
     InvalidSize,
     RayleighViolation,
-    SameNode,
 )
 from .network import Network
 
@@ -44,10 +43,10 @@ def reff_matrix(net: Network) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def effective_resistance(net: Network, i: int, j: int) -> float:
     """Two-terminal equivalent resistance between buses i and j:
-    (e_i - e_j)^T L^+ (e_i - e_j), from the spectrum's ``reff``."""
+    (e_i - e_j)^T L^+ (e_i - e_j), from the spectrum's ``reff``. Defined
+    for every pair of buses in range: the difference form is exactly 0.0
+    for i = j."""
     i, j = (net_mod.check_index(k, net.node_count) for k in (i, j))
-    if i == j:
-        raise SameNode(f"effective resistance needs two distinct nodes, got {i}")
     return numerics.require_finite(net.spectrum.reff(i, j),
                                    "effective resistance")
 

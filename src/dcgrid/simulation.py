@@ -45,7 +45,7 @@ from .errors import (
     SingularSystem,
 )
 from .network import MEMORY_BUDGET_BYTES, check_index
-from .numerics import integer_in, positive_real
+from .numerics import integer_in, positive_real, real_array
 from .shortest import csv_rows
 from .systems import StateSpaceModel
 
@@ -206,13 +206,14 @@ def simulate(model: StateSpaceModel, x0, T: float, rows: int) -> Trajectory:
     holds the infinite step of a zero A) or T / dt is not a finite count
     (the zero step of an A whose row-sum bound overflows included), or
     the (count + 1) x dim doubles of the states pass
-    ``network.MEMORY_BUDGET_BYTES``, all checked before P is computed.
+    ``network.MEMORY_BUDGET_BYTES``, all checked before P is computed;
+    NonFiniteState when x0 is not real (``numerics.real_array``).
     Deterministic: identical arguments give identical output.
     """
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (model.dim,):
-        raise InvalidSize(f"initial state of shape {x.shape} for a model of "
-                          f"{model.dim} states")
+    if np.shape(x0) != (model.dim,):
+        raise InvalidSize(f"initial state of shape {np.shape(x0)} for a "
+                          f"model of {model.dim} states")
+    x = real_array(x0, "initial state")
     if not integer_in(rows, 1):
         raise InvalidSize(f"rows must be an integer of at least 1, got "
                           f"{rows!r}")
@@ -296,8 +297,6 @@ def _gramian(a: np.ndarray, output: np.ndarray, kind: str
     ``MAX_DOUBLINGS`` pass; NonFiniteState when G overflows while Phi
     contracts."""
     top = float(np.abs(a).max())
-    if top == 0.0:
-        raise NotHurwitz(f"{kind} system matrix is zero")
     exponent = math.frexp(top)[1]  # top = mantissa 2^exponent
     a = np.ldexp(a, -exponent)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
@@ -475,14 +474,15 @@ def export_trajectory(traj: Trajectory, node_subset) -> bytes:
     1024-row blocks with a vectorized Ryu kernel, its scaled products
     formed as certified double-doubles, and hands every value it cannot
     certify to ``repr`` itself. The bytes go to disk as they are.
+    IndexOutOfRange unless ``node_subset`` is a sequence of buses, each
+    an integer (``integer_in``) with a voltage state in ``traj``.
     """
     label_to_col = {lbl: k for k, lbl in enumerate(traj.state_labels)}
-    cols = []
-    for node in node_subset:
-        key = f"V{node}"
-        if key not in label_to_col:
-            raise IndexOutOfRange(f"no voltage state for bus {node}")
-        cols.append(label_to_col[key])
-    header = ",".join(["t"] + [f"V_{node}" for node in node_subset])
+    buses = list(node_subset) if np.iterable(node_subset) else None
+    if buses is None or not all(
+            integer_in(bus, 0) and f"V{bus}" in label_to_col for bus in buses):
+        raise IndexOutOfRange(f"no voltage state for buses {node_subset!r}")
+    cols = [label_to_col[f"V{bus}"] for bus in buses]
+    header = ",".join(["t"] + [f"V_{bus}" for bus in buses])
     table = np.column_stack([traj.times, traj.states[:, cols]])
     return (header + "\n").encode() + csv_rows(table)

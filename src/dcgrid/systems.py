@@ -53,9 +53,10 @@ class StateSpaceModel:
     (integrator); ``kind`` is slack, droop, or dapi. A must be dim x dim
     with dim >= 1, B must have dim rows and H dim columns, both 2-D, and
     there must be dim labels (else InvalidSize, decided from the shapes
-    alone). A must be finite (else NonFiniteState: extreme gains can
-    overflow it). Stability is not checked here; each route that needs it
-    decides it from the eigenvalues it computes anyway.
+    alone). A, B and H must be real (``numerics.real_array``; each is
+    stored as a float array) and A finite (else NonFiniteState: extreme
+    gains can overflow it). Stability is not checked here; each route
+    that needs it decides it from the eigenvalues it computes anyway.
     """
 
     a: np.ndarray
@@ -77,6 +78,9 @@ class StateSpaceModel:
                 f"{self.kind} model needs A dim x dim, B dim x m, H p x dim "
                 f"and dim labels with dim >= 1, got A {a}, B {b}, H {h} and "
                 f"{len(self.state_labels)} labels")
+        for name in ("a", "b", "h"):
+            object.__setattr__(self, name, numerics.real_array(
+                getattr(self, name), f"{self.kind} model's {name.upper()}"))
         if not np.isfinite(self.a).all():
             raise NonFiniteState(
                 f"{self.kind} system matrix has non-finite entries")

@@ -21,11 +21,18 @@ from dcgrid.network import (
     format_edge_list,
     generate_hfuzz,
     generate_lattice,
+    load_network,
+    reduced_laplacian,
     to_json_dict,
 )
 from dcgrid.resistance import FAMILIES, scaling_sweep
-from dcgrid.simulation import monte_carlo_h2, sample_initial, simulate
-from dcgrid.systems import ControllerParams, assemble_droop
+from dcgrid.simulation import (
+    export_trajectory,
+    monte_carlo_h2,
+    sample_initial,
+    simulate,
+)
+from dcgrid.systems import ControllerParams, StateSpaceModel, assemble_droop
 
 # every integer or resistance argument below is drawn from these; no
 # network built from them has more than 5 buses per side
@@ -118,6 +125,73 @@ def test_simulate_rows(T, rows):
     if traj is not None:
         assert is_integer(rows) and rows >= 1
         assert len(traj.times) >= 2
+
+
+# --- arrays, bus lists and files: one DCGridError per input ---
+
+# bytes that do not decode as UTF-8, the start of a gzip stream
+BINARY = b"\x1f\x8b\x08\x00\xff\xfe\x80\x00"
+K2_TRAJECTORY = simulate(K2_DROOP, [1.0, 0.0], 0.5, 10)
+NOT_REAL = {"complex": (1 + 1j) * np.eye(2), "string": np.full((2, 2), "1"),
+            "object": np.eye(2, dtype=object)}
+
+
+def k2_model(**arrays):
+    """K2_DROOP with ``arrays`` (a, b or h) in place of its own."""
+    parts = {"a": K2_DROOP.a, "b": K2_DROOP.b, "h": K2_DROOP.h, **arrays}
+    return StateSpaceModel(parts["a"], parts["b"], parts["h"],
+                           K2_DROOP.state_labels, "droop")
+
+
+def binary_file(tmp_path):
+    path = tmp_path / "net.bin"
+    path.write_bytes(BINARY)
+    return path
+
+
+BAD_INPUTS = [
+    *[(f"{name}-{kind}",
+       lambda tmp_path, arrays={name: value}: k2_model(**arrays),
+       errors.NonFiniteState)
+      for name in ("a", "b", "h") for kind, value in NOT_REAL.items()],
+    ("x0-string", lambda tmp_path: simulate(K2_DROOP, ["a", "b"], 0.5, 10),
+     errors.NonFiniteState),
+    ("x0-numeric-string",
+     lambda tmp_path: simulate(K2_DROOP, ["1", "2"], 0.5, 10),
+     errors.NonFiniteState),
+    ("x0-complex", lambda tmp_path: simulate(K2_DROOP, [1j, 0], 0.5, 10),
+     errors.NonFiniteState),
+    ("x0-none", lambda tmp_path: simulate(K2_DROOP, None, 0.5, 10),
+     errors.InvalidSize),
+    *[(f"buses-{kind}",
+       lambda tmp_path, buses=buses: export_trajectory(K2_TRAJECTORY, buses),
+       errors.IndexOutOfRange)
+      for kind, buses in (("string", ["1"]), ("float", [1.0]), ("int", 1),
+                          ("none", None))],
+    ("laplacian-1d", lambda tmp_path: reduced_laplacian(np.ones(3)),
+     errors.InvalidSize),
+    ("laplacian-2x3", lambda tmp_path: reduced_laplacian(np.ones((2, 3))),
+     errors.InvalidSize),
+    ("binary-file", lambda tmp_path: load_network(binary_file(tmp_path)),
+     errors.InvalidEdge),
+]
+
+
+@pytest.mark.parametrize("call, error", [row[1:] for row in BAD_INPUTS],
+                         ids=[row[0] for row in BAD_INPUTS])
+def test_bad_input_is_its_dcgrid_error(call, error, tmp_path):
+    # each once ended in a numpy or builtin error, or (a numeric string x0,
+    # the bus "1") was silently parsed
+    with pytest.raises(error):
+        call(tmp_path)
+
+
+def test_binary_network_file_is_computation_error(capsys, tmp_path):
+    # exit 1, as for malformed JSON; it was a usage error (exit 2)
+    argv = ["h2", "--gen", f"file:{binary_file(tmp_path)}"]
+    assert run(argv + [f"--out={tmp_path / 'x'}"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "InvalidEdge"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.bin"]
 
 
 # --- the CLI ---

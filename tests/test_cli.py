@@ -241,11 +241,14 @@ class TestResist:
         assert np.isclose(doc["kstar"], 4 / 9)
         assert np.isclose(doc["effective_resistance"], 2.0)
 
-    def test_same_node_is_computation_error(self, capsys, tmp_path):
-        code = run(["resist", "--gen", "path:3", "--pair", "1,1",
+    def test_same_node_is_zero(self, capsys, tmp_path):
+        # R(i, i) = 0 is defined, so the pair is a result, not an error
+        code = run(["resist", "--gen", "path:3", "--pair", "2,2",
                     "--out", "r"])
-        assert code == 1
-        assert not (tmp_path / "r_meta.json").exists()
+        out = capsys.readouterr().out
+        assert code == 0
+        assert '"effective_resistance": 0.0' in out
+        assert (tmp_path / "r_meta.json").exists()
 
 
 class TestSim:

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from dcgrid import errors, resistance
 from dcgrid.network import (
     build_network,
+    format_edge_list,
     generate_hfuzz,
     generate_lattice,
     laplacian,
+    load_network,
 )
 from dcgrid.numerics import eig_sym
 from dcgrid.resistance import (
@@ -37,9 +41,19 @@ class TestEffectiveResistance:
         for i, j in [(0, 1), (1, 2), (0, 2)]:
             assert np.isclose(effective_resistance(triangle, i, j), 2 / 3)
 
-    def test_same_node(self, p3):
-        with pytest.raises(errors.SameNode):
-            effective_resistance(p3, 1, 1)
+    def test_same_node_is_zero(self, tmp_path):
+        # the difference form (e_i - e_i)^T L^+ (e_i - e_i) is exactly +0.0
+        # on the box route, the dense route and a graph read from a file
+        path = tmp_path / "random.edges"
+        path.write_text(format_edge_list(
+            random_connected_network(np.random.default_rng(11))))
+        fuzz = generate_hfuzz(generate_lattice(2, 6), 2)
+        nets = (generate_lattice(2, 7), fuzz, load_network(path))
+        assert [net.box is not None for net in nets] == [True, False, False]
+        for net in nets:
+            for i in range(net.node_count):
+                r = effective_resistance(net, i, i)
+                assert (r, math.copysign(1.0, r)) == (0.0, 1.0)
 
     @pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (-1, 0), (0, -3)])
     def test_index_out_of_range(self, p3, i, j):

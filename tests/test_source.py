@@ -294,6 +294,24 @@ def test_simulation_raises_only_dcgrid_errors():
     for names in raised.values():
         assert names - dcgrid_errors == set()
     assert raised["network"] >= {"InvalidEdge", "IndexOutOfRange"}
-    assert raised["resistance"] >= {"InvalidSize", "SameNode"}
+    assert raised["resistance"] >= {"InvalidSize", "RayleighViolation"}
     # and every class is raised somewhere: one that nothing raises is dead
     assert set().union(*raised.values()) == dcgrid_errors - {"DCGridError"}
+
+
+def test_dtype_kind_read_only_in_real_array():
+    # one dtype rule for every array that enters the library: bool,
+    # integer and floating become float, anything else is refused
+    reads = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        spans = {node.name: range(node.lineno, node.end_lineno + 1)
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+        reads += [(path.stem, [name for name, span in spans.items()
+                               if node.lineno in span])
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "kind"
+                  and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "dtype"]
+    assert reads == [("numerics", ["real_array"])]
