@@ -190,7 +190,7 @@ def _cmd_h2(args):
 def _cmd_compare(args):
     net = parse_generator_spec(args.gen, args.resistance)
     report = systems.compare_controllers(net, _params(args), args.ground)
-    return json.loads(report.to_json()), {}
+    return report.as_dict(), {}
 
 
 def _cmd_sweep(args):

@@ -31,12 +31,13 @@ class InvalidSize(DCGridError):
     (``numerics.integer_in``), an unknown sweep family, a network too
     large for a dense n x n matrix (see ``network.DENSE_MAX_NODES``) or a
     lattice whose edge and spectrum arrays pass the same memory budget, a
-    Monte Carlo sample count past it, an initial state whose length is
-    not the model's state dimension, a state-space model whose A is not
-    dim x dim with dim >= 1 or whose B rows, H columns or labels are not
-    dim in number, a Lyapunov equation whose A and Q are not one n x n
-    shape with n >= 1, a Laplacian to ground that is not a square 2-D
-    array, or a time horizon that is not one positive finite number,
+    Monte Carlo sample count past it, an array that numpy cannot form (a
+    ragged nested list, ``numerics.as_array``), an initial state whose
+    length is not the model's state dimension, a state-space model whose
+    A is not dim x dim with dim >= 1 or whose B rows, H columns or labels
+    are not dim in number, a Lyapunov equation whose A and Q are not one
+    n x n shape with n >= 1, a Laplacian to ground that is not a square
+    2-D array, or a time horizon that is not one positive finite number,
     holds less than one step, has no finite step count (so also when A's
     row-sum bound overflows and its default step is 0) or passes the
     white-noise step budget, or a step whose product with its matrix's

@@ -21,23 +21,29 @@ thread). Each block is summed straight from the edge list over the
 orbits of the symmetry group, B[o, o'] = sum chi(u) chi(v) L_uv /
 sqrt(|O_u| |O_v|) for a character chi, so a symmetric graph's spectrum
 makes no n x n array. All routines are pure functions. Of scipy only
-LAPACK routines are used, from ``scipy.linalg.lapack``: the Lyapunov
-solve's gees and trsyl and the banded factor's pbtrf and pbtrs. Each
-kernel imports them on first use, so a box lattice never loads
-``scipy.linalg``, and calls them directly, with its input checked here
-and a failure's ``info`` mapped to a DCGridError.
+four LAPACK routines are used: the Lyapunov solve's gees and trsyl and
+the banded factor's pbtrf and pbtrs. :func:`_lapack` loads scipy's
+compiled LAPACK module, ``scipy.linalg._flapack``, from its file on the
+first call of either kernel, and never the ``scipy.linalg`` package
+around it (85 modules, which cost a fresh ``dcgrid h2`` on an h-fuzz
+about 220 ms of CPU and 23 MB of RSS); its routines are the very
+objects ``scipy.linalg.lapack`` exports. So a box lattice loads no
+LAPACK at all, and each kernel calls its routines directly, with its
+input checked here and a failure's ``info`` mapped to a DCGridError.
 
 The module also holds the library's boundary predicates, one per kind
 of input: :func:`integer_in` for every index, seed, count, size and
 dimension, :func:`positive_real` for every gain, capacitance and
-horizon, :func:`real_array` for the dtype of every array (a state-space
-model's A, B and H, a Lyapunov equation's A and Q, an initial state),
-and :func:`require_finite` for every computed result.
+horizon, :func:`as_array` to form every array and :func:`real_array`
+for its dtype (a state-space model's A, B and H, a Lyapunov equation's
+A and Q, an initial state), and :func:`require_finite` for every
+computed result.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -108,11 +114,22 @@ def integer_in(value, low, high=math.inf) -> bool:
             and not isinstance(value, bool) and low <= int(value) <= high)
 
 
-def real_array(value, what: str) -> np.ndarray:
-    """``value`` as a float array if its dtype is bool, integer or floating
-    (float64 comes back as it is, not copied), else NonFiniteState naming
-    ``what``: the dtype check of every array that enters the library."""
-    value = np.asarray(value)
+def as_array(value, what: str) -> np.ndarray:
+    """``value`` as a numpy array, else InvalidSize naming ``what`` when
+    numpy cannot form one (a ragged nested list such as [[1.0], 2.0]): the
+    step that forms every array entering the library, before its shape
+    is checked."""
+    try:
+        return np.asarray(value)
+    except ValueError as exc:
+        raise InvalidSize(f"{what} is not a regular array: {exc}") from exc
+
+
+def real_array(value: np.ndarray, what: str) -> np.ndarray:
+    """``value``, an array from :func:`as_array`, as a float array if its
+    dtype is bool, integer or floating (float64 comes back as it is, not
+    copied), else NonFiniteState naming ``what``: the dtype check of every
+    array that enters the library."""
     if value.dtype.kind not in "biuf":
         raise NonFiniteState(f"{what} must be real, got dtype {value.dtype}")
     return value.astype(float, copy=False)
@@ -176,6 +193,28 @@ def lattice_spectrum(sides, conductance: float) -> LaplacianSpectrum:
                              reff)
 
 
+@cache
+def _lapack():
+    """scipy's compiled LAPACK module, ``scipy.linalg._flapack``, loaded
+    from its file in scipy's ``linalg`` directory on the first call and
+    kept. ``import scipy`` runs only scipy's own start-up (its
+    distributor set-up); ``scipy/linalg/__init__.py`` never runs. The
+    extension enters itself in ``sys.modules``, where a later ``import
+    scipy.linalg`` finds it, so in either order its routines are the very
+    objects that ``scipy.linalg.lapack`` exports. A missing file raises
+    the import machinery's own ImportError."""
+    import scipy
+    from importlib import machinery, util
+
+    spec = util.spec_from_file_location(
+        "scipy.linalg._flapack",
+        os.path.join(scipy.__path__[0], "linalg",
+                     "_flapack" + machinery.EXTENSION_SUFFIXES[0]))
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> LyapunovSolution:
     """Solve A^T P + P A = -Q for symmetric PSD Q and Hurwitz A.
 
@@ -190,16 +229,17 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> LyapunovSolution:
     The Schur form comes from LAPACK's gees, called directly with no sort
     and its minimum workspace: scipy's ``schur`` adds a workspace query
     and a finiteness pass, which after a cache flush cost more than gees
-    itself at dim 6. So the input is checked here, before LAPACK sees it:
-    A and Q must be arrays of one shape n x n, n >= 1 (else InvalidSize),
-    real (``real_array``: a complex, string or object one raises
-    NonFiniteState, not truncated) and finite (else NonFiniteState: gees
-    would spend seconds of QR sweeps on a NaN). A QR iteration that fails
-    to converge raises SingularSystem.
+    itself at dim 6. gees and trsyl are read off :func:`_lapack` on each
+    call, so the first call loads LAPACK and no call imports
+    ``scipy.linalg``. The input is checked here, before LAPACK sees it:
+    A and Q must be arrays (``as_array``) of one shape n x n, n >= 1
+    (else InvalidSize), real (``real_array``: a complex, string or object
+    one raises NonFiniteState, not truncated) and finite (else
+    NonFiniteState: gees would spend seconds of QR sweeps on a NaN). A QR
+    iteration that fails to converge raises SingularSystem.
     """
-    from scipy.linalg.lapack import dgees, dtrsyl
-
-    a, q = np.asarray(a), np.asarray(q)
+    lapack = _lapack()
+    a, q = as_array(a, "A"), as_array(q, "Q")
     if not (a.ndim == 2 and a.shape[0] == a.shape[1] > 0
             and q.shape == a.shape):
         raise InvalidSize(f"A and Q must be one shape n x n with n >= 1, got "
@@ -207,14 +247,14 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> LyapunovSolution:
     a, q = real_array(a, "A"), real_array(q, "Q")
     if not (np.isfinite(a).all() and np.isfinite(q).all()):
         raise NonFiniteState("A or Q has non-finite entries")
-    t, _, _, _, u, _, info = dgees(_no_sort, a.T)
+    t, _, _, _, u, _, info = lapack.dgees(_no_sort, a.T)
     if info != 0:
         raise SingularSystem(
             f"gees returned info {info}: the QR algorithm found no Schur "
             "form of A")
     if not t.diagonal().max() < 0.0:
         raise NotHurwitz("A has an eigenvalue with non-negative real part")
-    y, scale, info = dtrsyl(t, t, -(u.T @ q @ u), tranb="T")
+    y, scale, info = lapack.dtrsyl(t, t, -(u.T @ q @ u), tranb="T")
     if info != 0:
         raise SingularSystem(
             f"trsyl returned info {info}: an eigenvalue pair of A sums to "
@@ -242,12 +282,13 @@ def _grounded_solver(diagonal: np.ndarray, ends: np.ndarray,
     the k-th subdiagonal, so the width is the largest j - i of an edge
     off node 0) serves every solve; a factor that fails (a leading minor
     not positive) raises DisconnectedGraph. LAPACK's pbtrf and pbtrs are
-    called directly: scipy's checking wrappers around them cost about
-    6 us a call (cholesky_banded takes 10.7 us where pbtrf takes 4.5 us on
-    42 nodes). Each solve is refined once against ``product``, which
-    brings it to full precision."""
-    from scipy.linalg.lapack import dpbtrf, dpbtrs
-
+    read off :func:`_lapack` and called directly: scipy's checking
+    wrappers around them cost about 6 us a call (cholesky_banded takes
+    10.7 us where pbtrf takes 4.5 us on 42 nodes), and the first factor
+    of a process loads LAPACK without importing ``scipy.linalg``. Each
+    solve is refined once against ``product``, which brings it to full
+    precision."""
+    lapack = _lapack()
     n = diagonal.size
     off_ground = ends[:, 0] > 0
     cols, rows = (ends[off_ground] - 1).T  # grounded indices, rows > cols
@@ -258,7 +299,7 @@ def _grounded_solver(diagonal: np.ndarray, ends: np.ndarray,
     band = np.zeros(((rows - cols).max(initial=0) + 1, n - 1), order="F")
     band[0] = diagonal[1:]
     band[rows - cols, cols] = -conductance
-    chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    chol, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
     if info:
         raise DisconnectedGraph(
             "Laplacian is numerically singular beyond its zero mode")
@@ -278,9 +319,9 @@ def _grounded_solver(diagonal: np.ndarray, ends: np.ndarray,
 
     def solve(rhs):
         rhs = rhs[1:]
-        z = dpbtrs(chol, rhs, lower=1)[0]
+        z = lapack.dpbtrs(chol, rhs, lower=1)[0]
         out = np.zeros((n, rhs.shape[1]))
-        out[1:] = z + dpbtrs(chol, rhs - product(z), lower=1)[0]
+        out[1:] = z + lapack.dpbtrs(chol, rhs - product(z), lower=1)[0]
         return out
 
     return solve

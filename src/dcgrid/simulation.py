@@ -45,7 +45,7 @@ from .errors import (
     SingularSystem,
 )
 from .network import MEMORY_BUDGET_BYTES, check_index
-from .numerics import integer_in, positive_real, real_array
+from .numerics import as_array, integer_in, positive_real, real_array
 from .shortest import csv_rows
 from .systems import StateSpaceModel
 
@@ -200,7 +200,8 @@ def simulate(model: StateSpaceModel, x0, T: float, rows: int) -> Trajectory:
     one at a time by P, and each later block of up to b rows by one
     product with P^b from the block before it, so a trajectory takes
     about 2 sqrt(count) products and matches the row-by-row recurrence
-    x <- P x to rounding. InvalidSize when x0 is not one value per state,
+    x <- P x to rounding. InvalidSize when x0 is not one value per state
+    (a ragged list included, ``numerics.as_array``),
     rows is not an integer of at least 1 (``integer_in``), T is not one
     positive finite number (``positive_real``) of at least one step (no T
     holds the infinite step of a zero A) or T / dt is not a finite count
@@ -210,10 +211,11 @@ def simulate(model: StateSpaceModel, x0, T: float, rows: int) -> Trajectory:
     NonFiniteState when x0 is not real (``numerics.real_array``).
     Deterministic: identical arguments give identical output.
     """
-    if np.shape(x0) != (model.dim,):
-        raise InvalidSize(f"initial state of shape {np.shape(x0)} for a "
+    x = as_array(x0, "initial state")
+    if x.shape != (model.dim,):
+        raise InvalidSize(f"initial state of shape {x.shape} for a "
                           f"model of {model.dim} states")
-    x = real_array(x0, "initial state")
+    x = real_array(x, "initial state")
     if not integer_in(rows, 1):
         raise InvalidSize(f"rows must be an integer of at least 1, got "
                           f"{rows!r}")

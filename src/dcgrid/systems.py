@@ -53,9 +53,10 @@ class StateSpaceModel:
     (integrator); ``kind`` is slack, droop, or dapi. A must be dim x dim
     with dim >= 1, B must have dim rows and H dim columns, both 2-D, and
     there must be dim labels (else InvalidSize, decided from the shapes
-    alone). A, B and H must be real (``numerics.real_array``; each is
-    stored as a float array) and A finite (else NonFiniteState: extreme
-    gains can overflow it). Stability is not checked here; each route
+    alone, which a ragged nested list lacks: ``numerics.as_array``). A,
+    B and H must be real (``numerics.real_array``; each is stored as a
+    float array) and A finite (else NonFiniteState: extreme gains can
+    overflow it). Stability is not checked here; each route
     that needs it decides it from the eigenvalues it computes anyway.
     """
 
@@ -70,7 +71,9 @@ class StateSpaceModel:
         return self.a.shape[0]
 
     def __post_init__(self):
-        a, b, h = np.shape(self.a), np.shape(self.b), np.shape(self.h)
+        what = [f"{self.kind} model's {name}" for name in "ABH"]
+        arrays = list(map(numerics.as_array, (self.a, self.b, self.h), what))
+        a, b, h = (array.shape for array in arrays)
         dim = a[0] if len(a) == 2 and a[0] == a[1] else 0
         if not (dim > 0 and len(b) == len(h) == 2 and b[0] == h[1] == dim
                 and len(self.state_labels) == dim):
@@ -78,9 +81,8 @@ class StateSpaceModel:
                 f"{self.kind} model needs A dim x dim, B dim x m, H p x dim "
                 f"and dim labels with dim >= 1, got A {a}, B {b}, H {h} and "
                 f"{len(self.state_labels)} labels")
-        for name in ("a", "b", "h"):
-            object.__setattr__(self, name, numerics.real_array(
-                getattr(self, name), f"{self.kind} model's {name.upper()}"))
+        for name, array, label in zip("abh", arrays, what):
+            object.__setattr__(self, name, numerics.real_array(array, label))
         if not np.isfinite(self.a).all():
             raise NonFiniteState(
                 f"{self.kind} system matrix has non-finite entries")
@@ -234,8 +236,10 @@ class H2Report:
     dapi_le_droop: bool
     droop_lt_slack: bool
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def as_dict(self) -> dict:
+        """The report as the JSON document that ``to_json`` writes and
+        ``dcgrid compare`` prints."""
+        return {
             "n": self.n,
             "slack": self.value_slack,
             "droop": self.value_droop,
@@ -247,7 +251,10 @@ class H2Report:
                 "dapi_le_droop": self.dapi_le_droop,
                 "droop_lt_slack": self.droop_lt_slack,
             },
-        }, indent=2, sort_keys=True)
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
 def compare_controllers(net: Network, params: ControllerParams,

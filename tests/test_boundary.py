@@ -25,6 +25,7 @@ from dcgrid.network import (
     reduced_laplacian,
     to_json_dict,
 )
+from dcgrid.numerics import solve_lyapunov
 from dcgrid.resistance import FAMILIES, scaling_sweep
 from dcgrid.simulation import (
     export_trajectory,
@@ -162,6 +163,14 @@ BAD_INPUTS = [
     ("x0-complex", lambda tmp_path: simulate(K2_DROOP, [1j, 0], 0.5, 10),
      errors.NonFiniteState),
     ("x0-none", lambda tmp_path: simulate(K2_DROOP, None, 0.5, 10),
+     errors.InvalidSize),
+    # ragged nested lists, which numpy cannot form into an array
+    ("a-ragged", lambda tmp_path: k2_model(a=[[-1.0, 0.0], [0.0]]),
+     errors.InvalidSize),
+    ("lyapunov-a-ragged",
+     lambda tmp_path: solve_lyapunov([[-1.0, 0.0], [0.0]], np.eye(2)),
+     errors.InvalidSize),
+    ("x0-ragged", lambda tmp_path: simulate(K2_DROOP, [[1.0], 2.0], 0.5, 10),
      errors.InvalidSize),
     *[(f"buses-{kind}",
        lambda tmp_path, buses=buses: export_trajectory(K2_TRAJECTORY, buses),

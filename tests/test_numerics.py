@@ -153,13 +153,15 @@ class TestSolveLyapunov:
             "a-0x0", "complex-a", "complex-q", "object-a"])
     def test_bad_input_is_refused_before_lapack(self, a, q, error,
                                                 monkeypatch):
-        import scipy.linalg.lapack
-
         def refuse(*args, **kwargs):
             raise AssertionError("gees saw input it should not")
-        monkeypatch.setattr(scipy.linalg.lapack, "dgees", refuse)
+        # the module the kernels read their routines off
+        monkeypatch.setattr(numerics._lapack(), "dgees", refuse)
         with pytest.raises(error):
             solve_lyapunov(a, q)
+        # and a good input does reach the patched gees
+        with pytest.raises(AssertionError, match="gees saw"):
+            solve_lyapunov(-np.eye(2), np.eye(2))
 
     def test_real_input_of_any_real_dtype(self):
         sol = solve_lyapunov(-np.eye(2, dtype=np.int64), np.eye(2, dtype=bool))
@@ -168,12 +170,12 @@ class TestSolveLyapunov:
     def test_qr_failure_is_singular(self, monkeypatch):
         # no input makes gees's QR iteration fail reliably, so its info of
         # 1 (the first eigenvalue not found) is put in by hand
-        import scipy.linalg.lapack
-        dgees = scipy.linalg.lapack.dgees
+        lapack = numerics._lapack()
+        dgees = lapack.dgees
 
         def failing(*args, **kwargs):
             return *dgees(*args, **kwargs)[:-1], 1
-        monkeypatch.setattr(scipy.linalg.lapack, "dgees", failing)
+        monkeypatch.setattr(lapack, "dgees", failing)
         with pytest.raises(errors.SingularSystem, match="info 1"):
             solve_lyapunov(-np.eye(3), np.eye(3))
 

@@ -95,39 +95,79 @@ def test_simulation_imports_no_scipy():
 # runs each argv through the CLI, its summaries kept off stdout
 ROUTE_CODE = """
 import contextlib, io, sys
+from dcgrid import numerics
 from dcgrid.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [run(argv.split()) for argv in sys.argv[1:]]
-print(codes, 'scipy.linalg' in sys.modules)
+print(codes, 'scipy.linalg' in sys.modules,
+      numerics._lapack.cache_info().currsize)
 """
 
 
 @pytest.mark.parametrize("argvs, loaded", [
-    (["h2 --gen grid2:8x8", "sweep --family grid3d --sizes 3,4"], False),
-    (["sim --gen path:4 --T 0.01", "fig2 --n 3 --T 0.01"], False),
-    (["h2 --gen fuzz:2:grid2:4x4"], True),
+    (["h2 --gen grid2:8x8", "sweep --family grid3d --sizes 3,4"], 0),
+    (["sim --gen path:4 --T 0.01", "fig2 --n 3 --T 0.01"], 0),
+    (["h2 --gen fuzz:2:grid2:4x4"], 1),
 ], ids=["box-lattices", "trajectories", "h-fuzz"])
 def test_scipy_linalg_loads_only_off_the_box_route(argvs, loaded, tmp_path):
     # a box lattice's spectrum is analytic and a trajectory's propagator
     # is summed in numpy; an h-fuzz needs the banded Cholesky factor, whose
-    # import comes with its first use
+    # LAPACK module is loaded on its first use, and no route imports the
+    # scipy.linalg package
     out = _python(ROUTE_CODE, *argvs, cwd=tmp_path)
-    assert out == f"{[0] * len(argvs)} {loaded}"
+    assert out == f"{[0] * len(argvs)} False {loaded}"
 
 
 def test_scipy_linalg_loads_only_for_the_oracle():
     # of the three routes to the H2 norm, only the Lyapunov oracle needs
-    # scipy's Schur form
+    # LAPACK's Schur form, and it too leaves the scipy.linalg package out
     code = ("import sys\n"
             "import dcgrid as d\n"
+            "from dcgrid import numerics\n"
             "m = d.assemble_droop(d.generate_lattice(1, 3), "
             "d.ControllerParams())\n"
             "d.monte_carlo_h2(m, 10)\n"
             "d.white_noise_variance(m, 1000.0)\n"
-            "before = 'scipy.linalg' in sys.modules\n"
+            "before = numerics._lapack.cache_info().currsize\n"
             "d.h2_lyapunov(m)\n"
-            "print(before, 'scipy.linalg' in sys.modules)")
-    assert _python(code) == "False True"
+            "print(before, numerics._lapack.cache_info().currsize, "
+            "'scipy.linalg' in sys.modules)")
+    assert _python(code) == "0 1 False"
+
+
+# the Lyapunov oracle's P and an h-fuzz's L^+, as digests of their bytes,
+# with scipy.linalg imported before the first kernel call ("before") or
+# after it, and then both computed again ("after")
+ORDER_CODE = """
+import hashlib, sys
+import dcgrid as d
+from dcgrid import numerics
+
+def digests():
+    m = d.assemble_dapi(d.generate_lattice(2, 3), d.ControllerParams())
+    net = d.generate_hfuzz(d.generate_lattice(2, 5), 2)
+    arrays = (numerics.solve_lyapunov(m.a, m.h.T @ m.h).P,
+              numerics.laplacian_spectrum(net.ends, net.resistance, net.sides)
+              .pinv(range(net.node_count)))
+    return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+
+if sys.argv[1] == "before":
+    import scipy.linalg.lapack
+first = digests()
+import scipy.linalg.lapack
+same = all(getattr(numerics._lapack(), name) is getattr(scipy.linalg.lapack,
+                                                         name)
+           for name in ("dgees", "dtrsyl", "dpbtrf", "dpbtrs"))
+print(first, digests() == first, same)
+"""
+
+
+def test_lapack_is_the_same_in_either_import_order():
+    # the loaded module is the one scipy.linalg.lapack reads its routines
+    # from, so importing the package first or later changes no bit
+    before = _python(ORDER_CODE, "before")
+    assert before.endswith(" True True")
+    assert _python(ORDER_CODE, "after") == before
 
 
 EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "eig_banded",
@@ -160,28 +200,46 @@ def _calls_by_function(tree):
                 yield scope, name
 
 
+def _lapack_reads(tree):
+    """Every attribute read off a call of ``_lapack`` or off a name that
+    one is assigned to."""
+    def loads(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "_lapack")
+
+    bound = {target.id for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and loads(node.value)
+             for target in node.targets if isinstance(target, ast.Name)}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and (loads(node.value) or getattr(node.value, "id", None)
+                 in bound)}
+
+
 def test_scipy_gives_only_lapack_routines():
     # scipy's checking wrappers (schur, cholesky_banded, ...) cost more
     # than the LAPACK routine under them on the oracle's small matrices,
-    # so each kernel calls the routine and checks its own input; the one
-    # other use of scipy is the version the CLI records
+    # so each kernel reads its routines off numerics._lapack, which loads
+    # scipy's LAPACK module alone, and checks its own input; the one other
+    # use of scipy is the version the CLI records
     import scipy.linalg.lapack
 
-    routines, other = [], []
+    imports, routines = [], set()
     for path in SOURCES:
-        for scope, node in _nodes_by_function(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                if (node.module or "").split(".")[0] != "scipy":
-                    continue
-                if node.module != "scipy.linalg.lapack":
-                    other.append(f"{path.name}:{node.lineno}")
-                routines += [alias.name for alias in node.names]
-            elif isinstance(node, ast.Import):
-                other += [f"{path.stem}.{scope} imports {alias.name}"
-                          for alias in node.names
-                          if alias.name.split(".")[0] == "scipy"]
-    assert other == ["cli._metadata imports scipy"]
-    assert "dgees" in routines
+        tree = ast.parse(path.read_text())
+        routines |= _lapack_reads(tree)
+        for scope, node in _nodes_by_function(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.stem}.{scope} imports {name}"
+                        for name in names if name.split(".")[0] == "scipy"]
+    assert sorted(imports) == ["cli._metadata imports scipy",
+                               "numerics._lapack imports scipy"]
+    assert routines == {"dgees", "dtrsyl", "dpbtrf", "dpbtrs"}
     for name in routines:
         assert type(getattr(scipy.linalg.lapack, name)).__name__ == "fortran"
 
