@@ -9,27 +9,32 @@ closed-form Kronecker-sum spectrum when the edges are those of a uniform
 box lattice in row-major node order (:func:`lattice_box`), however the
 network was made, and otherwise the Laplacian's eigenvalues by a dense
 eigensolve plus a banded Cholesky factor of the Laplacian grounded at
-node 0. The dense eigensolve splits into 2^a blocks of about n / 2^a
-when the edges are their own image under the reversal of a axes of
-``Network.sides``, a hint that an h-fuzz takes from its base box
-(:func:`generate_hfuzz`), and further, into blocks of about n / 8 and one
-of n / 4 in place of the four blocks of axes 0 and 1, when they are also
-their own image under the swap of those two axes of a square hint. Its
-blocks and the factor are built from the edges, with no dense Laplacian.
+node 0. The dense eigensolve splits by the group ``Network.symmetries``
+of axis reversals of the row-major box ``Network.sides``, and of the
+swap of its axes 0 and 1 when those sides are equal: into 2^a blocks of
+about n / 2^a for a reversed axes, and further, into blocks of about
+n / 8 and one of n / 4 in place of the four blocks of axes 0 and 1,
+under the swap. Its blocks and the factor are built from the edges,
+with no dense Laplacian.
 
 A network keeps its validated edges as two read-only arrays, the
 endpoints and the resistances, and every per-edge step (validation,
 lattice edges, Laplacian assembly, lattice detection, the grounded band)
 runs on them; (i, j, R) tuples are made only on request (``edges``). The
-h-fuzz gathers its node pairs by h rounds of numpy frontier expansion.
+h-fuzz gathers its node pairs by h rounds of numpy frontier expansion,
+each of which finds its new pairs by binary search in the sorted pairs
+already reached, within ``MEMORY_BUDGET_BYTES``.
 
-Whether the edges form a box lattice is decided once per network, at
-build, and kept (``Network.box``); :func:`generate_lattice` builds its
-box's edges already valid and sorted, and knows the box without that
-test. A box is connected by construction,
-and so is an h-fuzz of a connected base, so the one Python loop, the
-breadth-first search behind the connectivity check, runs only when
-:func:`build_network` is given any other graph.
+Whether the edges form a box lattice, and the symmetry group, are each
+decided once per network and kept (``Network.box``,
+``Network.symmetries``). :func:`generate_lattice` builds its box's edges
+already valid and sorted, and knows the box without that test; an
+h-fuzz (:func:`generate_hfuzz`) takes its box verdict from its base,
+and its group too when the base has every symmetry that a group can name
+(as a box has). A box is connected by construction, and so is an h-fuzz of a
+connected base, so the one Python loop, the breadth-first search behind
+the connectivity check, runs only when :func:`build_network` is given
+any other graph.
 """
 
 from __future__ import annotations
@@ -48,6 +53,13 @@ from .errors import (
     InvalidEdge,
     InvalidSize,
 )
+
+
+def _full_group(sides) -> tuple[tuple[int, ...], bool]:
+    """The largest group that ``Network.symmetries`` can name on the box
+    ``sides``: every axis reversal, and the swap of axes 0 and 1 when those
+    sides are equal."""
+    return tuple(range(len(sides))), len(sides) > 1 and sides[0] == sides[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,13 +106,26 @@ class Network:
     @cached_property
     def sides(self) -> tuple[int, ...]:
         """The row-major box whose axis reversals, and whose swap of axes 0
-        and 1 when those sides are equal, the dense eigensolve tries as
-        symmetries: the box's own sides for a box lattice, its base's for
-        an h-fuzz (:func:`generate_hfuzz` fills it), else ``(n,)``, the
-        whole-graph reversal i -> n - 1 - i. A hint only: the edges decide
-        which symmetries hold, and the orbits of the group they generate
-        index the rows of the eigensolve's blocks."""
+        and 1 when those sides are equal, :attr:`symmetries` draws from:
+        the box's own sides for a box lattice, its base's for an h-fuzz
+        (:func:`generate_hfuzz` fills it), else ``(n,)``, the whole-graph
+        reversal i -> n - 1 - i. The orbits of that group index the rows
+        of the dense eigensolve's blocks."""
         return (self.node_count,) if self.box is None else self.box[0]
+
+    @cached_property
+    def symmetries(self) -> tuple[tuple[int, ...], bool]:
+        """The group that the dense eigensolve splits by, decided once: the
+        axes of :attr:`sides` whose reversal maps the edges onto themselves
+        with equal resistances, and whether the swap of axes 0 and 1 does.
+        A box lattice has the full group of its sides (:func:`_full_group`),
+        and so has an h-fuzz of a base that has it (:func:`generate_hfuzz`
+        fills it). Any other graph's group is decided from its edges
+        (``numerics._symmetries``)."""
+        if self.box is None:
+            return numerics._symmetries(self.sides, self.ends,
+                                        self.resistance)
+        return _full_group(self.box[0])
 
     @cached_property
     def spectrum(self) -> numerics.LaplacianSpectrum:
@@ -109,19 +134,18 @@ class Network:
 
         A uniform box lattice (see :attr:`box`) gets the analytic
         Kronecker-sum spectrum, any other graph the dense route, whose
-        eigensolve splits into 2^a blocks of about n / 2^a when the edges
-        are their own image under the reversal of a axes of :attr:`sides`
-        (all d axes of an h-fuzz of a d-dimensional box), and on a square
-        :attr:`sides` also by the swap of axes 0 and 1: the 2-fuzz of an
-        m x m grid takes four solves of about n / 8 and one of n / 4.
-        Each block is summed from the edges over the group's orbits,
-        B[o, o'] = sum chi(u) chi(v) L_uv / sqrt(|O_u| |O_v|) for a
+        eigensolve splits by :attr:`symmetries` into 2^a blocks of about
+        n / 2^a for a reversed axes (all d axes of an h-fuzz of a
+        d-dimensional box), and under the swap of axes 0 and 1 further:
+        the 2-fuzz of an m x m grid takes four solves of about n / 8 and
+        one of n / 4. Each block is summed from the edges over the group's
+        orbits, B[o, o'] = sum chi(u) chi(v) L_uv / sqrt(|O_u| |O_v|) for a
         character chi, with no n x n Laplacian, under the dense limit.
         """
         if self.box is None:
             require_dense(self.node_count)
             return numerics.laplacian_spectrum(self.ends, self.resistance,
-                                               self.sides)
+                                               self.sides, self.symmetries)
         return numerics.lattice_spectrum(*self.box)
 
 
@@ -151,26 +175,50 @@ def _bfs(adj) -> int:
 
 def _pairs_within(adj, h: int) -> np.ndarray:
     """Sorted codes u n + v of the ordered node pairs (u, v) at most h hops
-    apart, u = v included: h rounds of frontier expansion, each pairing
-    every newly reached (u, v) with v's neighbours w and keeping the
-    (u, w) not reached before."""
+    apart, u = v included: h rounds of frontier expansion
+    (:func:`_next_pairs`), each merging its new pairs into the sorted codes
+    already reached by a stable sort of the two sorted runs."""
     ptr, nbr = adj
     n = ptr.size - 1
     reached = frontier = np.arange(n) * (n + 1)  # the pairs (u, u)
     for _ in range(h):
-        u, v = np.divmod(frontier, n)
-        degree = ptr[v + 1] - ptr[v]
-        # position of each (u, v, w) triple's w in nbr
-        offset = np.arange(degree.sum()) - np.repeat(
-            np.cumsum(degree) - degree - ptr[v], degree)
-        step = np.sort(np.repeat(u, degree) * n + nbr[offset])
-        # sort-based dedup: np.unique's hash table is slower here
-        step = step[np.concatenate(([True], step[1:] != step[:-1]))]
-        frontier = step[~np.isin(step, reached, assume_unique=True)]
+        frontier = _next_pairs(ptr, nbr, reached, frontier)
         if frontier.size == 0:
             break
-        reached = np.concatenate((reached, frontier))
-    return np.sort(reached)
+        # two sorted runs: the stable sort (timsort) merges them
+        reached = np.sort(np.concatenate((reached, frontier)), kind="stable")
+    return reached
+
+
+def _next_pairs(ptr, nbr, reached, frontier) -> np.ndarray:
+    """One round of :func:`_pairs_within`: the sorted codes (u, w) not in
+    the sorted ``reached`` of every pair (u, v) of ``frontier`` and v's
+    neighbours w, found by binary search. InvalidSize before the round
+    would allocate past ``MEMORY_BUDGET_BYTES``: the adjacency arrays,
+    ``FUZZ_PAIR_BYTES`` for each pair reached so far and ``FUZZ_STEP_BYTES``
+    for each (u, v, w) triple of the round. That count covers the round,
+    the merge of its new pairs (at most one per triple) and, after the
+    last round, the edge arrays that :func:`generate_hfuzz` makes of
+    them."""
+    n = ptr.size - 1
+    u, v = np.divmod(frontier, n)
+    degree = ptr[v + 1] - ptr[v]
+    triples = int(degree.sum())
+    need = (ptr.nbytes + nbr.nbytes + FUZZ_PAIR_BYTES * reached.size
+            + FUZZ_STEP_BYTES * triples)
+    if need > MEMORY_BUDGET_BYTES:
+        raise InvalidSize(
+            f"a fuzz round on {n} nodes needs {need} bytes for "
+            f"{reached.size} reached pairs and {triples} neighbour steps, "
+            f"past the memory budget of {MEMORY_BUDGET_BYTES} bytes")
+    # position of each (u, v, w) triple's w in nbr
+    offset = np.arange(triples) - np.repeat(
+        np.cumsum(degree) - degree - ptr[v], degree)
+    step = np.sort(np.repeat(u, degree) * n + nbr[offset])
+    # sort-based dedup: np.unique's hash table is slower here
+    step = step[np.concatenate(([True], step[1:] != step[:-1]))]
+    return step[reached.take(np.searchsorted(reached, step), mode="clip")
+                != step]
 
 
 def _triples(edge_list) -> np.ndarray:
@@ -331,7 +379,16 @@ def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Networ
     resistance). h = 1 returns a network with the identical edge set.
     The edges come out distinct, sorted and connected, with resistances
     already checked, so of :func:`build_network`'s checks only the
-    conductance sum (``_check_conductance``) runs.
+    conductance sum (``_check_conductance``) runs. The fuzz takes its
+    ``box`` (the base's for h = 1 or two nodes, else None) and ``sides``
+    from the base, and its ``symmetries`` too when the base has the full
+    group of its sides (:func:`_full_group`), as a box has, so neither
+    :func:`lattice_box` nor the symmetry test runs on a box's fuzz. A
+    smaller group of the base can grow in the fuzz (a uniform star's
+    2-fuzz is a complete graph), so the fuzz's own edges decide it then,
+    under the base's ``sides``. InvalidSize, before the round that
+    would pass it, when the pair expansion (:func:`_pairs_within`) would
+    ask for more than ``MEMORY_BUDGET_BYTES``.
     """
     if not numerics.integer_in(h, 1):
         raise InvalidSize(f"fuzz radius must be an integer of at least 1, "
@@ -355,10 +412,16 @@ def generate_hfuzz(base: Network, h: int, r_fuzz: float | None = None) -> Networ
     ends = np.column_stack(np.divmod(code, n))
     _check_conductance(n, ends, r)
     net = Network(n, ends, r)
-    # fill the cached Network.sides: an axis reversal or swap of the base
-    # keeps hop distance, so it maps the fuzz onto itself wherever it maps
-    # the base
-    net.__dict__["sides"] = base.sides
+    # fill the cached box and sides. For h = 1 or n = 2 the edges are the
+    # base's; otherwise a base 2-path u-v-w closes into a triangle, and a
+    # box lattice is bipartite.
+    net.__dict__.update(box=base.box if h == 1 or n == 2 else None,
+                        sides=base.sides)
+    # an automorphism of the weighted base keeps hop distance, so it maps
+    # the new pairs onto new pairs, all at r_fuzz: the base's group maps
+    # the fuzz onto itself, and the full group is then the fuzz's own
+    if base.symmetries == _full_group(base.sides):
+        net.__dict__["symmetries"] = base.symmetries
     return net
 
 
@@ -402,6 +465,15 @@ def lattice_box(net: Network) -> tuple[tuple[int, ...], float] | None:
 # n <= sqrt(2^31 / (36 * 8)) = 2730.
 MEMORY_BUDGET_BYTES = 2**31
 DENSE_MAX_NODES = math.isqrt(MEMORY_BUDGET_BYTES // (36 * 8))
+# The bytes that generate_hfuzz counts per reached pair code and per
+# neighbour step of a round (_next_pairs), beside the adjacency arrays.
+# Traced, a round holds about 8 bytes per reached pair and up to 44 per
+# step (h = 1 on a complete graph, where every step is a new pair), the
+# merge about 24 per pair after it, and the edge arrays about 36 per pair
+# of the last round. The count exceeds the traced peak by 8% on the
+# complete graph K_1500 at h = 1 and by 30% to 110% on lattices at h >= 2.
+FUZZ_PAIR_BYTES = 40
+FUZZ_STEP_BYTES = 48
 
 
 def require_dense(n: int) -> None:

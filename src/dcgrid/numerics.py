@@ -11,13 +11,14 @@ lattice (no eigensolve; O(n) work per node of L^+), or
 :func:`laplacian_spectrum`, a dense eigenvalue solve (:func:`eig_sym`)
 and, for L^+, a banded Cholesky factor of L grounded at node 0, built
 from the graph's edge arrays, on any other graph. The dense solve splits
-by the symmetries of a row-major box that the caller names as a hint:
-each axis whose reversal the edges show to map the graph onto itself
-halves the blocks, and on a square box the swap of axes 0 and 1 splits
-them again (the dihedral group D_4), so the 2-fuzz of an m x m grid
-takes four solves of about n / 8 and one of n / 4, where the reversals
-alone gave four of n / 4 (7.1 ms against 12.5 ms at n = 1024, one BLAS
-thread). Each block is summed straight from the edge list over the
+by a group of symmetries of a row-major box that the caller passes in
+(``Network.symmetries`` decides it once per network: from a box's sides,
+from an h-fuzz's base, or from the edges by :func:`_symmetries`): each
+reversed axis halves the blocks, and on a square box the swap of axes 0
+and 1 splits them again (the dihedral group D_4), so the 2-fuzz of an
+m x m grid takes four solves of about n / 8 and one of n / 4, where the
+reversals alone gave four of n / 4 (7.1 ms against 12.5 ms at n = 1024,
+one BLAS thread). Each block is summed straight from the edge list over the
 orbits of the symmetry group, B[o, o'] = sum chi(u) chi(v) L_uv /
 sqrt(|O_u| |O_v|) for a character chi, so a symmetric graph's spectrum
 makes no n x n array. All routines are pure functions. Of scipy only
@@ -328,7 +329,7 @@ def _grounded_solver(diagonal: np.ndarray, ends: np.ndarray,
 
 
 def _symmetries(sides, ends: np.ndarray, resistance: np.ndarray
-                ) -> tuple[list[int], bool]:
+                ) -> tuple[tuple[int, ...], bool]:
     """The axes, ascending, of the row-major box ``sides`` whose reversal
     (coordinate x -> m - 1 - x on a side of m) maps the edges (sorted
     endpoint rows i < j) onto themselves with equal resistances, and
@@ -355,7 +356,7 @@ def _symmetries(sides, ends: np.ndarray, resistance: np.ndarray
     holds = ((image.take(order + code.size * np.arange(len(maps))[:, None])
               == code) & (resistance.take(order) == resistance)
              ).all(axis=1).tolist()
-    return ([k for k in range(len(sides)) if holds[k]],
+    return (tuple(k for k in range(len(sides)) if holds[k]),
             len(holds) > len(sides) and holds[-1])
 
 
@@ -463,25 +464,27 @@ def _character_blocks(ends: np.ndarray, conductance: np.ndarray,
     return blocks
 
 
-def laplacian_spectrum(ends: np.ndarray, resistance: np.ndarray, sides
-                       ) -> LaplacianSpectrum:
+def laplacian_spectrum(ends: np.ndarray, resistance: np.ndarray, sides,
+                       symmetries) -> LaplacianSpectrum:
     """Laplacian spectrum of a connected graph from its edges: m x 2
     endpoints i < j and their resistances. ``sides`` is a row-major box
-    of the n nodes whose axis reversals, and whose swap of axes 0 and 1 if
-    it is square there, may map the graph onto itself, ``(n,)`` for none
-    known.
+    of the n nodes, ``(n,)`` for the whole-graph reversal, and
+    ``symmetries`` = (axes, swap) a group that maps the edges onto
+    themselves with equal resistances: the reversals of ``axes`` of the
+    box and, when ``swap``, the swap of its axes 0 and 1. The caller
+    decides it (``Network.symmetries``); it is not tested here.
 
     The eigenvalues come from :func:`eig_sym` on the blocks of
     :func:`_character_blocks`, assembled from the edges, one per character
-    of the group of the symmetries that map the edges onto themselves with
-    equal resistances (decided from the edges alone, :func:`_symmetries`):
-    B[o, o'] = sum chi(u) chi(v) L_uv / sqrt(|O_u| |O_v|) over the orbits
-    on whose stabiliser chi is trivial. That is 2^a blocks of about n / 2^a
-    for a reversed axes, and with the swap also four of about n / 8 and
-    one of n / 4, solved once and counted twice, in place of the four
-    blocks of the first two axes; L itself for none. So on a symmetric
-    graph no n x n array is made. A wrong ``sides`` can only leave
-    symmetries out, so it costs speed, not values. The graph's
+    of the group: B[o, o'] = sum chi(u) chi(v) L_uv / sqrt(|O_u| |O_v|)
+    over the orbits on whose stabiliser chi is trivial. That is 2^a
+    blocks of about n / 2^a for a reversed axes, and with the swap also
+    four of about n / 8 and one of n / 4, solved once and counted twice,
+    in place of the four blocks of the first two axes; L itself for the
+    trivial group ``((), False)``. So on a symmetric graph no n x n array
+    is made. A subgroup of the edges' full group, such as the trivial
+    one, costs speed, not values; a map that does not preserve the edges
+    gives wrong values. The graph's
     connectivity is already proven, so the zero mode must pass the
     scale-invariant test |lambda_0| <= n eps lambda_max < lambda_1 (else
     DisconnectedGraph); it is set to exactly 0.0. Blocks of L^+ come from
@@ -497,9 +500,8 @@ def laplacian_spectrum(ends: np.ndarray, resistance: np.ndarray, sides
     conductance = 1.0 / resistance
     degree = np.bincount(ends.ravel(), np.repeat(conductance, 2), n)
     parts = []
-    for block, copies in _character_blocks(
-            ends, conductance, degree, sides,
-            *_symmetries(sides, ends, resistance)):
+    for block, copies in _character_blocks(ends, conductance, degree, sides,
+                                           *symmetries):
         parts += [eig_sym(block)] * copies
     values = np.sort(np.concatenate(parts))
     bound = n * sys.float_info.epsilon * values[-1]

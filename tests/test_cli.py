@@ -194,6 +194,23 @@ class TestGen:
         code, doc = run_json(["gen", "--gen", "fuzz:2:grid2:3x3"], capsys)
         assert code == 0 and doc["edges"] == 26
 
+    def test_fuzz_past_budget_is_one_error(self, capsys, tmp_path,
+                                           monkeypatch):
+        # grid2:30x30 passes the lattice's budget (146 bytes per node), and
+        # its 2-fuzz's pair expansion does not; no file is written
+        monkeypatch.setattr(network, "MEMORY_BUDGET_BYTES", 200_000)
+        assert run(["gen", "--gen", "grid2:30x30", "--out", "base"]) == 0
+        capsys.readouterr()
+        assert run(["gen", "--gen", "fuzz:2:grid2:30x30", "--out",
+                    "fuzz"]) == 1
+        captured = capsys.readouterr()
+        assert strict_json(captured.out)["error"] == "InvalidSize"
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: InvalidSize: ")
+        assert "memory budget" in line
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "base_meta.json", "base_network.json"]
+
     def test_deeply_nested_fuzz_spec(self, capsys):
         # 1200 nested prefixes once passed the recursion limit; a 1-fuzz
         # keeps the edges, so the network is the one of a single prefix

@@ -12,6 +12,7 @@ from dcgrid import (
     cli,
     errors,
     network,
+    numerics,
     resistance,
     systems,
 )
@@ -275,6 +276,132 @@ class TestHFuzz:
         with pytest.raises(errors.InvalidSize):
             generate_hfuzz(generate_lattice(1, 4), 0)
 
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 9])
+    def test_pairs_within_vs_bfs(self, h):
+        # the codes u n + v of every ordered pair within h hops, u = v
+        # included, against a per-source breadth-first search
+        rng = np.random.default_rng(10 + h)
+        bases = [generate_lattice(1, 13), generate_lattice(2, (4, 5)),
+                 generate_lattice(3, (2, 3, 3))] + [
+            random_connected_network(rng, n_max=16, edge_prob=p)
+            for p in (0.15, 0.3, 0.6)]
+        for base in bases:
+            n = base.node_count
+            expected = sorted(u * n + v for u in range(n)
+                              for v, d in bfs_distances(base, u).items()
+                              if d <= h)
+            code = network._pairs_within(
+                network._adjacency(n, *base.ends.T), h)
+            assert code.tolist() == expected
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_group_and_box_of_box_fuzz(self, d):
+        # a fuzz of a box takes its group and its box verdict from the
+        # base; both equal what its own edges decide, on every box of
+        # sides 2 to 6, square or not
+        for sides in itertools.product(range(2, 7), repeat=d):
+            base = generate_lattice(d, sides, 0.7)
+            for h, r_fuzz in itertools.product((1, 2, 3), (None, 1.9)):
+                fuzz = generate_hfuzz(base, h, r_fuzz)
+                assert fuzz.symmetries == numerics._symmetries(
+                    sides, fuzz.ends, fuzz.resistance)
+                assert fuzz.box == lattice_box(fuzz)
+                assert (fuzz.box is None) == (h > 1 and fuzz.node_count > 2)
+
+
+    def test_fuzz_group_grows_past_the_base(self):
+        # a uniform star centred at node 0 has no i -> n - 1 - i mirror,
+        # but its 2-fuzz, the uniform complete graph, has it: the fuzz's
+        # edges decide its group, as the full group is not the base's
+        base = build_network(6, [(0, i, 1.0) for i in range(1, 6)])
+        assert base.symmetries == ((), False)
+        fuzz = generate_hfuzz(base, 2)
+        assert fuzz.symmetries == ((0,), False)
+        assert fuzz.spectrum.values.tolist() == pytest.approx([0] + [6] * 5)
+
+    def test_fuzz_of_full_group_base_takes_it(self, monkeypatch):
+        # a base that is no box but has the full group (a path whose
+        # resistances mirror) passes it on, so the fuzz's edges are not
+        # tested
+        base = build_network(5, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 2.0),
+                                 (3, 4, 1.0)])
+        assert base.box is None and base.symmetries == ((0,), False)
+        calls = count_calls(monkeypatch, "_symmetries", numerics)
+        assert generate_hfuzz(base, 2).symmetries == ((0,), False)
+        assert calls == []
+
+
+class TestFuzzBudget:
+    """The pair expansion checks ``MEMORY_BUDGET_BYTES`` before each round,
+    and its count covers what a fuzz traces at its peak."""
+
+    @staticmethod
+    def _traced(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("make_base, h", [
+        (lambda: generate_lattice(1, 400), 6),
+        (lambda: generate_lattice(2, 12), 3),
+        (lambda: generate_lattice(3, 5), 2),
+        # h = 1 on a complete graph: every neighbour step is a new pair
+        # and becomes an edge, the most bytes per step
+        (lambda: build_network(120, [(i, j, 1.0) for i in range(120)
+                                     for j in range(i + 1, 120)]), 1)],
+        ids=["path400-h6", "grid12-h3", "cube5-h2", "complete120-h1"])
+    def test_budget_covers_traced_peak(self, make_base, h, monkeypatch):
+        base = make_base()
+        generate_hfuzz(base, h)
+        peak = self._traced(lambda: generate_hfuzz(base, h))
+        monkeypatch.setattr(network, "MEMORY_BUDGET_BYTES", peak - 1)
+
+        def refused():
+            with pytest.raises(errors.InvalidSize, match="memory budget"):
+                generate_hfuzz(base, h)
+        # refused before any round allocates past the budget
+        assert self._traced(refused) <= peak - 1
+
+    def test_budget_boundary(self, monkeypatch):
+        # each round counts the adjacency arrays, FUZZ_PAIR_BYTES per pair
+        # within one hop less and FUZZ_STEP_BYTES per neighbour of a pair
+        # at one hop less exactly; the largest round's count, found by
+        # breadth-first search, is admitted and one byte less is refused
+        base, h = generate_lattice(2, (5, 7)), 3
+        n = base.node_count
+        ptr, nbr = network._adjacency(n, *base.ends.T)
+        degree = np.diff(ptr)
+        dist = [bfs_distances(base, u) for u in range(n)]
+        need = ptr.nbytes + nbr.nbytes + max(
+            network.FUZZ_PAIR_BYTES * sum(d < k for du in dist
+                                          for d in du.values())
+            + network.FUZZ_STEP_BYTES * sum(int(degree[v]) for du in dist
+                                            for v, d in du.items()
+                                            if d == k - 1)
+            for k in range(1, h + 1))
+        expected = generate_hfuzz(base, h)
+        monkeypatch.setattr(network, "MEMORY_BUDGET_BYTES", need)
+        assert generate_hfuzz(base, h) == expected
+        monkeypatch.setattr(network, "MEMORY_BUDGET_BYTES", need - 1)
+        with pytest.raises(errors.InvalidSize, match="memory budget"):
+            generate_hfuzz(base, h)
+
+    def test_refused_before_a_large_round(self, monkeypatch):
+        # a 10 MB budget refuses the 40-fuzz of a 200 x 200 grid, which
+        # would ask for about 1.6e9 pair codes, while it has allocated
+        # less than the budget
+        budget = 10**7
+        base = generate_lattice(2, 200)
+        monkeypatch.setattr(network, "MEMORY_BUDGET_BYTES", budget)
+
+        def refused():
+            with pytest.raises(errors.InvalidSize, match="memory budget"):
+                generate_hfuzz(base, 40)
+        assert self._traced(refused) <= budget
+
 
 class TestLaplacian:
     def test_k2(self, k2):
@@ -485,17 +612,17 @@ class TestLatticeBox:
         assert lattice_box(back) == lattice_box(net) == ((2, 3, 2), 2.0)
 
 
-def count_calls(monkeypatch, name):
-    """Make ``network.<name>`` append its first argument to a list on every
+def count_calls(monkeypatch, name, module=network):
+    """Make ``module.<name>`` append its first argument to a list on every
     call, through ``monkeypatch``; returns that list."""
     calls = []
-    func = getattr(network, name)
+    func = getattr(module, name)
 
     def counting(*args):
         calls.append(args[0])
         return func(*args)
 
-    monkeypatch.setattr(network, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -572,13 +699,39 @@ class TestConnectivityByConstruction:
         lattice = generate_lattice(2, 4)
         other = build_network(3, [(0, 1, 1.0), (1, 2, 2.0)])
         fuzz = generate_hfuzz(lattice, 2)
-        # a generated lattice is built with its box, so it is never tested
+        # a generated lattice is built with its box, and a fuzz takes its
+        # verdict from its base, so neither is ever tested
         assert decided == [other]
         for net in (lattice, other, fuzz, lattice, other, fuzz):
             net.spectrum
             assert net.box is net.box
-        assert decided == [other, fuzz]
+        assert decided == [other]
         assert lattice.box == ((4, 4), 1.0)
+        assert fuzz.box is None
+
+    def test_fuzz_spectrum_decides_neither_box_nor_group(self, monkeypatch):
+        other = random_connected_network(np.random.default_rng(7), n_min=8)
+        other.symmetries  # the base's own group, decided from its edges
+        boxes = count_calls(monkeypatch, "lattice_box")
+        groups = count_calls(monkeypatch, "_symmetries", numerics)
+        for base in (generate_lattice(2, 5), generate_lattice(3, (2, 3, 4))):
+            for h in (1, 2, 3):
+                generate_hfuzz(base, h).spectrum
+        assert boxes == groups == []
+        # a base short of the full group: the fuzz's own edges decide its
+        # group, under the base's sides, and still no box test runs
+        assert other.symmetries != ((0,), False)
+        for h in (1, 2, 3):
+            generate_hfuzz(other, h).spectrum
+        assert boxes == [] and groups == [(other.node_count,)] * 3
+        groups.clear()
+        # a network built from a fuzz's edges has no base: it decides both,
+        # and its group is the whole-graph reversal's
+        fuzz = generate_hfuzz(generate_lattice(2, 5), 2)
+        twin = build_network(fuzz.node_count, fuzz.edges)
+        assert fuzz.symmetries == ((0, 1), True)
+        assert twin.symmetries == ((0,), False)
+        assert len(boxes) == len(groups) == 1
 
     def test_fuzz_resistance_still_checked(self):
         # positive, so only the edge validation can refuse it

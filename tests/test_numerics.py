@@ -181,12 +181,17 @@ class TestSolveLyapunov:
 
 
 def _spectrum(net):
-    """The dense route's spectrum, even on a box lattice."""
-    return laplacian_spectrum(net.ends, net.resistance, net.sides)
+    """The dense route's spectrum under the network's own group, even on a
+    box lattice."""
+    return laplacian_spectrum(net.ends, net.resistance, net.sides,
+                              net.symmetries)
 
 
 def _pinv(ends, resistance, n):
-    return laplacian_spectrum(ends, resistance, (n,)).pinv(np.arange(n))
+    """L^+ under the group of whole-graph reversals that the edges show."""
+    group = numerics._symmetries((n,), ends, resistance)
+    return laplacian_spectrum(ends, resistance, (n,), group
+                              ).pinv(np.arange(n))
 
 
 class TestPinvLaplacian:
@@ -224,7 +229,8 @@ class TestLaplacianSpectrum:
         # a negative conductance leaves the spectrum at -2 and 0: its lowest
         # eigenvalue is no zero mode
         with pytest.raises(errors.DisconnectedGraph):
-            laplacian_spectrum(np.array([[0, 1]]), np.array([-1.0]), (2,))
+            laplacian_spectrum(np.array([[0, 1]]), np.array([-1.0]), (2,),
+                               ((0,), False))
 
 
 def _counted_spectrum(net, monkeypatch):
@@ -289,9 +295,15 @@ class TestMirrorSplit:
             resistance.kstar)
         split = generate_hfuzz(base, h, r_fuzz)
         full = generate_hfuzz(base, h, r_fuzz)
-        with monkeypatch.context() as patch:
-            patch.setattr(numerics, "_symmetries", lambda *_: ([], False))
-            full.spectrum
+        # the full side gets the trivial group: one eigensolve of L itself
+        full.__dict__["symmetries"] = ((), False)
+        n = full.node_count
+        for net, shapes in ((split, block_shapes(base.box[0])),
+                            (full, [(n, n)])):
+            with monkeypatch.context() as patch:
+                calls = count_eig_sym(patch)
+                net.spectrum
+            assert calls == shapes
         for quantity in quantities:
             assert np.isclose(quantity(split), quantity(full), rtol=1e-10,
                               atol=0.0)
@@ -321,8 +333,11 @@ class TestMirrorSplit:
         base = generate_lattice(2, m)
         base = build_network(m * m, [(i, j, 1.0 if j - i == m else 2.0)
                                      for i, j, _ in base.edges])
+        # the hint goes to the base, whose group the fuzz takes
+        base.__dict__["sides"] = (m, m)
         net = generate_hfuzz(base, 2)
-        net.__dict__["sides"] = (m, m)
+        assert net.symmetries == numerics._symmetries(
+            (m, m), net.ends, net.resistance) == ((0, 1), False)
         spec, calls = _counted_spectrum(net, monkeypatch)
         assert calls == block_shapes((m, m), swap=False)
         full = np.linalg.eigvalsh(laplacian(net))

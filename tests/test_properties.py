@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dcgrid import numerics
@@ -199,12 +199,14 @@ def test_lattice_spectrum_matches_eigh(sides, r):
                        atol=1e-9 * np.abs(pinv).max())
 
 
-def _split_spectrum(net, sides):
-    """The dense route's spectrum of ``net`` under the hint ``sides`` and
-    the shapes of the matrices that :func:`eig_sym` saw on the way."""
+def _split_spectrum(net, sides, symmetries):
+    """The dense route's spectrum of ``net`` under the group ``symmetries``
+    of the box ``sides`` and the shapes of the matrices that
+    :func:`eig_sym` saw on the way."""
     with pytest.MonkeyPatch.context() as patch:
         shapes = count_eig_sym(patch)
-        spec = numerics.laplacian_spectrum(net.ends, net.resistance, sides)
+        spec = numerics.laplacian_spectrum(net.ends, net.resistance, sides,
+                                           symmetries)
     return spec, shapes
 
 
@@ -212,7 +214,9 @@ def _split_spectrum(net, sides):
 @settings(max_examples=50, deadline=None)
 def test_mirror_split_matches_eigh(net):
     n = net.node_count
-    spec, shapes = _split_spectrum(net, (n,))
+    assert numerics._symmetries((n,), net.ends, net.resistance) == ((0,),
+                                                                   False)
+    spec, shapes = _split_spectrum(net, (n,), ((0,), False))
     assert shapes == block_shapes((n,))
     ref = np.linalg.eigvalsh(laplacian(net))
     assert spec.values[0] == 0.0
@@ -294,15 +298,42 @@ def test_reversal_split_matches_eigh(case):
     net, sides, axes, swap = case
     n = net.node_count
     ref = np.linalg.eigvalsh(laplacian(net))
-    spec, shapes = _split_spectrum(net, sides)
+    # the group decided from the edges is the one found by brute force
+    assert numerics._symmetries(sides, net.ends, net.resistance) == (
+        tuple(axes), swap)
+    spec, shapes = _split_spectrum(net, sides, (tuple(axes), swap))
     assert shapes == block_shapes(sides, axes, swap)
     assert spec.values[0] == 0.0
     assert np.abs(spec.values - ref).max() <= 1e-12 * ref[-1]
     # the whole-graph hint (n,) sees at most the reversal of every axis at
     # once: the same values from no more blocks
     edges = {(i, j): r for i, j, r in net.edges}
-    wrong, wrong_shapes = _split_spectrum(net, (n,))
-    assert wrong_shapes == block_shapes((n,), _symmetric_axes(edges, (n,)),
-                                        False)
+    mirror = _symmetric_axes(edges, (n,))
+    assert numerics._symmetries((n,), net.ends, net.resistance) == (
+        tuple(mirror), False)
+    wrong, wrong_shapes = _split_spectrum(net, (n,), (tuple(mirror), False))
+    assert wrong_shapes == block_shapes((n,), mirror, False)
     assert len(wrong_shapes) <= len(shapes)
     assert np.abs(wrong.values - ref).max() <= 1e-12 * ref[-1]
+
+
+@given(reversal_symmetric_networks(), st.integers(1, 3),
+       st.sampled_from([None, 0.3]))
+@settings(max_examples=50, deadline=None)
+def test_fuzz_group_is_its_own(case, h, r_fuzz):
+    # a fuzz of a base that is no box has the group that its own edges
+    # decide under the base's ``sides``: taken from the base when the base
+    # has the full group, else decided from the fuzz's edges. The base's
+    # automorphisms keep hop distance, so that group holds the base's.
+    net, sides, axes, swap = case
+    assume(net.box is None)
+    net.__dict__["sides"] = sides
+    assert net.symmetries == (tuple(axes), swap)
+    fuzz = generate_hfuzz(net, h, r_fuzz)
+    own_axes, own_swap = numerics._symmetries(sides, fuzz.ends,
+                                              fuzz.resistance)
+    assert fuzz.symmetries == (own_axes, own_swap)
+    assert set(axes) <= set(own_axes) and own_swap >= swap
+    ref = np.linalg.eigvalsh(laplacian(fuzz))
+    assert fuzz.spectrum.values[0] == 0.0
+    assert np.abs(fuzz.spectrum.values - ref).max() <= 1e-12 * ref[-1]

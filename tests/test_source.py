@@ -147,7 +147,8 @@ def digests():
     m = d.assemble_dapi(d.generate_lattice(2, 3), d.ControllerParams())
     net = d.generate_hfuzz(d.generate_lattice(2, 5), 2)
     arrays = (numerics.solve_lyapunov(m.a, m.h.T @ m.h).P,
-              numerics.laplacian_spectrum(net.ends, net.resistance, net.sides)
+              numerics.laplacian_spectrum(net.ends, net.resistance, net.sides,
+                                          net.symmetries)
               .pinv(range(net.node_count)))
     return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
 
